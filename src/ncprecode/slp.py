@@ -8,6 +8,13 @@ noise inside the sector via separate upper/lower margin constraints; the
 robust variant replaces the ellipse by its worst case over all unit-trace
 jammer covariances, which is attained at rank-one covariances and searched
 over a small grid of orientations.
+
+Every design builds its QP from per-user (rows, bounds) terms made by
+:func:`user_terms` with the design's own bound function, and solves the
+stacked terms with :func:`solve_min_power` or :func:`solve_max_margin`. A
+user's terms depend only on that user's channel, noise and symbol, so the
+Monte-Carlo engine caches them per (user, symbol) and stacks the cached
+terms through the same two functions.
 """
 
 import cmath
@@ -16,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blp import _per_user
 from .errors import DegenerateEllipse, ZeroRow
 from .noisegeom import ConfidenceEllipse, chi2_scale, effective_cov, rotated_cov, ellipse_from_cov
 from .solver import QpProblem, solve_maximin, solve_min_norm
@@ -29,13 +37,19 @@ __all__ = [
     "safety_margin",
     "margin_rows",
     "margin_rows_pair",
+    "user_terms",
+    "solve_min_power",
+    "solve_max_margin",
     "pw_slp_minpower",
     "pw_slp_msm",
     "ellipse_margins",
     "tangent_points",
+    "nc_bounds",
     "nc_slp",
     "worst_case_pterms",
+    "robust_bounds",
     "robust_slp",
+    "naive_bounds",
     "naive_slp",
 ]
 
@@ -131,42 +145,71 @@ def margin_rows(h_k, s_k: complex, theta: float) -> MarginRows:
     return margin_rows_pair(hb[0], hb[1], s_k, theta)
 
 
-def _check_rows(rows):
-    for r in rows:
-        if float(r @ r) <= _ROW_EPS ** 2 * max(1.0, r.size):
-            raise ZeroRow("degenerate (zero) margin constraint row")
-
-
-def _per_user(values, k: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 1:
-        return np.full(k, arr[0])
-    if arr.size != k:
-        raise ValueError(f"expected {k} per-user values, got {arr.size}")
-    return arr
+def _check_rows(a: np.ndarray):
+    if np.min(np.sum(a * a, axis=1)) <= _ROW_EPS ** 2 * max(1.0, a.shape[1]):
+        raise ZeroRow("degenerate (zero) margin constraint row")
 
 
 def _min_power(rows, bounds) -> SlpSolution:
-    a = np.vstack(rows)
-    _check_rows(a)
-    b = np.asarray(bounds, dtype=float)
-    sol = solve_min_norm(QpProblem(a, b))
+    prob = QpProblem(rows, bounds)
+    sol = solve_min_norm(prob)
     return SlpSolution(
         x=sol.x,
         power=sol.objective,
-        achieved_margins=a @ sol.x - b,
+        achieved_margins=prob.a @ sol.x - prob.b,
         status="solved",
     )
 
 
-def _stacked_margin_rows(eff_channels, s, theta):
-    """Interleaved (upper, lower) rows per user for a list of channel pairs."""
-    rows = []
-    for (h1, h2), sk in zip(eff_channels, np.ravel(np.asarray(s, dtype=complex))):
-        mr = margin_rows_pair(h1, h2, sk, theta)
-        rows.append(mr.a_minus)
-        rows.append(mr.a_plus)
-    return rows
+def user_terms(pair, s_k: complex, theta: float, bounds=None):
+    """One user's margin rows for symbol s_k, paired with their bounds.
+
+    `pair` is the user's (first row, second row) real effective channel.
+    The rows are a_minus (upper boundary), then a_plus (lower boundary), each
+    repeated once per bound on it. `bounds` has 2r entries along its last
+    axis, r per boundary (r = 2 for the robust design's two worst-case
+    terms), and may have a leading axis over jammer-covariance orientations.
+    With bounds=None only the rows are built, for the maximin designs.
+    Returns (rows, bounds) with rows a tuple of 1-D arrays;
+    :func:`solve_min_power` and :func:`solve_max_margin` stack these terms
+    in user order.
+    """
+    mr = margin_rows_pair(pair[0], pair[1], s_k, theta)
+    r = 1 if bounds is None else np.shape(bounds)[-1] // 2
+    return (mr.a_minus,) * r + (mr.a_plus,) * r, bounds
+
+
+def _stack_rows(terms) -> np.ndarray:
+    return np.array([row for rows, _ in terms for row in rows])
+
+
+def solve_min_power(terms, conservative: bool = False) -> SlpSolution:
+    """Minimum-power transmit vector for per-user (rows, bounds) terms.
+
+    Bounds with a leading orientation axis give one QP per orientation, and
+    the solution needing the most power is returned (the first on ties);
+    with conservative=True a single QP on their elementwise maxima is solved.
+    """
+    a = _stack_rows(terms)
+    _check_rows(a)
+    b = np.concatenate([bounds for _, bounds in terms], axis=-1)
+    if b.ndim == 1:
+        return _min_power(a, b)
+    if conservative:
+        return _min_power(a, np.max(b, axis=0))
+    best = None
+    for bounds in b:
+        sol = _min_power(a, bounds)
+        if best is None or sol.power > best.power:
+            best = sol
+    return best
+
+
+def solve_max_margin(terms, p_t: float):
+    """(x, delta): the largest common margin delta of per-user rows under power p_t."""
+    a = _stack_rows(terms)
+    _check_rows(a)
+    return solve_maximin(a, p_t)
 
 
 def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:
@@ -175,10 +218,11 @@ def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:
     `eff_channels` is a sequence of (first row, second row) whitened pairs,
     `targets` the per-user preset margins applied to both boundaries.
     """
-    rows = _stacked_margin_rows(eff_channels, s, theta)
-    t = np.asarray(targets, dtype=float).ravel()
-    bounds = np.repeat(t, 2)
-    return _min_power(rows, bounds)
+    s = np.ravel(np.asarray(s, dtype=complex))
+    t = _per_user(targets, len(s))
+    return solve_min_power(
+        [user_terms(pair, s_k, theta, np.full(2, t_k)) for pair, s_k, t_k in zip(eff_channels, s, t)]
+    )
 
 
 def pw_slp_msm(eff_channels, s, p_t: float, theta: float):
@@ -187,14 +231,14 @@ def pw_slp_msm(eff_channels, s, p_t: float, theta: float):
     Returns (solution, delta) where delta is the achieved common margin and
     the solution uses the full budget.
     """
-    rows = np.vstack(_stacked_margin_rows(eff_channels, s, theta))
-    _check_rows(rows)
-    x, delta = solve_maximin(rows, p_t)
+    s = np.ravel(np.asarray(s, dtype=complex))
+    terms = [user_terms(pair, s_k, theta) for pair, s_k in zip(eff_channels, s)]
+    x, delta = solve_max_margin(terms, p_t)
     return (
         SlpSolution(
             x=x,
             power=float(x @ x),
-            achieved_margins=rows @ x - delta,
+            achieved_margins=_stack_rows(terms) @ x - delta,
             status="solved",
         ),
         delta,
@@ -244,30 +288,43 @@ def tangent_points(ellipse: ConfidenceEllipse, theta: float):
     return pu, -pu, pl, -pl
 
 
+def _users(channels, h_j, awgn_vars, s):
+    """Channel rows, jammer gains, AWGN variances and symbols, one per user."""
+    h = np.atleast_2d(np.asarray(channels, dtype=complex))
+    k = h.shape[0]
+    return h, np.ravel(h_j), _per_user(awgn_vars, k), np.ravel(np.asarray(s, dtype=complex))
+
+
+def nc_bounds(cov, s_k: complex, du0: float, dl0: float, p: float, theta: float) -> np.ndarray:
+    """Upper and lower bounds of one user's transmit-only constraints.
+
+    The effective-noise covariance is rotated by the symbol phase, and its
+    confidence ellipse at level p adds the upper/lower margin terms to the
+    preset margins.
+    """
+    cos_t = math.cos(theta)
+    du, dl = ellipse_margins(ellipse_from_cov(rotated_cov(cov, s_k), p), theta)
+    return np.array([du0 * cos_t + du, dl0 * cos_t + dl])
+
+
 def nc_slp(channels, h_j, jam, awgn_vars, s, targets: MarginTargets, p: float, theta: float) -> SlpSolution:
     """Transmit-only non-circular SLP: minimum power with ellipse-aware bounds.
 
-    For each user the effective-noise covariance is rotated by the symbol
-    phase, its confidence ellipse at level p gives the upper/lower margin
-    terms, and the transmit vector solves the resulting min-power QP with two
-    constraints per user. No receiver processing is assumed.
+    Each user contributes two constraints bounded by :func:`nc_bounds`, and
+    the transmit vector solves the resulting min-power QP. No receiver
+    processing is assumed.
     """
-    h = np.atleast_2d(np.asarray(channels, dtype=complex))
-    k = h.shape[0]
-    awgn = _per_user(awgn_vars, k)
-    s = np.ravel(np.asarray(s, dtype=complex))
-    cos_t = math.cos(theta)
-    rows, bounds = [], []
-    for idx in range(k):
-        mr = margin_rows(h[idx], s[idx], theta)
-        g = effective_cov(np.ravel(h_j)[idx], jam, awgn[idx])
-        ell = ellipse_from_cov(rotated_cov(g, s[idx]), p)
-        du, dl = ellipse_margins(ell, theta)
-        rows.append(mr.a_minus)
-        rows.append(mr.a_plus)
-        bounds.append(targets.delta_u0[idx] * cos_t + du)
-        bounds.append(targets.delta_l0[idx] * cos_t + dl)
-    return _min_power(rows, bounds)
+    h, h_j, awgn, s = _users(channels, h_j, awgn_vars, s)
+    return solve_min_power(
+        [
+            user_terms(
+                expand_row(h[u]), s[u], theta,
+                nc_bounds(effective_cov(h_j[u], jam, awgn[u]), s[u],
+                          targets.delta_u0[u], targets.delta_l0[u], p, theta),
+            )
+            for u in range(len(s))
+        ]
+    )
 
 
 def worst_case_pterms(alpha_check: float, theta: float, jam_power: float, awgn_var: float):
@@ -290,25 +347,27 @@ def worst_case_pterms(alpha_check: float, theta: float, jam_power: float, awgn_v
     return p_u1, p_u2, p_l1, p_l2
 
 
-def _robust_bounds(h_j, jammer_power, awgn, s, targets, omega, theta, phi):
-    """Constraint bounds of the worst-case QP for one covariance orientation."""
+def robust_bounds(h_jk: complex, jammer_power: float, awgn_var: float, s_k: complex,
+                  du0: float, dl0: float, omega: float, theta: float, n_div: int) -> np.ndarray:
+    """One user's worst-case bounds, one row (u1, u2, l1, l2) per orientation.
+
+    Row n - 1 belongs to the rank-one covariance orientation phi = n pi / n_div.
+    """
     cos_t = math.cos(theta)
-    bounds = []
-    for idx in range(len(s)):
-        hj = complex(np.ravel(h_j)[idx])
-        alpha_check = phi + cmath.phase(hj) - cmath.phase(complex(s[idx]))
-        jp = jammer_power * abs(hj) ** 2
-        p_u1, p_u2, p_l1, p_l2 = worst_case_pterms(alpha_check, theta, jp, awgn[idx])
-        root = math.sqrt(omega)
-        bounds.extend(
-            [
-                targets.delta_u0[idx] * cos_t + root * math.sqrt(p_u1),
-                targets.delta_u0[idx] * cos_t + root * math.sqrt(p_u2),
-                targets.delta_l0[idx] * cos_t + root * math.sqrt(p_l1),
-                targets.delta_l0[idx] * cos_t + root * math.sqrt(p_l2),
-            ]
+    hj = complex(h_jk)
+    jp = jammer_power * abs(hj) ** 2
+    root = math.sqrt(omega)
+    out = np.empty((n_div, 4))
+    for n in range(1, n_div + 1):
+        alpha_check = n * math.pi / n_div + cmath.phase(hj) - cmath.phase(complex(s_k))
+        p_u1, p_u2, p_l1, p_l2 = worst_case_pterms(alpha_check, theta, jp, awgn_var)
+        out[n - 1] = (
+            du0 * cos_t + root * math.sqrt(p_u1),
+            du0 * cos_t + root * math.sqrt(p_u2),
+            dl0 * cos_t + root * math.sqrt(p_l1),
+            dl0 * cos_t + root * math.sqrt(p_l2),
         )
-    return np.asarray(bounds)
+    return out
 
 
 def robust_slp(
@@ -340,27 +399,28 @@ def robust_slp(
     """
     if n_div < 1:
         raise ValueError("n_div must be at least 1")
-    h = np.atleast_2d(np.asarray(channels, dtype=complex))
-    k = h.shape[0]
-    awgn = _per_user(awgn_vars, k)
-    s = np.ravel(np.asarray(s, dtype=complex))
+    h, h_j, awgn, s = _users(channels, h_j, awgn_vars, s)
     omega = chi2_scale(p)
-    rows = []
-    for idx in range(k):
-        mr = margin_rows(h[idx], s[idx], theta)
-        rows.extend([mr.a_minus, mr.a_minus, mr.a_plus, mr.a_plus])
-    phis = [n * math.pi / n_div for n in range(1, n_div + 1)]
-    all_bounds = [
-        _robust_bounds(h_j, jammer_power, awgn, s, targets, omega, theta, phi) for phi in phis
-    ]
-    if conservative:
-        return _min_power(rows, np.max(np.vstack(all_bounds), axis=0))
-    best = None
-    for bounds in all_bounds:
-        sol = _min_power(rows, bounds)
-        if best is None or sol.power > best.power:
-            best = sol
-    return best
+    return solve_min_power(
+        [
+            user_terms(
+                expand_row(h[u]), s[u], theta,
+                robust_bounds(h_j[u], jammer_power, awgn[u], s[u], targets.delta_u0[u],
+                              targets.delta_l0[u], omega, theta, n_div),
+            )
+            for u in range(len(s))
+        ],
+        conservative,
+    )
+
+
+def naive_bounds(h_jk: complex, jammer_power: float, awgn_var: float,
+                 du0: float, dl0: float, omega: float, theta: float) -> np.ndarray:
+    """One user's bounds with the noise circularized at its total power."""
+    sigma2 = jammer_power * abs(complex(h_jk)) ** 2 + awgn_var
+    margin = math.sqrt(omega * 0.5 * sigma2)
+    cos_t = math.cos(theta)
+    return np.array([du0 * cos_t + margin, dl0 * cos_t + margin])
 
 
 def naive_slp(channels, h_j, jammer_power: float, awgn_vars, s, targets: MarginTargets, p: float, theta: float) -> SlpSolution:
@@ -370,19 +430,15 @@ def naive_slp(channels, h_j, jammer_power: float, awgn_vars, s, targets: MarginT
     sigma_k^2 = jammer_power |h_jk|^2 + awgn_var_k, so the margins depend only
     on the total effective-noise power.
     """
-    h = np.atleast_2d(np.asarray(channels, dtype=complex))
-    k = h.shape[0]
-    awgn = _per_user(awgn_vars, k)
-    s = np.ravel(np.asarray(s, dtype=complex))
+    h, h_j, awgn, s = _users(channels, h_j, awgn_vars, s)
     omega = chi2_scale(p)
-    cos_t = math.cos(theta)
-    rows, bounds = [], []
-    for idx in range(k):
-        mr = margin_rows(h[idx], s[idx], theta)
-        sigma2 = jammer_power * abs(complex(np.ravel(h_j)[idx])) ** 2 + awgn[idx]
-        margin = math.sqrt(omega * 0.5 * sigma2)
-        rows.append(mr.a_minus)
-        rows.append(mr.a_plus)
-        bounds.append(targets.delta_u0[idx] * cos_t + margin)
-        bounds.append(targets.delta_l0[idx] * cos_t + margin)
-    return _min_power(rows, bounds)
+    return solve_min_power(
+        [
+            user_terms(
+                expand_row(h[u]), s[u], theta,
+                naive_bounds(h_j[u], jammer_power, awgn[u], targets.delta_u0[u],
+                             targets.delta_l0[u], omega, theta),
+            )
+            for u in range(len(s))
+        ]
+    )

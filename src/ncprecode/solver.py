@@ -133,7 +133,7 @@ def _min_norm_kernel(a, b, gram, row_norm2, max_iter=None):
     return x, duals, active
 
 
-def solve_min_norm(prob: QpProblem, tol: float = 1e-8, max_iter=None) -> QpSolution:
+def solve_min_norm(prob: QpProblem, max_iter=None) -> QpSolution:
     """Globally optimal solution of min ||x||^2 s.t. A x >= b.
 
     The problem is strictly convex so the optimum is unique; the returned
@@ -153,7 +153,7 @@ def solve_min_norm(prob: QpProblem, tol: float = 1e-8, max_iter=None) -> QpSolut
     )
 
 
-def solve_maximin(a_rows, p_t: float, tol: float = 1e-8):
+def solve_maximin(a_rows, p_t: float):
     """Maximize the smallest constraint value delta s.t. ||x||^2 <= p_t.
 
     For uniform bounds the optimal power scales exactly as delta^2 times the
@@ -171,7 +171,7 @@ def solve_maximin(a_rows, p_t: float, tol: float = 1e-8):
         # A zero row pins its constraint value at zero for every x.
         return np.zeros(a.shape[1]), 0.0
     try:
-        base = solve_min_norm(QpProblem(a, np.ones(a.shape[0])), tol=tol)
+        base = solve_min_norm(QpProblem(a, np.ones(a.shape[0])))
     except Infeasible:
         # No direction makes every margin positive; x = 0 is optimal.
         return np.zeros(a.shape[1]), 0.0

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ncprecode import cli
 
 MINIMAL = """
@@ -82,6 +84,21 @@ class TestRun:
         bad = MINIMAL.replace("method = nc_slp", "method = bogus")
         cfg = write(tmp_path, "bad.cfg", bad)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_zero_n_div_fails_at_load(self, tmp_path):
+        bad = MINIMAL.replace("method = nc_slp", "method = robust_slp") + "n_div = 0\n"
+        cfg = write(tmp_path, "bad.cfg", bad)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("awgn_std", ["-1.0", "nan", "inf"])
+    def test_bad_awgn_std_fails_at_load(self, tmp_path, awgn_std):
+        bad = MINIMAL.replace("awgn_std = 1.0", f"awgn_std = {awgn_std}")
+        cfg = write(tmp_path, "bad.cfg", bad)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 LEMMA1_SMALL = """

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ncprecode.noisegeom import chi2_scale, jammer_model, q_from_elements
+from ncprecode import slp
+from ncprecode.noisegeom import chi2_scale, effective_cov, jammer_model, q_from_elements
 from ncprecode.oracles import min_norm_by_enumeration
 from ncprecode.sim import (
     QSpec,
@@ -18,10 +19,11 @@ from ncprecode.sim import (
     sample_psk,
     sweep_q_grid,
     per_trial_metrics,
+    _scenario_constants,
     _summarize,
 )
 from ncprecode import cli
-from ncprecode.wlalg import expand_row, symbol_rotation
+from ncprecode.wlalg import expand_row, sqrt_inv_psd2, symbol_rotation
 
 
 class TestSampling:
@@ -389,3 +391,125 @@ class TestSweep:
         assert res.boundary[10, 5]  # q11 = 1
         assert res.boundary[5, 0]   # q12 = -1/2
         assert res.boundary[5, 10]  # q12 = +1/2
+
+
+QP_METHODS = ("msm", "pw_msm", "pw_slp", "nc_slp", "naive_slp", "robust_slp")
+
+
+def reuse_scenario(method):
+    # d^K = 16 distinct symbol vectors, so a 48-slot block repeats them
+    return Scenario(
+        m=2, k=2, d=4, rho2_db=10.0, awgn_std=1.0, p=0.8, trials=2, block_len=48,
+        seed=4242, method=method, q_spec=QSpec("random_rank_one"), p_t_db=12.0,
+        psi_db=6.0, n_div=8,
+    )
+
+
+def slot_indices(sc, trial):
+    return [
+        _stream(sc.seed, trial, slot).integers(1, sc.d + 1, size=sc.k)
+        for slot in range(1, sc.block_len + 1)
+    ]
+
+
+def per_slot_reference(sc):
+    """Per-trial (power, symbol errors, bit errors) with one public precoder call per slot."""
+    c = _scenario_constants(sc)
+    k, d, theta = sc.k, sc.d, sc.theta
+    const = psk_constellation(d)
+    gray = [i ^ (i >> 1) for i in range(d)]
+    powers, sym, bits = [], [], []
+    for trial in range(sc.trials):
+        rng = _stream(sc.seed, trial, 0)
+        h, h_j = sample_channels(rng, sc.m, k)
+        jam = jammer_model(c["rho"], sc.q_spec.draw(rng))
+        covs = [effective_cov(hj, jam, c["awgn_var"]) for hj in h_j]
+        sigma2 = np.array([g.trace() for g in covs])
+        eff = [slp.whitened_effective_channel(h[u], covs[u], math.sqrt(sigma2[u])) for u in range(k)]
+        plain = [tuple(expand_row(h[u])) for u in range(k)]
+        pw_targets = c["delta0"] * math.cos(theta) + np.sqrt(chi2_scale(sc.p) * sigma2 / 2.0)
+        whiten = sc.method in ("pw_msm", "pw_slp")
+        power = 0.0
+        err = np.zeros(k, dtype=np.int64)
+        bit = np.zeros(k, dtype=np.int64)
+        for slot in range(1, sc.block_len + 1):
+            rng_s = _stream(sc.seed, trial, slot)
+            idx = rng_s.integers(1, d + 1, size=k)
+            s = const[idx - 1]
+            if sc.method == "msm":
+                xb = slp.pw_slp_msm(plain, s, c["p_t"], theta)[0].x
+            elif sc.method == "pw_msm":
+                xb = slp.pw_slp_msm(eff, s, c["p_t"], theta)[0].x
+            elif sc.method == "pw_slp":
+                xb = slp.pw_slp_minpower(eff, s, pw_targets, theta).x
+            elif sc.method == "nc_slp":
+                xb = slp.nc_slp(h, h_j, jam, c["awgn_var"], s, c["targets"], sc.p, theta).x
+            elif sc.method == "naive_slp":
+                xb = slp.naive_slp(h, h_j, c["rho2"], c["awgn_var"], s, c["targets"], sc.p, theta).x
+            else:
+                xb = slp.robust_slp(
+                    h, h_j, c["rho2"], c["awgn_var"], s, c["targets"], sc.p, theta, sc.n_div
+                ).x
+            x = xb[: sc.m] + 1j * xb[sc.m :]
+            power += float(np.real(x @ np.conj(x)))
+            zv = rng_s.standard_normal(2) @ (c["rho"] * jam.t_factor).T
+            nv = math.sqrt(0.5 * c["awgn_var"]) * rng_s.standard_normal((k, 2))
+            y = h @ x + h_j * complex(zv[0], zv[1]) + (nv[:, 0] + 1j * nv[:, 1])
+            for u in range(k):
+                yu = y[u]
+                if whiten:
+                    zw = sqrt_inv_psd2(covs[u]) @ np.array([yu.real, yu.imag])
+                    yu = complex(zw[0], zw[1])
+                det = psk_detect(yu, d)
+                if det != idx[u]:
+                    err[u] += 1
+                    bit[u] += bin(gray[idx[u] - 1] ^ gray[det - 1]).count("1")
+        powers.append(power / sc.block_len)
+        sym.append(err)
+        bits.append(bit)
+    return np.array(powers), np.vstack(sym), np.vstack(bits)
+
+
+class TestSlotReuse:
+    """Work reused across the slots of a trial gives exactly the per-slot results."""
+
+    def test_block_repeats_symbol_vectors(self):
+        sc = reuse_scenario("nc_slp")
+        for trial in range(sc.trials):
+            distinct = {tuple(idx) for idx in slot_indices(sc, trial)}
+            assert len(distinct) < sc.block_len
+
+    @pytest.mark.parametrize("method", QP_METHODS)
+    def test_matches_per_slot_public_calls(self, method):
+        sc = reuse_scenario(method)
+        power, sym, bits = per_slot_reference(sc)
+        series = per_trial_metrics(sc)
+        t_len, k = sc.block_len, sc.k
+        assert np.array_equal(series.avg_tx_power, power)
+        assert np.array_equal(series.ser_per_user, sym / t_len)
+        assert np.array_equal(series.ber, bits.sum(axis=1) / (k * t_len * sc.c_bits))
+        two = per_trial_metrics(sc, threads=2)
+        for name in ("ser_per_user", "worst_user_ser", "ber", "bler", "avg_tx_power"):
+            assert np.array_equal(getattr(two, name), getattr(series, name))
+
+    @pytest.mark.parametrize("method, solves_per_vector", [("nc_slp", 1), ("robust_slp", 8)])
+    def test_one_solve_per_distinct_vector_and_lazy_terms(self, monkeypatch, method, solves_per_vector):
+        sc = reuse_scenario(method)
+        calls = {"solve": 0, "terms": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(slp, "solve_min_norm", counted("solve", slp.solve_min_norm))
+        monkeypatch.setattr(slp, "user_terms", counted("terms", slp.user_terms))
+        per_trial_metrics(sc)
+        vectors = pairs = 0
+        for trial in range(sc.trials):
+            idxs = slot_indices(sc, trial)
+            vectors += len({tuple(idx) for idx in idxs})
+            pairs += len({(u, int(idx[u])) for idx in idxs for u in range(sc.k)})
+        assert calls["solve"] == vectors * solves_per_vector
+        assert calls["terms"] == pairs <= sc.trials * sc.d * sc.k

@@ -470,6 +470,16 @@ class TestWorstCasePterms:
             assert max(pl1, pl2) == pytest.approx(np.max(lo), rel=1e-12)
 
 
+def orientation_bounds(h_j, jammer_power, awgn_var, s, delta, omega, theta, phi):
+    """Worst-case bounds (u1, u2, l1, l2 per user) of one rank-one orientation phi."""
+    bounds = []
+    for hj, sk in zip(h_j, s):
+        alpha_check = phi + np.angle(hj) - np.angle(sk)
+        terms = worst_case_pterms(alpha_check, theta, jammer_power * abs(hj) ** 2, awgn_var)
+        bounds += [delta * math.cos(theta) + math.sqrt(omega * pt) for pt in terms]
+    return np.array(bounds)
+
+
 class TestRobustSlp:
     def test_n_div_one_is_single_orientation(self):
         rng = np.random.default_rng(73)
@@ -478,15 +488,13 @@ class TestRobustSlp:
         targets = MarginTargets.uniform(1.0, 3)
         sol1 = robust_slp(h, h_j, 10.0, 1.0, s, targets, 0.95, THETA4, n_div=1)
         # reproduce by hand at phi = pi
-        from ncprecode.slp import _robust_bounds, _min_power
+        from ncprecode.slp import _min_power
 
         rows = []
         for i in range(3):
             mr = margin_rows(h[i], s[i], THETA4)
             rows += [mr.a_minus, mr.a_minus, mr.a_plus, mr.a_plus]
-        bounds = _robust_bounds(
-            h_j, 10.0, np.ones(3), s, targets, chi2_scale(0.95), THETA4, math.pi
-        )
+        bounds = orientation_bounds(h_j, 10.0, 1.0, s, 1.0, chi2_scale(0.95), THETA4, math.pi)
         ref = _min_power(rows, bounds)
         assert sol1.power == pytest.approx(ref.power, rel=1e-12)
 
@@ -527,16 +535,14 @@ class TestRobustSlp:
         )
         assert conservative.power >= default.power - 1e-9
         # the conservative vector satisfies every sampled orientation's bounds
-        from ncprecode.slp import _robust_bounds
-
         rows = []
         for i in range(3):
             mr = margin_rows(h[i], s[i], THETA4)
             rows += [mr.a_minus, mr.a_minus, mr.a_plus, mr.a_plus]
         a = np.vstack(rows)
         for n in range(1, 9):
-            bounds = _robust_bounds(
-                h_j, 10.0, np.ones(3), s, targets, chi2_scale(0.95), THETA4, n * math.pi / 8
+            bounds = orientation_bounds(
+                h_j, 10.0, 1.0, s, 0.5, chi2_scale(0.95), THETA4, n * math.pi / 8
             )
             assert np.all(a @ conservative.x - bounds >= -1e-7)
 
