@@ -31,12 +31,10 @@ from .noisegeom import (
     CIRCULAR_Q,
     ConfidenceEllipse,
     JammerModel,
-    NoisePowers,
     chi2_scale,
     effective_cov,
     ellipse_from_cov,
     jammer_model,
-    noise_powers,
     q_from_elements,
     q_rank_one,
     rotated_cov,

@@ -11,6 +11,8 @@ import json
 import sys
 from dataclasses import replace
 
+from numpy.linalg import LinAlgError
+
 from .errors import ConfigError, PrecodingError
 from .oracles import SUITES
 from .sim import (
@@ -349,7 +351,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PrecodingError as exc:
+    except (PrecodingError, LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

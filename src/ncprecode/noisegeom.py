@@ -17,7 +17,6 @@ from .wlalg import SymMat2, eig2_sym, expand_row, symbol_rotation
 __all__ = [
     "JammerModel",
     "ConfidenceEllipse",
-    "NoisePowers",
     "CIRCULAR_Q",
     "q_from_elements",
     "q_rank_one",
@@ -28,7 +27,6 @@ __all__ = [
     "chi2_scale",
     "ellipse_from_cov",
     "sample_noise",
-    "noise_powers",
     "wedge_exit_probability",
 ]
 
@@ -70,14 +68,6 @@ class ConfidenceEllipse:
     lambda2: float
     alpha: float
     omega: float
-
-
-@dataclass(frozen=True)
-class NoisePowers:
-    """AWGN variance and total effective-noise power for one user."""
-
-    awgn_var: float
-    total_var: float
 
 
 def q_from_elements(q11: float, q12: float) -> SymMat2:
@@ -180,12 +170,6 @@ def sample_noise(rng, h_jk: complex, jam: JammerModel, awgn_var: float, size=Non
         return v @ mix + std * rng.standard_normal(2)
     v = rng.standard_normal((size, 2))
     return v @ mix + std * rng.standard_normal((size, 2))
-
-
-def noise_powers(h_jk: complex, jam: JammerModel, awgn_var: float) -> NoisePowers:
-    """AWGN variance and total effective-noise power rho^2 |h_jk|^2 + awgn_var."""
-    total = jam.rho ** 2 * abs(complex(h_jk)) ** 2 + awgn_var
-    return NoisePowers(awgn_var=float(awgn_var), total_var=float(total))
 
 
 def _norm_cdf(x):

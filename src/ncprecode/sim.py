@@ -36,7 +36,7 @@ from .noisegeom import (
     rotated_cov,
     wedge_exit_probability,
 )
-from .solver import _min_norm_kernel
+from .solver import _min_norm_kernel, _solve
 from .wlalg import SymMat2, expand_row, sqrt_inv_psd2, symbol_rotation
 
 __all__ = [
@@ -77,13 +77,30 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def _key(seed: int, trial: int, slot: int) -> tuple:
+    return seed & _MASK64, ((trial & _MASK32) << 32) | (slot & _MASK32)
+
+
 def _stream(seed: int, trial: int, slot: int) -> np.random.Generator:
     """Philox generator keyed by (seed, trial, slot); slot 0 = trial setup."""
-    key = np.array(
-        [seed & _MASK64, ((trial & _MASK32) << 32) | (slot & _MASK32)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array(_key(seed, trial, slot), dtype=np.uint64)))
+
+
+def _rekey(rng: np.random.Generator, seed: int, trial: int, slot: int) -> None:
+    """Reset a Philox generator to the fresh state of ``_stream(seed, trial, slot)``.
+
+    Counter zero, output buffer empty and no buffered 32-bit half: what
+    ``Philox(key=...)`` starts from, without building a generator (and the
+    entropy-seeded SeedSequence its constructor makes) for every slot.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": _key(seed, trial, slot)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -116,6 +133,13 @@ class QSpec:
         if self.kind == "rank_one":
             return q_rank_one(self.phi)
         return q_rank_one(rng.uniform(0.0, math.pi))
+
+    @property
+    def rank_deficient(self) -> bool:
+        """Whether the covariance is singular (rank one) in every trial."""
+        if self.kind == "elements":
+            return SymMat2(self.q11, self.q12, 1.0 - self.q11).det() <= 0.0
+        return self.kind in ("rank_one", "random_rank_one")
 
     def label(self) -> str:
         if self.kind == "elements":
@@ -161,6 +185,11 @@ class Scenario:
             raise ValueError("awgn_std must be finite and nonnegative")
         if self.n_div < 1:
             raise ValueError("n_div must be at least 1")
+        if self.method in _WHITENED_RX and self.awgn_std == 0.0 and self.q_spec.rank_deficient:
+            raise ValueError(
+                f"method {self.method} whitens the effective noise, which is singular "
+                "for a rank-deficient jammer covariance unless awgn_std > 0"
+            )
 
     @property
     def theta(self) -> float:
@@ -407,7 +436,8 @@ def _run_trial(sc: Scenario, consts: dict, trial: int, integrate: bool = False) 
     slot that draws it again; slots then only draw noise and detect. Reuse
     is exact: a repeat would recompute the same deterministic function of
     the same inputs, and every slot still draws its symbols and noise from
-    its own (seed, trial, slot) stream. The memo holds at most
+    its own (seed, trial, slot) stream: the trial's generator, re-keyed by
+    :func:`_rekey`. The memo holds at most
     min(block_len, d^K) entries and ends with the trial.
     """
     rng = _stream(sc.seed, trial, 0)
@@ -427,8 +457,8 @@ def _run_trial(sc: Scenario, consts: dict, trial: int, integrate: bool = False) 
     rx_block = np.empty((sc.block_len, k), dtype=complex) if integrate else None
     idx_block = np.empty((sc.block_len, k), dtype=np.int64) if integrate else None
     for slot in range(1, sc.block_len + 1):
-        rng_s = _stream(sc.seed, trial, slot)
-        idx = _draw_index(rng_s, d, k)
+        _rekey(rng, sc.seed, trial, slot)
+        idx = _draw_index(rng, d, k)
         key = idx.tobytes()
         hit = memo.get(key)
         if hit is None:
@@ -436,9 +466,9 @@ def _run_trial(sc: Scenario, consts: dict, trial: int, integrate: bool = False) 
             hit = memo[key] = (float(np.real(x @ np.conj(x))), h @ x)
         power, rx = hit
         power_sum += power
-        zv = rng_s.standard_normal(2) @ mix
+        zv = rng.standard_normal(2) @ mix
         z = complex(zv[0], zv[1])
-        nv = awgn_scale * rng_s.standard_normal((k, 2))
+        nv = awgn_scale * rng.standard_normal((k, 2))
         y = rx + h_j * z + (nv[:, 0] + 1j * nv[:, 1])
         if rx_block is not None:
             rx_block[slot - 1] = rx
@@ -681,12 +711,12 @@ def _sweep_power(h, h_j, rho, awgn_var, targets, p, theta, grid_n, symbols):
             if prev_active:
                 s_arr = np.asarray(prev_active)
                 try:
-                    mu = np.linalg.solve(gram[np.ix_(s_arr, s_arr)], 2.0 * b[s_arr])
+                    mu = _solve(gram[s_arr[:, None], s_arr], 2.0 * b[s_arr])
                 except np.linalg.LinAlgError:
                     mu = None
-                if mu is not None and np.all(mu >= 0.0):
+                if mu is not None and (mu >= 0.0).all():
                     x = 0.5 * (a[s_arr].T @ mu)
-                    if np.all(a @ x - b >= -eps_p):
+                    if (a @ x - b >= -eps_p).all():
                         power = float(x @ x)
             if power is None:
                 x, _, prev_active = _min_norm_kernel(a, b, gram, row_norm2)

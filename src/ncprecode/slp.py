@@ -150,15 +150,18 @@ def _check_rows(a: np.ndarray):
         raise ZeroRow("degenerate (zero) margin constraint row")
 
 
-def _min_power(rows, bounds) -> SlpSolution:
-    prob = QpProblem(rows, bounds)
-    sol = solve_min_norm(prob)
+def _solution(prob: QpProblem, sol) -> SlpSolution:
     return SlpSolution(
         x=sol.x,
         power=sol.objective,
         achieved_margins=prob.a @ sol.x - prob.b,
         status="solved",
     )
+
+
+def _min_power(rows, bounds) -> SlpSolution:
+    prob = QpProblem(rows, bounds)
+    return _solution(prob, solve_min_norm(prob))
 
 
 def user_terms(pair, s_k: complex, theta: float, bounds=None):
@@ -199,10 +202,11 @@ def solve_min_power(terms, conservative: bool = False) -> SlpSolution:
         return _min_power(a, np.max(b, axis=0))
     best = None
     for bounds in b:
-        sol = _min_power(a, bounds)
-        if best is None or sol.power > best.power:
-            best = sol
-    return best
+        prob = QpProblem(a, bounds)
+        sol = solve_min_norm(prob)
+        if best is None or sol.objective > best[1].objective:
+            best = prob, sol
+    return _solution(*best)
 
 
 def solve_max_margin(terms, p_t: float):

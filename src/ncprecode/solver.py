@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import Infeasible, MaxIterations, ZeroRow
 
@@ -58,6 +59,23 @@ class QpSolution:
     active_set: tuple = field(default_factory=tuple)
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` for a square float matrix and a 1-D right-hand side.
+
+    Calls the LAPACK ``gesv`` gufunc that ``np.linalg.solve`` dispatches to
+    for this case, under the same floating-point error state, so the result
+    has the same bits and a singular matrix raises the same LinAlgError; the
+    array-wrapping checks around it, which cost several times the solve for
+    the small systems here, are skipped.
+    """
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _min_norm_kernel(a, b, gram, row_norm2, max_iter=None):
     """Dual active-set iteration on precomputed Gram data.
 
@@ -65,10 +83,10 @@ def _min_norm_kernel(a, b, gram, row_norm2, max_iter=None):
     `gram` = a @ a.T and `row_norm2` its diagonal.
     """
     m, n = a.shape
-    scale = max(1.0, float(np.max(np.abs(b))))
+    scale = max(1.0, float(abs(b).max()))
     eps_p = 1e-9 * scale
     zero_rows = row_norm2 <= _ZERO_ROW_NORM2
-    if np.any(zero_rows & (b > eps_p)):
+    if (zero_rows & (b > eps_p)).any():
         raise Infeasible("zero constraint row with positive bound")
 
     x = np.zeros(n)
@@ -81,7 +99,7 @@ def _min_norm_kernel(a, b, gram, row_norm2, max_iter=None):
         if iters > cap:
             raise MaxIterations(f"active-set solver exceeded {cap} iterations")
         slack = a @ x - b
-        p = int(np.argmin(slack))
+        p = int(slack.argmin())
         if slack[p] >= -eps_p:
             break
         mu_p = 0.0
@@ -90,11 +108,10 @@ def _min_norm_kernel(a, b, gram, row_norm2, max_iter=None):
             if iters > cap:
                 raise MaxIterations(f"active-set solver exceeded {cap} iterations")
             if active:
-                s_arr = np.asarray(active)
-                r = np.linalg.solve(gram[np.ix_(s_arr, s_arr)], gram[s_arr, p])
-                z = 0.5 * (a[p] - a[s_arr].T @ r)
+                s = np.array(active)
+                r = _solve(gram[s[:, None], s], gram[s, p])
+                z = 0.5 * (a[p] - a[s].T @ r)
             else:
-                r = np.zeros(0)
                 z = 0.5 * a[p]
             z2 = float(z @ z)
             sp = float(b[p] - a[p] @ x)
@@ -105,8 +122,9 @@ def _min_norm_kernel(a, b, gram, row_norm2, max_iter=None):
                 t_full = math.inf
             t_drop = math.inf
             k_drop = -1
-            if active and r.size:
-                r_eps = 1e-12 * (1.0 + float(np.max(np.abs(r))))
+            if active:
+                r_eps = 1e-12 * (1.0 + float(abs(r).max()))
+                r = r.tolist()
                 for j, (mu_j, r_j) in enumerate(zip(mu, r)):
                     if r_j > r_eps and mu_j / r_j < t_drop:
                         t_drop = mu_j / r_j

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ncprecode import cli
@@ -99,6 +100,40 @@ class TestRun:
         out = tmp_path / "x.csv"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["pw_slp", "pw_blp", "pw_msm"])
+    @pytest.mark.parametrize("q", ["random_rank_one", "rank_one:0.3", "elements:0.5,0.5"])
+    def test_whitening_without_awgn_fails_at_load(self, tmp_path, method, q):
+        bad = (
+            MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
+            .replace("method = nc_slp", f"method = {method}\np_t_db = 20.0")
+            .replace("q = random_rank_one", f"q = {q}")
+        )
+        cfg = write(tmp_path, "bad.cfg", bad)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, q", [("nc_slp", "random_rank_one"), ("pw_slp", "elements:0.7,-0.3")])
+    def test_zero_awgn_accepted_when_noise_stays_definite(self, tmp_path, method, q):
+        ok = (
+            MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
+            .replace("method = nc_slp", f"method = {method}")
+            .replace("q = random_rank_one", f"q = {q}")
+        )
+        cfg = write(tmp_path, "ok.cfg", ok)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_linalg_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def singular(args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(cli._COMMANDS, "run", singular)
+        cfg = write(tmp_path, "min.cfg", MINIMAL)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "error: Singular matrix" in capsys.readouterr().err
 
 
 LEMMA1_SMALL = """

@@ -10,7 +10,6 @@ from ncprecode.noisegeom import (
     effective_cov,
     ellipse_from_cov,
     jammer_model,
-    noise_powers,
     q_from_elements,
     q_rank_one,
     rotated_cov,
@@ -181,12 +180,6 @@ class TestSampling:
         c = sample_noise(rng, 1.2 + 0.1j, jam, 0.5, size=1_000_000)
         sigma = math.sqrt(effective_cov(1.2 + 0.1j, jam, 0.5).trace())
         assert np.max(np.abs(c.mean(axis=0))) < 4 * sigma / 1000
-
-    def test_noise_powers(self):
-        jam = jammer_model(2.0, CIRCULAR_Q)
-        np_out = noise_powers(0.6 + 0.8j, jam, 1.5)
-        assert np_out.awgn_var == 1.5
-        assert np_out.total_var == pytest.approx(4.0 * 1.0 + 1.5)
 
 
 class TestWedgeExit:

@@ -9,6 +9,7 @@ from ncprecode.oracles import min_norm_by_enumeration
 from ncprecode.sim import (
     QSpec,
     Scenario,
+    _rekey,
     _stream,
     energy_efficiency,
     margin_from_psi,
@@ -54,6 +55,24 @@ class TestSampling:
         expected = len(s) / 8
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < 40.0
+
+    @pytest.mark.parametrize("seed, trial, slot", [(12345, 0, 1), (2**64 - 1, 2**32 - 1, 2**32 - 1), (7, 3, 511)])
+    def test_rekey_restarts_the_slot_stream(self, seed, trial, slot):
+        rng = _stream(seed, trial + 1, 0)
+        rng.standard_normal(3)
+        rng.integers(0, 7, size=3, dtype=np.uint32)   # odd count of 32-bit draws
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        _rekey(rng, seed, trial, slot)
+        fresh = _stream(seed, trial, slot)
+        assert rng.bit_generator.state["has_uint32"] == 0
+        for draw in (
+            lambda g: g.integers(1, 5, size=4),
+            lambda g: g.integers(0, 9, size=3, dtype=np.uint32),
+            lambda g: g.standard_normal(2),
+            lambda g: g.standard_normal((4, 2)),
+        ):
+            assert np.array_equal(draw(rng), draw(fresh))
 
 
 class TestDetection:
