@@ -81,7 +81,6 @@ from .wlalg import (
     eig2_sym,
     expand_row,
     expand_vec,
-    rotation2,
     sqrt_inv_psd2,
     symbol_rotation,
 )

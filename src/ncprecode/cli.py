@@ -40,6 +40,7 @@ METRIC_COLUMNS = (
     "avg_tx_power", "avg_tx_power_se", "throughput", "ee", "ee_se",
     "ser_per_user",
 )
+COLUMNS = SCENARIO_COLUMNS + METRIC_COLUMNS
 
 
 def _fmt(value) -> str:
@@ -52,18 +53,14 @@ def _fmt(value) -> str:
 
 
 def _parse_qspec(text: str) -> QSpec:
-    text = text.strip()
-    if text == "circular":
-        return QSpec("circular")
-    if text == "random_rank_one":
-        return QSpec("random_rank_one")
-    if text.startswith("elements:"):
-        parts = text.split(":", 1)[1].split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"bad covariance spec: {text}")
-        return QSpec("elements", q11=float(parts[0]), q12=float(parts[1]))
-    if text.startswith("rank_one:"):
-        return QSpec("rank_one", phi=float(text.split(":", 1)[1]))
+    kind, sep, args = text.strip().partition(":")
+    if kind in ("circular", "random_rank_one") and not sep:
+        return QSpec(kind)
+    values = [float(v) for v in args.split(",")]
+    if kind == "elements" and len(values) == 2:
+        return QSpec(kind, q11=values[0], q12=values[1])
+    if kind == "rank_one" and len(values) == 1:
+        return QSpec(kind, phi=values[0])
     raise ConfigError(f"bad covariance spec: {text}")
 
 
@@ -77,7 +74,26 @@ def _get(section, key, conv, required=True, default=None):
     except ConfigError:
         raise
     except Exception as exc:
-        raise ConfigError(f"bad value for '{key}': {section[key]}") from exc
+        raise ConfigError(f"bad value for '{key}': {section[key]} ({exc})") from exc
+
+
+# [scenario] keys in the order they are checked. Optional keys map to
+# (Scenario field, converter); absent ones take Scenario's defaults.
+_SCENARIO_REQUIRED = {
+    "m": int, "k": int, "d": int, "rho2_db": float, "awgn_std": float, "p": float,
+    "trials": int, "block_len": int, "seed": int, "method": str.strip,
+}
+_SCENARIO_OPTIONAL = {
+    "q": ("q_spec", _parse_qspec), "p_t_db": ("p_t_db", float),
+    "psi_db": ("psi_db", float), "n_div": ("n_div", int),
+}
+# [grid] key -> (converter, default, validity test, rule in the error message).
+_GRID = {
+    "resolution": (int, 21, lambda v: v >= 5, "at least 5"),
+    "draws": (int, 100, lambda v: v >= 1, "at least 1"),
+    "symbols_per_point": (int, 50, lambda v: v >= 1, "at least 1"),
+    "pass_fraction": (float, 0.95, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+}
 
 
 def load_config(path: str):
@@ -89,23 +105,12 @@ def load_config(path: str):
     if "scenario" not in parser:
         raise ConfigError("config must contain a [scenario] section")
     sec = parser["scenario"]
+    fields = {key: _get(sec, key, conv) for key, conv in _SCENARIO_REQUIRED.items()}
+    for key, (name, conv) in _SCENARIO_OPTIONAL.items():
+        if key in sec:
+            fields[name] = _get(sec, key, conv)
     try:
-        base = Scenario(
-            m=_get(sec, "m", int),
-            k=_get(sec, "k", int),
-            d=_get(sec, "d", int),
-            rho2_db=_get(sec, "rho2_db", float),
-            awgn_std=_get(sec, "awgn_std", float),
-            p=_get(sec, "p", float),
-            trials=_get(sec, "trials", int),
-            block_len=_get(sec, "block_len", int),
-            seed=_get(sec, "seed", int),
-            method=_get(sec, "method", str).strip(),
-            q_spec=_get(sec, "q", _parse_qspec, required=False, default=QSpec("circular")),
-            p_t_db=_get(sec, "p_t_db", float, required=False),
-            psi_db=_get(sec, "psi_db", float, required=False),
-            n_div=_get(sec, "n_div", int, required=False, default=16),
-        )
+        base = Scenario(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -130,17 +135,12 @@ def load_config(path: str):
                 raise ConfigError("empty sweep axis 'method'")
             sweep["method"] = methods
 
-    grid = {"resolution": 21, "draws": 100, "symbols_per_point": 50, "pass_fraction": 0.95}
-    if "grid" in parser:
-        gr = parser["grid"]
-        grid["resolution"] = _get(gr, "resolution", int, required=False, default=21)
-        grid["draws"] = _get(gr, "draws", int, required=False, default=100)
-        grid["symbols_per_point"] = _get(
-            gr, "symbols_per_point", int, required=False, default=50
-        )
-        grid["pass_fraction"] = _get(
-            gr, "pass_fraction", float, required=False, default=0.95
-        )
+    gr = parser["grid"] if "grid" in parser else {}
+    grid = {}
+    for key, (conv, default, valid, rule) in _GRID.items():
+        grid[key] = _get(gr, key, conv, required=False, default=default)
+        if not valid(grid[key]):
+            raise ConfigError(f"[grid] {key} must be {rule}, got {grid[key]}")
     return base, sweep, grid
 
 
@@ -159,102 +159,65 @@ def expand_sweep(base: Scenario, sweep: dict):
 
 
 def _row_dict(sc: Scenario, rec: MetricsRecord) -> dict:
-    row = {
-        "method": sc.method,
-        "m": sc.m,
-        "k": sc.k,
-        "d": sc.d,
-        "p_t_db": sc.p_t_db,
-        "rho2_db": sc.rho2_db,
-        "q": sc.q_spec.label(),
-        "awgn_std": sc.awgn_std,
-        "p": sc.p,
-        "psi_db": sc.psi_db,
-        "n_div": sc.n_div,
-        "trials": sc.trials,
-        "block_len": sc.block_len,
-        "seed": sc.seed,
-        "worst_user_ser": rec.worst_user_ser,
-        "worst_user_ser_se": rec.worst_user_ser_se,
-        "ber": rec.ber,
-        "ber_se": rec.ber_se,
-        "bler": rec.bler,
-        "bler_se": rec.bler_se,
-        "avg_tx_power": rec.avg_tx_power,
-        "avg_tx_power_se": rec.avg_tx_power_se,
-        "throughput": rec.throughput,
-        "ee": rec.ee,
-        "ee_se": rec.ee_se,
-        "ser_per_user": "|".join(repr(v) for v in rec.ser_per_user),
-    }
-    return row
+    fields = {**vars(sc), **vars(rec)}
+    fields["q"] = sc.q_spec.label()
+    fields["ser_per_user"] = "|".join(repr(v) for v in rec.ser_per_user)
+    return {c: fields[c] for c in COLUMNS}
 
 
-def _write_rows(rows, out_path: str, fmt: str):
-    columns = SCENARIO_COLUMNS + METRIC_COLUMNS
-    if fmt == "json":
-        payload = json.dumps(rows, indent=2, sort_keys=False)
-        text = payload + "\n"
-    else:
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
-    if out_path == "-":
-        sys.stdout.write(text)
-    else:
+def _csv(header: str, lines) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _write(text: str, out_path: str, stdout: bool = False) -> None:
+    """Write text to out_path; '-' sends it to stdout if `stdout`, else nowhere."""
+    if out_path != "-":
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+    elif stdout:
+        sys.stdout.write(text)
+
+
+def _write_rows(rows, out_path: str, fmt: str) -> None:
+    if fmt == "json":
+        text = json.dumps(rows, indent=2) + "\n"
+    else:
+        text = _csv(",".join(COLUMNS), (",".join(_fmt(row[c]) for c in COLUMNS) for row in rows))
+    _write(text, out_path, stdout=True)
 
 
 def cmd_run(args) -> int:
     base, sweep, _ = load_config(args.config)
-    rows = []
-    for sc in expand_sweep(base, sweep):
-        rec = run_montecarlo(sc, threads=args.threads)
-        rows.append(_row_dict(sc, rec))
+    rows = [_row_dict(sc, run_montecarlo(sc, threads=args.threads)) for sc in expand_sweep(base, sweep)]
     _write_rows(rows, args.out, args.format)
     return EXIT_OK
 
 
-def _write_grid_csv(result, out_path: str):
-    lines = ["q11,q12,value,feasible,boundary"]
-    for i, q1 in enumerate(result.q11):
-        for j, q2 in enumerate(result.q12):
-            val = result.values[i, j]
-            lines.append(
-                ",".join(
-                    [
-                        repr(float(q1)),
-                        repr(float(q2)),
-                        "" if not result.feasible[i, j] else repr(float(val)),
-                        str(int(result.feasible[i, j])),
-                        str(int(result.boundary[i, j])),
-                    ]
-                )
-            )
-    with open(out_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_sweep_q(args) -> int:
     base, _, grid = load_config(args.config)
-    result = sweep_q_grid(base, grid_n=grid["resolution"], n_symbols=grid["symbols_per_point"])
-    _write_grid_csv(result, args.out)
+    res = sweep_q_grid(base, grid_n=grid["resolution"], n_symbols=grid["symbols_per_point"])
+    lines = []
+    for i, q1 in enumerate(res.q11):
+        for j, q2 in enumerate(res.q12):
+            feas, edge = int(res.feasible[i, j]), int(res.boundary[i, j])
+            value = repr(float(res.values[i, j])) if feas else ""
+            lines.append(f"{float(q1)!r},{float(q2)!r},{value},{feas},{edge}")
+    _write(_csv("q11,q12,value,feasible,boundary", lines), args.out)
     print(
-        f"sweep-q [{result.mode}]: argmax at (q11, q12) = "
-        f"({result.argmax_q[0]:.4f}, {result.argmax_q[1]:.4f}), "
-        f"on_boundary = {result.argmax_on_boundary}"
+        f"sweep-q [{res.mode}]: argmax at (q11, q12) = "
+        f"({res.argmax_q[0]:.4f}, {res.argmax_q[1]:.4f}), "
+        f"on_boundary = {res.argmax_on_boundary}"
     )
     return EXIT_OK
 
 
-def _write_lemma_csv(report, out_path: str):
-    lines = ["draw,argmax_q11,argmax_q12,pass"]
-    for idx, (q1, q2, ok) in enumerate(report.per_draw):
-        lines.append(f"{idx},{q1!r},{q2!r},{int(ok)}")
-    with open(out_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _verdict(report, out_path: str, claim: str, where: str) -> int:
+    """Write the per-draw CSV and print the verdict line of a verify command."""
+    lines = (f"{i},{q1!r},{q2!r},{int(ok)}" for i, (q1, q2, ok) in enumerate(report.per_draw))
+    _write(_csv("draw,argmax_q11,argmax_q12,pass", lines), out_path)
+    verdict = "PASS" if report.passed else "FAIL"
+    print(f"{claim}: {report.n_pass}/{report.n_draws} draws {where} -> {verdict}")
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
 def cmd_verify_lemma1(args) -> int:
@@ -265,14 +228,7 @@ def cmd_verify_lemma1(args) -> int:
         n_draws=grid["draws"],
         pass_fraction=grid["pass_fraction"],
     )
-    if args.out != "-":
-        _write_lemma_csv(report, args.out)
-    verdict = "PASS" if report.passed else "FAIL"
-    print(
-        f"lemma1 (worst-case MSE at circular center): {report.n_pass}/{report.n_draws} "
-        f"draws at center -> {verdict}"
-    )
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    return _verdict(report, args.out, "lemma1 (worst-case MSE at circular center)", "at center")
 
 
 def cmd_verify_lemma2(args) -> int:
@@ -290,14 +246,7 @@ def cmd_verify_lemma2(args) -> int:
         n_symbols=grid["symbols_per_point"],
         pass_fraction=grid["pass_fraction"],
     )
-    if args.out != "-":
-        _write_lemma_csv(report, args.out)
-    verdict = "PASS" if report.passed else "FAIL"
-    print(
-        f"lemma2 (worst-case power on rank-one boundary): {report.n_pass}/{report.n_draws} "
-        f"draws on boundary -> {verdict}"
-    )
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    return _verdict(report, args.out, "lemma2 (worst-case power on rank-one boundary)", "on boundary")
 
 
 def cmd_oracle(args) -> int:
@@ -318,18 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to the INI config file")
-        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (must not change results)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def add_command(name, help_text, out_help="CSV output path ('-' writes none)"):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="path to the INI config file")
+        p.add_argument("--out", default="-", help=out_help)
+        return p
 
-    add_common(sub.add_parser("run", help="run the configured scenarios/sweeps"))
-    add_common(sub.add_parser("sweep-q", help="metric surface over the covariance disk"))
-    add_common(sub.add_parser("verify-lemma1", help="worst-case MSE location check"))
-    add_common(sub.add_parser("verify-lemma2", help="worst-case power location check"))
+    run = add_command("run", "run the configured scenarios/sweeps", "output path ('-' for stdout)")
+    run.add_argument("--threads", type=int, default=1,
+                     help="worker threads (must not change results)")
+    run.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_command("sweep-q", "metric surface over the covariance disk")
+    add_command("verify-lemma1", "worst-case MSE location check")
+    add_command("verify-lemma2", "worst-case power location check")
     oracle = sub.add_parser("oracle", help="run an independent verification suite")
     oracle.add_argument("suite", choices=tuple(SUITES) + ("all",))
     return parser

@@ -2,8 +2,10 @@
 
 Each suite re-derives a quantity by brute force (subset enumeration, dense
 boundary sampling, large-sample Monte Carlo) and compares it against the
-closed-form or solver path used in production. The CLI exposes them through
-the `oracle` subcommand; the test suite asserts on the same outcomes.
+closed-form or solver path used in production. The CLI exposes the suites in
+SUITES through the `oracle` subcommand; the test suite asserts on the same
+outcomes. The wedge-exit suite (run_wedge_suite) is a test oracle only: it
+is not in SUITES, so `ncprecode oracle` does not offer it.
 """
 
 import itertools

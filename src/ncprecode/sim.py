@@ -107,9 +107,9 @@ def _rekey(rng: np.random.Generator, seed: int, trial: int, slot: int) -> None:
 class QSpec:
     """Jammer covariance specification for a scenario.
 
-    kind is one of "circular", "elements" (explicit q11/q12), "rank_one"
-    (fixed orientation phi), or "random_rank_one" (orientation redrawn
-    uniformly on [0, pi) each trial).
+    kind is one of "circular", "elements" (explicit q11/q12 inside the PSD
+    disk, checked on construction), "rank_one" (fixed orientation phi), or
+    "random_rank_one" (orientation redrawn uniformly on [0, pi) each trial).
     """
 
     kind: str = "circular"
@@ -120,8 +120,10 @@ class QSpec:
     def __post_init__(self):
         if self.kind not in ("circular", "elements", "rank_one", "random_rank_one"):
             raise ValueError(f"unknown covariance spec kind: {self.kind}")
-        if self.kind == "elements" and (self.q11 is None or self.q12 is None):
-            raise ValueError("elements spec requires q11 and q12")
+        if self.kind == "elements":
+            if self.q11 is None or self.q12 is None:
+                raise ValueError("elements spec requires q11 and q12")
+            q_from_elements(self.q11, self.q12)  # raises InfeasibleQ outside the PSD disk
         if self.kind == "rank_one" and self.phi is None:
             raise ValueError("rank_one spec requires an orientation phi")
 
@@ -607,7 +609,6 @@ class SweepResult:
     values: np.ndarray        # grid_n x grid_n, NaN outside the feasible disk
     feasible: np.ndarray
     boundary: np.ndarray
-    argmax: tuple
     argmax_q: tuple
     argmax_on_boundary: bool
     mode: str
@@ -620,7 +621,6 @@ class LemmaReport:
     per_draw: tuple
     n_pass: int
     n_draws: int
-    pass_fraction: float
     passed: bool
 
 
@@ -727,7 +727,29 @@ def _sweep_power(h, h_j, rho, awgn_var, targets, p, theta, grid_n, symbols):
     return q11, q12, feas, values
 
 
-def _finish_sweep(q11, q12, feas, values, mode) -> SweepResult:
+def _draw_surface(sc: Scenario, draw: int, grid_n: int, n_symbols: int, mode: str) -> SweepResult:
+    """Metric surface of one channel draw over the feasible (q11, q12) disk.
+
+    The channels come from trial `draw`'s set-up stream. Mode "mse" sweeps
+    the closed-form MSE of the pre-whitened BLP design; mode "power" sweeps
+    the transmit-only minimum power averaged over n_symbols symbol vectors
+    drawn from the trial's slot-1 stream.
+    """
+    if grid_n < 5:
+        raise ValueError("grid resolution must be at least 5")
+    consts = _scenario_constants(sc)
+    h, h_j = sample_channels(_stream(sc.seed, draw, 0), sc.m, sc.k)
+    if mode == "mse":
+        q11, q12, feas, values = _sweep_mse(
+            h, h_j, consts["rho"], consts["awgn_var"], consts["p_t"], grid_n
+        )
+    else:
+        rng_s = _stream(sc.seed, draw, 1)
+        symbols = [sample_psk(rng_s, sc.d, sc.k) for _ in range(n_symbols)]
+        q11, q12, feas, values = _sweep_power(
+            h, h_j, consts["rho"], consts["awgn_var"], consts["targets"],
+            sc.p, sc.theta, grid_n, symbols,
+        )
     boundary = _boundary_mask(feas)
     flat = np.where(feas, values, -np.inf)
     arg = np.unravel_index(int(np.argmax(flat)), flat.shape)
@@ -737,7 +759,6 @@ def _finish_sweep(q11, q12, feas, values, mode) -> SweepResult:
         values=values,
         feasible=feas,
         boundary=boundary,
-        argmax=(int(arg[0]), int(arg[1])),
         argmax_q=(float(q11[arg[0]]), float(q12[arg[1]])),
         argmax_on_boundary=bool(boundary[arg]),
         mode=mode,
@@ -751,25 +772,23 @@ def sweep_q_grid(sc: Scenario, grid_n: int = 21, n_symbols: int = 50) -> SweepRe
     methods sweep the average transmit-only minimum power over n_symbols
     symbol draws. Channels come from the scenario's trial-0 stream.
     """
-    if grid_n < 5:
-        raise ValueError("grid resolution must be at least 5")
-    consts = _scenario_constants(sc)
-    rng = _stream(sc.seed, 0, 0)
-    h, h_j = sample_channels(rng, sc.m, sc.k)
-    if sc.method in BLP_METHODS:
-        q11, q12, feas, values = _sweep_mse(
-            h, h_j, consts["rho"], consts["awgn_var"], consts["p_t"], grid_n
-        )
-        mode = "mse"
-    else:
-        rng_s = _stream(sc.seed, 0, 1)
-        symbols = [sample_psk(rng_s, sc.d, sc.k) for _ in range(n_symbols)]
-        q11, q12, feas, values = _sweep_power(
-            h, h_j, consts["rho"], consts["awgn_var"], consts["targets"],
-            sc.p, sc.theta, grid_n, symbols,
-        )
-        mode = "power"
-    return _finish_sweep(q11, q12, feas, values, mode)
+    mode = "mse" if sc.method in BLP_METHODS else "power"
+    return _draw_surface(sc, 0, grid_n, n_symbols, mode)
+
+
+def _verify_lemma(sc, grid_n, n_draws, n_symbols, mode, passes, pass_fraction) -> LemmaReport:
+    """Per-draw argmax of the `mode` surface, judged by passes(surface)."""
+    per_draw = []
+    for draw in range(n_draws):
+        res = _draw_surface(sc, draw, grid_n, n_symbols, mode)
+        per_draw.append((res.argmax_q[0], res.argmax_q[1], bool(passes(res))))
+    n_pass = sum(ok for _, _, ok in per_draw)
+    return LemmaReport(
+        per_draw=tuple(per_draw),
+        n_pass=n_pass,
+        n_draws=n_draws,
+        passed=n_pass >= math.ceil(pass_fraction * n_draws),
+    )
 
 
 def verify_lemma_blp(
@@ -780,27 +799,12 @@ def verify_lemma_blp(
     A draw passes when the grid argmax lies within one grid cell of
     (q11, q12) = (0.5, 0).
     """
-    consts = _scenario_constants(sc)
-    cell = 1.0 / (grid_n - 1)
-    per_draw = []
-    n_pass = 0
-    for draw in range(n_draws):
-        rng = _stream(sc.seed, draw, 0)
-        h, h_j = sample_channels(rng, sc.m, sc.k)
-        q11, q12, feas, values = _sweep_mse(
-            h, h_j, consts["rho"], consts["awgn_var"], consts["p_t"], grid_n
-        )
-        res = _finish_sweep(q11, q12, feas, values, "mse")
-        ok = abs(res.argmax_q[0] - 0.5) <= cell + 1e-9 and abs(res.argmax_q[1]) <= cell + 1e-9
-        n_pass += ok
-        per_draw.append((res.argmax_q[0], res.argmax_q[1], bool(ok)))
-    return LemmaReport(
-        per_draw=tuple(per_draw),
-        n_pass=n_pass,
-        n_draws=n_draws,
-        pass_fraction=pass_fraction,
-        passed=n_pass >= math.ceil(pass_fraction * n_draws),
-    )
+    tol = 1.0 / (grid_n - 1) + 1e-9
+
+    def at_center(res):
+        return abs(res.argmax_q[0] - 0.5) <= tol and abs(res.argmax_q[1]) <= tol
+
+    return _verify_lemma(sc, grid_n, n_draws, 0, "mse", at_center, pass_fraction)
 
 
 def verify_lemma_slp(
@@ -823,26 +827,7 @@ def verify_lemma_slp(
     boundary; the supplementary acceptance test c02p checks that
     per-constraint form (see docs/DECISIONS.md).
     """
-    consts = _scenario_constants(sc)
-    per_draw = []
-    n_pass = 0
-    for draw in range(n_draws):
-        rng = _stream(sc.seed, draw, 0)
-        h, h_j = sample_channels(rng, sc.m, sc.k)
-        rng_s = _stream(sc.seed, draw, 1)
-        symbols = [sample_psk(rng_s, sc.d, sc.k) for _ in range(n_symbols)]
-        q11, q12, feas, values = _sweep_power(
-            h, h_j, consts["rho"], consts["awgn_var"], consts["targets"],
-            sc.p, sc.theta, grid_n, symbols,
-        )
-        res = _finish_sweep(q11, q12, feas, values, "power")
-        ok = res.argmax_on_boundary
-        n_pass += ok
-        per_draw.append((res.argmax_q[0], res.argmax_q[1], bool(ok)))
-    return LemmaReport(
-        per_draw=tuple(per_draw),
-        n_pass=n_pass,
-        n_draws=n_draws,
-        pass_fraction=pass_fraction,
-        passed=n_pass >= math.ceil(pass_fraction * n_draws),
+    return _verify_lemma(
+        sc, grid_n, n_draws, n_symbols, "power",
+        lambda res: res.argmax_on_boundary, pass_fraction,
     )

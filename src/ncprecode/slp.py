@@ -97,7 +97,6 @@ class SlpSolution:
     x: np.ndarray
     power: float
     achieved_margins: np.ndarray
-    status: str = "solved"
 
 
 def whitened_effective_channel(h_k, g_k, sigma_k: float):
@@ -155,7 +154,6 @@ def _solution(prob: QpProblem, sol) -> SlpSolution:
         x=sol.x,
         power=sol.objective,
         achieved_margins=prob.a @ sol.x - prob.b,
-        status="solved",
     )
 
 
@@ -243,7 +241,6 @@ def pw_slp_msm(eff_channels, s, p_t: float, theta: float):
             x=x,
             power=float(x @ x),
             achieved_margins=_stack_rows(terms) @ x - delta,
-            status="solved",
         ),
         delta,
     )

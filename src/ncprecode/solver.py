@@ -76,7 +76,7 @@ def _solve(a, b):
         return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
-def _min_norm_kernel(a, b, gram, row_norm2, max_iter=None):
+def _min_norm_kernel(a, b, gram, row_norm2):
     """Dual active-set iteration on precomputed Gram data.
 
     Returns (x, duals, active_list). `a`, `b` are the m x n constraint data,
@@ -92,7 +92,7 @@ def _min_norm_kernel(a, b, gram, row_norm2, max_iter=None):
     x = np.zeros(n)
     active: list[int] = []
     mu: list[float] = []
-    cap = max_iter if max_iter is not None else 50 * (m + n) + 200
+    cap = 50 * (m + n) + 200
     iters = 0
     while True:
         iters += 1
@@ -151,7 +151,7 @@ def _min_norm_kernel(a, b, gram, row_norm2, max_iter=None):
     return x, duals, active
 
 
-def solve_min_norm(prob: QpProblem, max_iter=None) -> QpSolution:
+def solve_min_norm(prob: QpProblem) -> QpSolution:
     """Globally optimal solution of min ||x||^2 s.t. A x >= b.
 
     The problem is strictly convex so the optimum is unique; the returned
@@ -162,7 +162,7 @@ def solve_min_norm(prob: QpProblem, max_iter=None) -> QpSolution:
     a, b = prob.a, prob.b
     gram = a @ a.T
     row_norm2 = np.einsum("ij,ij->i", a, a)
-    x, duals, active = _min_norm_kernel(a, b, gram, row_norm2, max_iter=max_iter)
+    x, duals, active = _min_norm_kernel(a, b, gram, row_norm2)
     return QpSolution(
         x=x,
         objective=float(x @ x),

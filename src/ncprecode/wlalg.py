@@ -18,7 +18,6 @@ __all__ = [
     "expand_vec",
     "collapse_vec",
     "expand_row",
-    "rotation2",
     "symbol_rotation",
     "eig2_sym",
     "sqrt_inv_psd2",
@@ -88,17 +87,6 @@ def expand_row(h) -> np.ndarray:
     top = np.concatenate([h.real, -h.imag])
     bot = np.concatenate([h.imag, h.real])
     return np.vstack([top, bot])
-
-
-def rotation2(angle: float) -> np.ndarray:
-    """Planar rotation matrix [[cos a, sin a], [-sin a, cos a]].
-
-    Note the sign convention: this matrix rotates points by -angle in the
-    usual counter-clockwise convention; it is the form used throughout the
-    ellipse geometry to de-rotate principal axes onto the coordinate axes.
-    """
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, s], [-s, c]])
 
 
 def symbol_rotation(s: complex) -> np.ndarray:

@@ -14,23 +14,25 @@ from ncprecode.noisegeom import (
     sample_noise,
 )
 from ncprecode.oracles import min_norm_by_enumeration
-from ncprecode.sim import psk_constellation, sample_channels
+from ncprecode.sim import margin_from_psi, psk_constellation, sample_channels
 from ncprecode.slp import (
     MarginTargets,
     ellipse_margins,
     margin_rows,
     margin_rows_pair,
     naive_slp,
+    nc_bounds,
     nc_slp,
     pw_slp_minpower,
     pw_slp_msm,
+    robust_bounds,
     robust_slp,
     safety_margin,
     tangent_points,
     whitened_effective_channel,
     worst_case_pterms,
 )
-from ncprecode.wlalg import expand_row, expand_vec
+from ncprecode.wlalg import eig2_sym, expand_row, expand_vec, sqrt_inv_psd2
 
 THETA4 = math.pi / 4
 
@@ -166,7 +168,6 @@ class TestPwSlpMinPower:
         sol = pw_slp_minpower(eff, s, np.zeros(3), THETA4)
         assert sol.power == 0.0
         np.testing.assert_allclose(sol.x, 0.0)
-        assert sol.status == "solved"
 
     def test_doubling_targets_quadruples_power(self):
         rng = np.random.default_rng(59)
@@ -399,7 +400,6 @@ class TestNcSlp:
         h, h_j, jam, covs, sig = random_slp_case(rng)
         s = rand_symbols(rng, 8, 3)
         sol = nc_slp(h, h_j, jam, 1.0, s, MarginTargets.uniform(0.8, 3), 0.95, math.pi / 8)
-        assert sol.status == "solved"
         assert np.min(sol.achieved_margins) >= -1e-7
 
     @staticmethod
@@ -582,3 +582,57 @@ class TestNaiveSlp:
         sol_naive = naive_slp(h, h_j, 10.0, 1.0, s, targets, 0.9, THETA4)
         assert sol_naive.power == pytest.approx(sol_nc.power, rel=1e-12)
         np.testing.assert_allclose(sol_naive.x, sol_nc.x, atol=1e-10)
+
+
+class TestRankOneSmallAwgn:
+    """Seeded property checks: rank-one jammer, AWGN down to 1e-8, M = K = 4, QPSK.
+
+    The effective-noise covariances approach singularity (condition number
+    up to about 1e10 at awgn_var = 1e-8), which stresses the ellipse margins,
+    the worst-case bounds and the whitening of the pre-whitened design.
+    """
+
+    M = K = 4
+    P = 0.8
+    RHO2 = 10.0
+    DRAWS = 50
+
+    @staticmethod
+    def assert_feasible(sol, bounds):
+        assert np.isfinite(sol.x).all() and math.isfinite(sol.power)
+        assert sol.achieved_margins.min() >= -1e-7 * max(1.0, float(np.max(bounds)))
+
+    @pytest.mark.parametrize("awgn_var", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_designs_feasible_and_whitening_exact(self, awgn_var):
+        rng = np.random.default_rng(2024)
+        omega = chi2_scale(self.P)
+        delta0 = margin_from_psi(10.0, THETA4, self.RHO2, awgn_var)
+        targets = MarginTargets.uniform(delta0, self.K)
+        eps = np.finfo(float).eps
+        for _ in range(self.DRAWS):
+            h, h_j = sample_channels(rng, self.M, self.K)
+            jam = jammer_model(math.sqrt(self.RHO2), q_rank_one(rng.uniform(0.0, math.pi)))
+            s = rand_symbols(rng, 4, self.K)
+            covs = [effective_cov(hj, jam, awgn_var) for hj in h_j]
+
+            nc = [nc_bounds(g, s_k, delta0, delta0, self.P, THETA4) for g, s_k in zip(covs, s)]
+            self.assert_feasible(nc_slp(h, h_j, jam, awgn_var, s, targets, self.P, THETA4), nc)
+
+            rb = [
+                robust_bounds(hj, self.RHO2, awgn_var, s_k, delta0, delta0, omega, THETA4, 8)
+                for hj, s_k in zip(h_j, s)
+            ]
+            sol = robust_slp(h, h_j, self.RHO2, awgn_var, s, targets, self.P, THETA4, n_div=8)
+            self.assert_feasible(sol, rb)
+
+            sigma2 = np.array([g.trace() for g in covs])
+            eff = [whitened_effective_channel(h[u], covs[u], math.sqrt(sigma2[u])) for u in range(self.K)]
+            pw_targets = delta0 * math.cos(THETA4) + np.sqrt(omega * sigma2 / 2.0)
+            self.assert_feasible(pw_slp_minpower(eff, s, pw_targets, THETA4), pw_targets)
+
+            # W G W^T = I to within a few units of cond(G) * eps (measured: below 1)
+            for g in covs:
+                w = sqrt_inv_psd2(g)
+                lam1, lam2, _ = eig2_sym(g)
+                err = np.abs(w @ g.as_array() @ w.T - np.eye(2)).max()
+                assert err <= 8.0 * (lam1 / lam2) * eps

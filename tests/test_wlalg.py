@@ -10,7 +10,6 @@ from ncprecode.wlalg import (
     eig2_sym,
     expand_row,
     expand_vec,
-    rotation2,
     sqrt_inv_psd2,
     symbol_rotation,
 )
@@ -43,17 +42,6 @@ class TestExpand:
 
 
 class TestRotations:
-    def test_rotation2_basics(self):
-        np.testing.assert_allclose(rotation2(0.0), np.eye(2))
-        np.testing.assert_allclose(rotation2(math.pi / 2), [[0, 1], [-1, 0]], atol=1e-15)
-
-    def test_rotation2_orthogonal(self):
-        rng = np.random.default_rng(2)
-        for angle in rng.uniform(-10, 10, size=25):
-            r = rotation2(angle)
-            np.testing.assert_allclose(r @ r.T, np.eye(2), atol=1e-14)
-            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
-
     def test_symbol_rotation(self):
         np.testing.assert_allclose(symbol_rotation(1.0), np.eye(2))
         s = np.exp(1j * math.pi / 4)
