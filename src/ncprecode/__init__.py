@@ -59,7 +59,6 @@ from .sim import (
 )
 from .slp import (
     MarginRows,
-    MarginTargets,
     SlpSolution,
     ellipse_margins,
     margin_rows,

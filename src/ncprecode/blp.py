@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noisegeom import effective_cov
+from .errors import PrecodingError
 from .wlalg import SymMat2, expand_row, sqrt_inv_psd2
 
 __all__ = [
@@ -90,7 +90,10 @@ def mmse_blp(h_e: np.ndarray, p_t: float) -> LinearPrecoder:
     eye = np.eye(two_m)
     delta = np.linalg.solve(chol.T, np.linalg.solve(chol, eye))
     hd = h_e @ delta  # = (Delta @ H_E^T)^T by symmetry of Delta
-    beta = math.sqrt(2.0 * p_t / float(np.sum(hd * hd)))
+    power = float(np.sum(hd * hd))
+    if power == 0.0:
+        raise PrecodingError(f"power budget {p_t!r} is too small: the precoder's power underflows")
+    beta = math.sqrt(2.0 * p_t / power)
     return LinearPrecoder(p=beta * hd.T, beta=beta, power_budget=float(p_t))
 
 
@@ -152,31 +155,28 @@ def mse_of_precoder(pre: LinearPrecoder, channels, covs) -> float:
     )
 
 
-def pw_blp(channels, h_j, jam, awgn_vars, p_t: float) -> LinearPrecoder:
-    """Pre-whitened MMSE precoder using the true effective-noise covariances."""
-    h = _as_channel_matrix(channels)
-    av = _per_user(awgn_vars, h.shape[0])
-    covs = [effective_cov(hj, jam, a) for hj, a in zip(np.ravel(h_j), av)]
-    return mmse_blp(stack_whitened(h, covs), p_t)
+def pw_blp(channels, covs, p_t: float) -> LinearPrecoder:
+    """Pre-whitened MMSE precoder for the true effective-noise covariances.
+
+    covs[k] is user k's G_k, as `noisegeom.effective_cov` gives it.
+    """
+    return mmse_blp(stack_whitened(channels, covs), p_t)
 
 
-def robust_blp(channels, awgn_vars, jammer_powers_per_user, p_t: float) -> LinearPrecoder:
+def robust_blp(channels, awgn_var: float, jammer_powers_per_user, p_t: float) -> LinearPrecoder:
     """Worst-case MMSE precoder: assumes circular noise of the full power.
 
     The worst-case covariance for the MMSE criterion is circular, so the
-    robust design uses G_k = ((rho^2 |h_jk|^2 + awgn_var_k) / 2) I.
+    robust design uses G_k = ((rho^2 |h_jk|^2 + awgn_var) / 2) I.
     """
     h = _as_channel_matrix(channels)
-    k = h.shape[0]
-    av = _per_user(awgn_vars, k)
-    jp = _per_user(jammer_powers_per_user, k)
-    covs = [SymMat2.scaled_identity(0.5 * (j + a)) for j, a in zip(jp, av)]
+    jp = _per_user(jammer_powers_per_user, h.shape[0])
+    covs = [SymMat2.scaled_identity(0.5 * (j + awgn_var)) for j in jp]
     return mmse_blp(stack_whitened(h, covs), p_t)
 
 
-def naive_blp(channels, awgn_vars, p_t: float) -> LinearPrecoder:
+def naive_blp(channels, awgn_var: float, p_t: float) -> LinearPrecoder:
     """MMSE precoder that ignores the jammer entirely (AWGN-only covariance)."""
     h = _as_channel_matrix(channels)
-    av = _per_user(awgn_vars, h.shape[0])
-    covs = [SymMat2.scaled_identity(0.5 * a) for a in av]
+    covs = [SymMat2.scaled_identity(0.5 * awgn_var)] * h.shape[0]
     return mmse_blp(stack_whitened(h, covs), p_t)

@@ -19,8 +19,10 @@ from .sim import (
     METHODS,
     MetricsRecord,
     QSpec,
+    SURFACE_KEYS,
     Scenario,
     run_montecarlo,
+    surface_mode,
     sweep_q_grid,
     verify_lemma_blp,
     verify_lemma_slp,
@@ -193,8 +195,23 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _grid_config(path: str, mode: str | None = None):
+    """(Scenario, grid options) for a grid command whose surface is `mode`.
+
+    The MSE surface needs p_t_db and the power surface psi_db; without it the
+    command fails here, before any draw. mode None is the mode sweep-q picks
+    from the method.
+    """
+    base, _, grid = load_config(path)
+    mode = mode or surface_mode(base.method)
+    key = SURFACE_KEYS[mode]
+    if getattr(base, key) is None:
+        raise ConfigError(f"the {mode} surface needs '{key}' in [scenario]")
+    return base, grid
+
+
 def cmd_sweep_q(args) -> int:
-    base, _, grid = load_config(args.config)
+    base, grid = _grid_config(args.config)
     res = sweep_q_grid(base, grid_n=grid["resolution"], n_symbols=grid["symbols_per_point"])
     lines = []
     for i, q1 in enumerate(res.q11):
@@ -221,7 +238,7 @@ def _verdict(report, out_path: str, claim: str, where: str) -> int:
 
 
 def cmd_verify_lemma1(args) -> int:
-    base, _, grid = load_config(args.config)
+    base, grid = _grid_config(args.config, "mse")
     report = verify_lemma_blp(
         base,
         grid_n=grid["resolution"],
@@ -238,7 +255,7 @@ def cmd_verify_lemma2(args) -> int:
     inside the covariance disk; see docs/DECISIONS.md for why, and for the
     per-constraint form of the lemma, which always holds.
     """
-    base, _, grid = load_config(args.config)
+    base, grid = _grid_config(args.config, "power")
     report = verify_lemma_slp(
         base,
         grid_n=grid["resolution"],

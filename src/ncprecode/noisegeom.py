@@ -60,10 +60,9 @@ class ConfidenceEllipse:
 
     lambda1 >= lambda2 are the variances along the principal axes, alpha the
     major-axis orientation in [0, pi), omega the chi-square scale so that the
-    boundary is {e : e^T G^-1 e = omega} around the center.
+    boundary is {e : e^T G^-1 e = omega} around the noise-free point.
     """
 
-    center: np.ndarray
     lambda1: float
     lambda2: float
     alpha: float
@@ -131,7 +130,7 @@ def chi2_scale(p: float) -> float:
     return -2.0 * math.log1p(-p)
 
 
-def ellipse_from_cov(g_check: SymMat2, p: float, center=(0.0, 0.0)) -> ConfidenceEllipse:
+def ellipse_from_cov(g_check: SymMat2, p: float) -> ConfidenceEllipse:
     """Confidence ellipse of a bivariate Gaussian with covariance g_check.
 
     The orientation alpha is the major-axis angle, normalized into [0, pi);
@@ -147,27 +146,17 @@ def ellipse_from_cov(g_check: SymMat2, p: float, center=(0.0, 0.0)) -> Confidenc
         alpha += math.pi
     if alpha >= math.pi:
         alpha -= math.pi
-    return ConfidenceEllipse(
-        center=np.asarray(center, dtype=float),
-        lambda1=lam1,
-        lambda2=lam2,
-        alpha=alpha,
-        omega=omega,
-    )
+    return ConfidenceEllipse(lambda1=lam1, lambda2=lam2, alpha=alpha, omega=omega)
 
 
-def sample_noise(rng, h_jk: complex, jam: JammerModel, awgn_var: float, size=None):
-    """Draw effective-noise samples Hj (rho T v) + n with v ~ N(0, I2).
+def sample_noise(rng, h_jk: complex, jam: JammerModel, awgn_var: float, size: int):
+    """Draw `size` effective-noise samples Hj (rho T v) + n with v ~ N(0, I2).
 
-    Returns shape (2,) for size=None, else (size, 2). The AWGN part has
-    covariance (awgn_var/2) I2.
+    Returns shape (size, 2). The AWGN part has covariance (awgn_var/2) I2.
     """
     hb = expand_row([h_jk])
     mix = (jam.rho * hb @ jam.t_factor).T  # right-multiplying mixer
     std = math.sqrt(0.5 * awgn_var)
-    if size is None:
-        v = rng.standard_normal(2)
-        return v @ mix + std * rng.standard_normal(2)
     v = rng.standard_normal((size, 2))
     return v @ mix + std * rng.standard_normal((size, 2))
 

@@ -171,9 +171,7 @@ def run_ellipse_suite(
         lam2 = float(rng.uniform(0.05, lam1))
         alpha = float(rng.uniform(0.0, math.pi))
         p = float(rng.uniform(0.5, 0.99))
-        ell = ConfidenceEllipse(
-            center=np.zeros(2), lambda1=lam1, lambda2=lam2, alpha=alpha, omega=chi2_scale(p)
-        )
+        ell = ConfidenceEllipse(lambda1=lam1, lambda2=lam2, alpha=alpha, omega=chi2_scale(p))
         for theta in thetas:
             du, dl = ellipse_margins(ell, theta)
             su, sl = _sampled_margins(ell, theta, samples)

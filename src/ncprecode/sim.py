@@ -21,6 +21,7 @@ of the same inputs, so every output byte is the same as without reuse.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,8 +67,6 @@ MSM_METHODS = ("msm", "pw_msm")
 MINPOWER_METHODS = ("naive_slp", "pw_slp", "nc_slp", "robust_slp")
 METHODS = BLP_METHODS + MSM_METHODS + MINPOWER_METHODS
 _WHITENED_RX = frozenset({"pw_blp", "pw_msm", "pw_slp"})
-_NEEDS_POWER = frozenset(BLP_METHODS) | frozenset(MSM_METHODS)
-_NEEDS_PSI = frozenset(MINPOWER_METHODS)
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -153,7 +152,15 @@ class QSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete configuration of one Monte-Carlo run."""
+    """Complete configuration of one Monte-Carlo run.
+
+    The linear constants the designs and the engine use (jammer power rho2
+    and amplitude rho, the AWGN variance shared by every user, the power
+    budget p_t and the preset margin delta0; None without their dB key) are
+    derived from the fields once, on first use. Every dB field must have a
+    finite linear value; -inf is allowed for rho2_db (no jammer) and psi_db
+    (zero preset margin), and p_t_db must give a positive budget.
+    """
 
     m: int
     k: int
@@ -179,12 +186,26 @@ class Scenario:
             raise ValueError("confidence level must be in (0, 1)")
         if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method}")
-        if self.method in _NEEDS_POWER and self.p_t_db is None:
+        if self.method in BLP_METHODS + MSM_METHODS and self.p_t_db is None:
             raise ValueError(f"method {self.method} requires a transmit power budget")
-        if self.method in _NEEDS_PSI and self.psi_db is None:
+        if self.method in MINPOWER_METHODS and self.psi_db is None:
             raise ValueError(f"method {self.method} requires an SNR threshold psi_db")
         if not (math.isfinite(self.awgn_std) and self.awgn_std >= 0.0):
             raise ValueError("awgn_std must be finite and nonnegative")
+        for key in ("rho2_db", "psi_db", "p_t_db"):
+            db = getattr(self, key)
+            if db is None:
+                continue
+            try:
+                lin = db_to_linear(db)
+            except OverflowError:
+                lin = math.inf
+            if not math.isfinite(lin):
+                raise ValueError(f"{key} = {db!r} has no finite linear value")
+            if key == "p_t_db" and lin <= 0.0:
+                raise ValueError(f"p_t_db = {db!r} gives no positive transmit power budget")
+        if self.psi_db is not None and not math.isfinite(self.delta0):
+            raise ValueError(f"psi_db = {self.psi_db!r} gives an infinite preset margin")
         if self.n_div < 1:
             raise ValueError("n_div must be at least 1")
         if self.method in _WHITENED_RX and self.awgn_std == 0.0 and self.q_spec.rank_deficient:
@@ -201,6 +222,27 @@ class Scenario:
     def c_bits(self) -> int:
         """Bits per PSK symbol."""
         return int(math.log2(self.d))
+
+    @cached_property
+    def rho2(self) -> float:
+        return db_to_linear(self.rho2_db)
+
+    @cached_property
+    def rho(self) -> float:
+        return math.sqrt(self.rho2)
+
+    @cached_property
+    def awgn_var(self) -> float:
+        return self.awgn_std ** 2
+
+    @cached_property
+    def p_t(self) -> float | None:
+        return None if self.p_t_db is None else db_to_linear(self.p_t_db)
+
+    @cached_property
+    def delta0(self) -> float | None:
+        """Preset safety margin of the SNR threshold psi_db, shared by every user."""
+        return None if self.psi_db is None else margin_from_psi(self.psi_db, self.theta, self.rho2, self.awgn_var)
 
 
 @dataclass(frozen=True)
@@ -263,12 +305,10 @@ def psk_detect(y: complex, d: int) -> int:
 def margin_from_psi(psi_db: float, theta: float, rho2: float, sigma2: float) -> float:
     """Safety margin for an SNR threshold: delta = sin(theta) sqrt(psi (rho^2 + sigma^2))."""
     psi = db_to_linear(psi_db)
-    if psi < 0.0:
-        raise ValueError("SNR threshold must be nonnegative")
     return math.sin(theta) * math.sqrt(psi * (rho2 + sigma2))
 
 
-def energy_efficiency(bler: float, c_bits: float, block_len: int, k: int, avg_power: float) -> float:
+def energy_efficiency(bler: float, c_bits: float, k: int, avg_power: float) -> float:
     """Throughput (1 - P_B) c T K divided by the energy T * avg_power per block."""
     if avg_power <= 0.0:
         return 0.0
@@ -301,15 +341,13 @@ class _TrialEngine:
     QP solve.
     """
 
-    def __init__(self, sc: Scenario, h, h_j, jam, consts):
+    def __init__(self, sc: Scenario, h, h_j, jam):
         self.sc = sc
         self.h = h
         self.h_j = h_j
-        self.jam = jam
-        self.c = consts
         k = sc.k
         self.const = psk_constellation(sc.d)
-        self.covs = [effective_cov(h_j[i], jam, consts["awgn_var"]) for i in range(k)]
+        self.covs = [effective_cov(h_j[i], jam, sc.awgn_var) for i in range(k)]
         self.sigma2 = np.array([g.trace() for g in self.covs])
         self.whiten = None
         if sc.method in _WHITENED_RX:
@@ -318,22 +356,19 @@ class _TrialEngine:
         self._setup_method()
 
     def _setup_method(self):
-        sc, c = self.sc, self.c
+        sc = self.sc
         method = sc.method
         if method in BLP_METHODS:
             if method == "pw_blp":
-                pre = _blp.pw_blp(self.h, self.h_j, self.jam, c["awgn_var"], c["p_t"])
+                pre = _blp.pw_blp(self.h, self.covs, sc.p_t)
             elif method == "robust_blp":
-                jp = c["rho2"] * np.abs(self.h_j) ** 2
-                pre = _blp.robust_blp(self.h, c["awgn_var"], jp, c["p_t"])
+                jp = sc.rho2 * np.abs(self.h_j) ** 2
+                pre = _blp.robust_blp(self.h, sc.awgn_var, jp, sc.p_t)
             else:
-                pre = _blp.naive_blp(self.h, c["awgn_var"], c["p_t"])
+                pre = _blp.naive_blp(self.h, sc.awgn_var, sc.p_t)
             self.precoder = pre
         elif method in ("pw_msm", "pw_slp"):
-            self.pairs = [
-                _slp.whitened_effective_channel(self.h[i], self.covs[i], math.sqrt(self.sigma2[i]))
-                for i in range(sc.k)
-            ]
+            self.pairs = [_slp.whitened_effective_channel(self.h[i], self.covs[i]) for i in range(sc.k)]
             if method == "pw_slp":
                 # Matched-reliability whitened-domain targets: after whitening
                 # the noise is circular with power sigma_k^2, so the preset
@@ -342,7 +377,7 @@ class _TrialEngine:
                 # designs apply the same preset with their own (elliptical or
                 # circularized) confidence terms.
                 omega = chi2_scale(sc.p)
-                self.pw_targets = c["delta0"] * math.cos(sc.theta) + np.sqrt(
+                self.pw_targets = sc.delta0 * math.cos(sc.theta) + np.sqrt(
                     omega * self.sigma2 / 2.0
                 )
         else:
@@ -350,20 +385,19 @@ class _TrialEngine:
 
     def _user_terms(self, u: int, i: int):
         """Margin rows and bounds of user u for its 0-based symbol index i."""
-        sc, c = self.sc, self.c
+        sc = self.sc
         method, theta, s_k = sc.method, sc.theta, self.const[i]
         if method in MSM_METHODS:
             return _slp.user_terms(self.pairs[u], s_k, theta)
         if method == "pw_slp":
             return _slp.user_terms(self.pairs[u], s_k, theta, np.full(2, self.pw_targets[u]))
-        du0, dl0 = c["targets"].delta_u0[u], c["targets"].delta_l0[u]
         if method == "nc_slp":
-            bounds = _slp.nc_bounds(self.covs[u], s_k, du0, dl0, sc.p, theta)
+            bounds = _slp.nc_bounds(self.covs[u], s_k, sc.delta0, sc.p, theta)
         elif method == "naive_slp":
-            bounds = _slp.naive_bounds(self.h_j[u], c["rho2"], c["awgn_var"], du0, dl0, chi2_scale(sc.p), theta)
+            bounds = _slp.naive_bounds(self.h_j[u], sc.rho2, sc.awgn_var, sc.delta0, chi2_scale(sc.p), theta)
         else:  # robust_slp
             bounds = _slp.robust_bounds(
-                self.h_j[u], c["rho2"], c["awgn_var"], s_k, du0, dl0, chi2_scale(sc.p), theta, sc.n_div
+                self.h_j[u], sc.rho2, sc.awgn_var, s_k, sc.delta0, chi2_scale(sc.p), theta, sc.n_div
             )
         return _slp.user_terms(self.pairs[u], s_k, theta, bounds)
 
@@ -383,7 +417,7 @@ class _TrialEngine:
                 entry = self.terms[u][i] = self._user_terms(u, i)
             terms.append(entry)
         if sc.method in MSM_METHODS:
-            xb = _slp.solve_max_margin(terms, self.c["p_t"])[0]
+            xb = _slp.solve_max_margin(terms, sc.p_t)[0]
         else:
             xb = _slp.solve_min_power(terms).x
         return xb[:m] + 1j * xb[m:]
@@ -415,21 +449,7 @@ class _TrialEngine:
         return wedge_exit_probability(np.stack([mu.real, mu.imag], axis=-1), cov, sc.theta)
 
 
-def _scenario_constants(sc: Scenario) -> dict:
-    c = {
-        "rho2": db_to_linear(sc.rho2_db),
-        "awgn_var": sc.awgn_std ** 2,
-        "p_t": db_to_linear(sc.p_t_db) if sc.p_t_db is not None else None,
-    }
-    c["rho"] = math.sqrt(c["rho2"])
-    if sc.psi_db is not None:
-        delta0 = margin_from_psi(sc.psi_db, sc.theta, c["rho2"], c["awgn_var"])
-        c["delta0"] = delta0
-        c["targets"] = _slp.MarginTargets.uniform(delta0, sc.k)
-    return c
-
-
-def _run_trial(sc: Scenario, consts: dict, trial: int, integrate: bool = False) -> _TrialStats:
+def _run_trial(sc: Scenario, trial: int, integrate: bool = False) -> _TrialStats:
     """Counted errors and transmit power of one channel trial.
 
     The transmit vector, its power and the noise-free received points
@@ -445,13 +465,13 @@ def _run_trial(sc: Scenario, consts: dict, trial: int, integrate: bool = False) 
     rng = _stream(sc.seed, trial, 0)
     h, h_j = sample_channels(rng, sc.m, sc.k)
     q = sc.q_spec.draw(rng)
-    jam = jammer_model(consts["rho"], q)
-    engine = _TrialEngine(sc, h, h_j, jam, consts)
+    jam = jammer_model(sc.rho, q)
+    engine = _TrialEngine(sc, h, h_j, jam)
 
     k, d = sc.k, sc.d
     gray = [_gray(i) for i in range(d)]
-    mix = (consts["rho"] * jam.t_factor).T
-    awgn_scale = math.sqrt(0.5 * consts["awgn_var"])
+    mix = (sc.rho * jam.t_factor).T
+    awgn_scale = math.sqrt(0.5 * sc.awgn_var)
     sym_err = np.zeros(k, dtype=np.int64)
     bit_err = np.zeros(k, dtype=np.int64)
     power_sum = 0.0
@@ -529,11 +549,10 @@ def per_trial_metrics(sc: Scenario, threads: int = 1, noise_integrated: bool = F
     sampled errors, so its variance comes from channels and symbols alone).
     The counted series do not change.
     """
-    consts = _scenario_constants(sc)
     trials = sc.trials
 
     def run(t):
-        return _run_trial(sc, consts, t, noise_integrated)
+        return _run_trial(sc, t, noise_integrated)
 
     if threads <= 1:
         stats = [run(t) for t in range(trials)]
@@ -575,7 +594,7 @@ def _summarize(sc: Scenario, series: TrialSeries) -> MetricsRecord:
     avg_power = float(series.avg_tx_power.mean())
     ee_t = np.array(
         [
-            energy_efficiency(b, c_bits, t_len, k, pw)
+            energy_efficiency(b, c_bits, k, pw)
             for b, pw in zip(series.bler, series.avg_tx_power)
         ]
     )
@@ -590,7 +609,7 @@ def _summarize(sc: Scenario, series: TrialSeries) -> MetricsRecord:
         avg_tx_power=avg_power,
         avg_tx_power_se=_std_err(series.avg_tx_power),
         throughput=(1.0 - bler) * c_bits * t_len * k,
-        ee=energy_efficiency(bler, c_bits, t_len, k, avg_power),
+        ee=energy_efficiency(bler, c_bits, k, avg_power),
         ee_se=_std_err(ee_t),
     )
 
@@ -656,7 +675,7 @@ def _sweep_mse(h, h_j, rho, awgn_var, p_t, grid_n):
     return q11, q12, feas, values
 
 
-def _sweep_power(h, h_j, rho, awgn_var, targets, p, theta, grid_n, symbols):
+def _sweep_power(h, h_j, rho, awgn_var, delta0, p, theta, grid_n, symbols):
     """Average minimum power of the transmit-only design over the Q grid.
 
     The per-user squared margin terms are affine in (q11, q12), so for each
@@ -695,11 +714,10 @@ def _sweep_power(h, h_j, rho, awgn_var, targets, p, theta, grid_n, symbols):
         const = np.array([c0 for c0, _, _ in coeffs])
         lin11 = np.array([c1 for _, c1, _ in coeffs])
         lin12 = np.array([c2 for _, _, c2 in coeffs])
-        # bounds per cell: target cos(theta) + sqrt(omega (rho^2 w^T Q w + awgn/2))
+        # bounds per cell: delta0 cos(theta) + sqrt(omega (rho^2 w^T Q w + awgn/2))
         qf = const[None, :] + q11_c[:, None] * lin11[None, :] + q12_c[:, None] * lin12[None, :]
         qf = np.maximum(qf, 0.0)
-        base = np.column_stack([targets.delta_u0, targets.delta_l0]).ravel() * cos_t
-        bounds_all = base[None, :] + np.sqrt(omega * (rho2 * qf + half_awgn))
+        bounds_all = delta0 * cos_t + np.sqrt(omega * (rho2 * qf + half_awgn))
         # Adjacent cells usually share the optimal active set, so try to
         # certify the previous cell's set via the full KKT conditions before
         # falling back to the solver; either path returns the unique optimum.
@@ -737,18 +755,14 @@ def _draw_surface(sc: Scenario, draw: int, grid_n: int, n_symbols: int, mode: st
     """
     if grid_n < 5:
         raise ValueError("grid resolution must be at least 5")
-    consts = _scenario_constants(sc)
     h, h_j = sample_channels(_stream(sc.seed, draw, 0), sc.m, sc.k)
     if mode == "mse":
-        q11, q12, feas, values = _sweep_mse(
-            h, h_j, consts["rho"], consts["awgn_var"], consts["p_t"], grid_n
-        )
+        q11, q12, feas, values = _sweep_mse(h, h_j, sc.rho, sc.awgn_var, sc.p_t, grid_n)
     else:
         rng_s = _stream(sc.seed, draw, 1)
         symbols = [sample_psk(rng_s, sc.d, sc.k) for _ in range(n_symbols)]
         q11, q12, feas, values = _sweep_power(
-            h, h_j, consts["rho"], consts["awgn_var"], consts["targets"],
-            sc.p, sc.theta, grid_n, symbols,
+            h, h_j, sc.rho, sc.awgn_var, sc.delta0, sc.p, sc.theta, grid_n, symbols
         )
     boundary = _boundary_mask(feas)
     flat = np.where(feas, values, -np.inf)
@@ -765,6 +779,14 @@ def _draw_surface(sc: Scenario, draw: int, grid_n: int, n_symbols: int, mode: st
     )
 
 
+SURFACE_KEYS = {"mse": "p_t_db", "power": "psi_db"}  # the dB key each surface is computed from
+
+
+def surface_mode(method: str) -> str:
+    """The surface sweep_q_grid draws for a method: BLP MSE or SLP transmit power."""
+    return "mse" if method in BLP_METHODS else "power"
+
+
 def sweep_q_grid(sc: Scenario, grid_n: int = 21, n_symbols: int = 50) -> SweepResult:
     """Evaluate the worst-case metric surface over the feasible (q11, q12) disk.
 
@@ -772,8 +794,7 @@ def sweep_q_grid(sc: Scenario, grid_n: int = 21, n_symbols: int = 50) -> SweepRe
     methods sweep the average transmit-only minimum power over n_symbols
     symbol draws. Channels come from the scenario's trial-0 stream.
     """
-    mode = "mse" if sc.method in BLP_METHODS else "power"
-    return _draw_surface(sc, 0, grid_n, n_symbols, mode)
+    return _draw_surface(sc, 0, grid_n, n_symbols, surface_mode(sc.method))
 
 
 def _verify_lemma(sc, grid_n, n_draws, n_symbols, mode, passes, pass_fraction) -> LemmaReport:

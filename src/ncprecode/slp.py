@@ -9,12 +9,15 @@ robust variant replaces the ellipse by its worst case over all unit-trace
 jammer covariances, which is attained at rank-one covariances and searched
 over a small grid of orientations.
 
-Every design builds its QP from per-user (rows, bounds) terms made by
-:func:`user_terms` with the design's own bound function, and solves the
-stacked terms with :func:`solve_min_power` or :func:`solve_max_margin`. A
-user's terms depend only on that user's channel, noise and symbol, so the
-Monte-Carlo engine caches them per (user, symbol) and stacks the cached
-terms through the same two functions.
+The transmit-only designs take the model's two scalars: one preset safety
+margin delta0, set by the SNR threshold and shared by every user and both
+boundaries, and one AWGN variance shared by every user. Every design builds
+its QP from per-user (rows, bounds) terms made by :func:`user_terms` with the
+design's own bound function, and solves the stacked terms with
+:func:`solve_min_power` or :func:`solve_max_margin`. A user's terms depend
+only on that user's channel, noise and symbol, so the Monte-Carlo engine
+caches them per (user, symbol) and stacks the cached terms through the same
+two functions.
 """
 
 import cmath
@@ -31,7 +34,6 @@ from .wlalg import expand_row, sqrt_inv_psd2
 
 __all__ = [
     "MarginRows",
-    "MarginTargets",
     "SlpSolution",
     "whitened_effective_channel",
     "safety_margin",
@@ -69,28 +71,6 @@ class MarginRows:
 
 
 @dataclass(frozen=True)
-class MarginTargets:
-    """Preset upper and lower safety margins, one pair per user."""
-
-    delta_u0: np.ndarray
-    delta_l0: np.ndarray
-
-    def __post_init__(self):
-        du = np.atleast_1d(np.asarray(self.delta_u0, dtype=float))
-        dl = np.atleast_1d(np.asarray(self.delta_l0, dtype=float))
-        if du.shape != dl.shape:
-            raise ValueError("upper and lower target arrays must have equal length")
-        if np.any(du < 0.0) or np.any(dl < 0.0):
-            raise ValueError("margin targets must be nonnegative")
-        object.__setattr__(self, "delta_u0", du)
-        object.__setattr__(self, "delta_l0", dl)
-
-    @classmethod
-    def uniform(cls, delta: float, k: int) -> "MarginTargets":
-        return cls(np.full(k, float(delta)), np.full(k, float(delta)))
-
-
-@dataclass(frozen=True)
 class SlpSolution:
     """Per-symbol transmit vector with its power and constraint slacks."""
 
@@ -99,14 +79,15 @@ class SlpSolution:
     achieved_margins: np.ndarray
 
 
-def whitened_effective_channel(h_k, g_k, sigma_k: float):
+def whitened_effective_channel(h_k, g_k):
     """Rows of gamma_k G_k^{-1/2} Hbar_k with gamma_k = sigma_k / sqrt(2).
 
-    The scaling keeps the total whitened noise power equal to sigma_k^2, so
-    the implied whitened noise has covariance (sigma_k^2 / 2) I2 and margin
-    targets keep the same meaning as in the circular case.
+    sigma_k^2 = tr G_k is the user's total effective-noise power. The scaling
+    keeps the total whitened noise power equal to sigma_k^2, so the implied
+    whitened noise has covariance (sigma_k^2 / 2) I2 and margin targets keep
+    the same meaning as in the circular case.
     """
-    gamma = sigma_k / math.sqrt(2.0)
+    gamma = math.sqrt(g_k.trace()) / math.sqrt(2.0)
     he = gamma * (sqrt_inv_psd2(g_k) @ expand_row(h_k))
     return he[0], he[1]
 
@@ -289,39 +270,40 @@ def tangent_points(ellipse: ConfidenceEllipse, theta: float):
     return pu, -pu, pl, -pl
 
 
-def _users(channels, h_j, awgn_vars, s):
-    """Channel rows, jammer gains, AWGN variances and symbols, one per user."""
+def _users(channels, h_j, s, delta0: float):
+    """Channel rows, jammer gains and symbols, one per user; checks the preset margin."""
+    if delta0 < 0.0:
+        raise ValueError("preset margin delta0 must be nonnegative")
     h = np.atleast_2d(np.asarray(channels, dtype=complex))
-    k = h.shape[0]
-    return h, np.ravel(h_j), _per_user(awgn_vars, k), np.ravel(np.asarray(s, dtype=complex))
+    return h, np.ravel(h_j), np.ravel(np.asarray(s, dtype=complex))
 
 
-def nc_bounds(cov, s_k: complex, du0: float, dl0: float, p: float, theta: float) -> np.ndarray:
+def nc_bounds(cov, s_k: complex, delta0: float, p: float, theta: float) -> np.ndarray:
     """Upper and lower bounds of one user's transmit-only constraints.
 
     The effective-noise covariance is rotated by the symbol phase, and its
     confidence ellipse at level p adds the upper/lower margin terms to the
-    preset margins.
+    preset margin delta0.
     """
     cos_t = math.cos(theta)
     du, dl = ellipse_margins(ellipse_from_cov(rotated_cov(cov, s_k), p), theta)
-    return np.array([du0 * cos_t + du, dl0 * cos_t + dl])
+    return np.array([delta0 * cos_t + du, delta0 * cos_t + dl])
 
 
-def nc_slp(channels, h_j, jam, awgn_vars, s, targets: MarginTargets, p: float, theta: float) -> SlpSolution:
+def nc_slp(channels, h_j, jam, awgn_var: float, s, delta0: float, p: float, theta: float) -> SlpSolution:
     """Transmit-only non-circular SLP: minimum power with ellipse-aware bounds.
 
-    Each user contributes two constraints bounded by :func:`nc_bounds`, and
-    the transmit vector solves the resulting min-power QP. No receiver
-    processing is assumed.
+    Each user contributes two constraints bounded by :func:`nc_bounds` with
+    the common preset margin delta0 and the AWGN variance awgn_var shared by
+    all users, and the transmit vector solves the resulting min-power QP. No
+    receiver processing is assumed.
     """
-    h, h_j, awgn, s = _users(channels, h_j, awgn_vars, s)
+    h, h_j, s = _users(channels, h_j, s, delta0)
     return solve_min_power(
         [
             user_terms(
                 expand_row(h[u]), s[u], theta,
-                nc_bounds(effective_cov(h_j[u], jam, awgn[u]), s[u],
-                          targets.delta_u0[u], targets.delta_l0[u], p, theta),
+                nc_bounds(effective_cov(h_j[u], jam, awgn_var), s[u], delta0, p, theta),
             )
             for u in range(len(s))
         ]
@@ -349,40 +331,24 @@ def worst_case_pterms(alpha_check: float, theta: float, jam_power: float, awgn_v
 
 
 def robust_bounds(h_jk: complex, jammer_power: float, awgn_var: float, s_k: complex,
-                  du0: float, dl0: float, omega: float, theta: float, n_div: int) -> np.ndarray:
+                  delta0: float, omega: float, theta: float, n_div: int) -> np.ndarray:
     """One user's worst-case bounds, one row (u1, u2, l1, l2) per orientation.
 
     Row n - 1 belongs to the rank-one covariance orientation phi = n pi / n_div.
     """
-    cos_t = math.cos(theta)
+    base = delta0 * math.cos(theta)
     hj = complex(h_jk)
     jp = jammer_power * abs(hj) ** 2
     root = math.sqrt(omega)
     out = np.empty((n_div, 4))
     for n in range(1, n_div + 1):
         alpha_check = n * math.pi / n_div + cmath.phase(hj) - cmath.phase(complex(s_k))
-        p_u1, p_u2, p_l1, p_l2 = worst_case_pterms(alpha_check, theta, jp, awgn_var)
-        out[n - 1] = (
-            du0 * cos_t + root * math.sqrt(p_u1),
-            du0 * cos_t + root * math.sqrt(p_u2),
-            dl0 * cos_t + root * math.sqrt(p_l1),
-            dl0 * cos_t + root * math.sqrt(p_l2),
-        )
+        out[n - 1] = [base + root * math.sqrt(pt) for pt in worst_case_pterms(alpha_check, theta, jp, awgn_var)]
     return out
 
 
-def robust_slp(
-    channels,
-    h_j,
-    jammer_power: float,
-    awgn_vars,
-    s,
-    targets: MarginTargets,
-    p: float,
-    theta: float,
-    n_div: int = 16,
-    conservative: bool = False,
-) -> SlpSolution:
+def robust_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: float, p: float,
+               theta: float, n_div: int = 16, conservative: bool = False) -> SlpSolution:
     """Worst-case SLP against an unknown jammer covariance.
 
     Each margin constraint's worst case is a rank-one covariance (its squared
@@ -400,14 +366,13 @@ def robust_slp(
     """
     if n_div < 1:
         raise ValueError("n_div must be at least 1")
-    h, h_j, awgn, s = _users(channels, h_j, awgn_vars, s)
+    h, h_j, s = _users(channels, h_j, s, delta0)
     omega = chi2_scale(p)
     return solve_min_power(
         [
             user_terms(
                 expand_row(h[u]), s[u], theta,
-                robust_bounds(h_j[u], jammer_power, awgn[u], s[u], targets.delta_u0[u],
-                              targets.delta_l0[u], omega, theta, n_div),
+                robust_bounds(h_j[u], jammer_power, awgn_var, s[u], delta0, omega, theta, n_div),
             )
             for u in range(len(s))
         ],
@@ -416,29 +381,29 @@ def robust_slp(
 
 
 def naive_bounds(h_jk: complex, jammer_power: float, awgn_var: float,
-                 du0: float, dl0: float, omega: float, theta: float) -> np.ndarray:
+                 delta0: float, omega: float, theta: float) -> np.ndarray:
     """One user's bounds with the noise circularized at its total power."""
     sigma2 = jammer_power * abs(complex(h_jk)) ** 2 + awgn_var
     margin = math.sqrt(omega * 0.5 * sigma2)
     cos_t = math.cos(theta)
-    return np.array([du0 * cos_t + margin, dl0 * cos_t + margin])
+    return np.full(2, delta0 * cos_t + margin)
 
 
-def naive_slp(channels, h_j, jammer_power: float, awgn_vars, s, targets: MarginTargets, p: float, theta: float) -> SlpSolution:
+def naive_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: float, p: float,
+              theta: float) -> SlpSolution:
     """SLP that ignores non-circularity: circular noise of the same total power.
 
     Runs the transmit-only pipeline with G_k replaced by (sigma_k^2 / 2) I,
-    sigma_k^2 = jammer_power |h_jk|^2 + awgn_var_k, so the margins depend only
+    sigma_k^2 = jammer_power |h_jk|^2 + awgn_var, so the margins depend only
     on the total effective-noise power.
     """
-    h, h_j, awgn, s = _users(channels, h_j, awgn_vars, s)
+    h, h_j, s = _users(channels, h_j, s, delta0)
     omega = chi2_scale(p)
     return solve_min_power(
         [
             user_terms(
                 expand_row(h[u]), s[u], theta,
-                naive_bounds(h_j[u], jammer_power, awgn[u], targets.delta_u0[u],
-                             targets.delta_l0[u], omega, theta),
+                naive_bounds(h_j[u], jammer_power, awgn_var, delta0, omega, theta),
             )
             for u in range(len(s))
         ]

@@ -28,7 +28,6 @@ from ncprecode.sim import (
     _boundary_mask,
     _feasible_mask,
     _grid_axes,
-    _scenario_constants,
     _stream,
     per_trial_metrics,
     psk_constellation,
@@ -37,7 +36,7 @@ from ncprecode.sim import (
     verify_lemma_blp,
     verify_lemma_slp,
 )
-from ncprecode.slp import MarginTargets, ellipse_margins, nc_slp, robust_slp
+from ncprecode.slp import ellipse_margins, nc_slp, robust_slp
 from ncprecode.wlalg import expand_row, symbol_rotation
 from ncprecode import cli
 
@@ -122,8 +121,7 @@ def test_c02p_lemma2_per_constraint_worst_case_on_boundary():
         block_len=1, seed=20240817, method="nc_slp", psi_db=-300.0,
     )
     n_draws, n_symbols = 100, 50
-    consts = _scenario_constants(sc)
-    rho2, awgn = consts["rho"] ** 2, consts["awgn_var"]
+    rho2, awgn = sc.rho ** 2, sc.awgn_var
     omega = chi2_scale(sc.p)
     theta = sc.theta
     normals = (
@@ -134,7 +132,7 @@ def test_c02p_lemma2_per_constraint_worst_case_on_boundary():
     feas = _feasible_mask(q11, q12)
     boundary = _boundary_mask(feas)[feas]
     jams = [
-        jammer_model(consts["rho"], q_from_elements(q11[i], q12[j]))
+        jammer_model(sc.rho, q_from_elements(q11[i], q12[j]))
         for i, j in np.argwhere(feas)
     ]
 
@@ -156,7 +154,7 @@ def test_c02p_lemma2_per_constraint_worst_case_on_boundary():
                 for col, nvec in enumerate(normals):
                     vals = grid[:, col]
                     w = expand_row([h_j[u]]).T @ symbol_rotation(s) @ nvec
-                    jam_star = jammer_model(consts["rho"], q_rank_one(math.atan2(w[1], w[0])))
+                    jam_star = jammer_model(sc.rho, q_rank_one(math.atan2(w[1], w[0])))
                     if (
                         vals[boundary].max() < vals.max()
                         or vals.max() > worst[u] + tol
@@ -208,7 +206,7 @@ def test_c03_closed_form_mse_matches_simulation():
             math.sqrt(10.0), q_from_elements(0.5 + r * math.cos(ang), r * math.sin(ang))
         )
         covs = [effective_cov(hj, jam, 1.0) for hj in h_j]
-        pre = pw_blp(h, h_j, jam, 1.0, p_t)
+        pre = pw_blp(h, covs, p_t)
         closed = mse_closed_form(h, covs, p_t)
 
         n = 100_000
@@ -360,7 +358,7 @@ def test_c09_robustness_dominance():
     for _ in range(100):
         h, h_j = sample_channels(rng, 3, 3)
         s = psk_constellation(4)[rng.integers(0, 4, size=3)]
-        targets = MarginTargets.uniform(1.0, 3)
+        targets = 1.0
         phi = int(rng.integers(1, n_div + 1)) * math.pi / n_div
         jam = jammer_model(math.sqrt(10.0), q_rank_one(phi))
         p_nc = nc_slp(h, h_j, jam, 1.0, s, targets, 0.95, theta).power
@@ -380,7 +378,7 @@ def test_c09_robustness_dominance():
         h, h_j = sample_channels(np.random.default_rng(1000 + draw), 3, 3)
         pre_rob = robust_blp(h, 1.0, 10.0 * np.abs(h_j) ** 2, p_t)
         jam_wrong = jammer_model(math.sqrt(10.0), q_rank_one(math.pi / 4))
-        pre_wrong = pw_blp(h, h_j, jam_wrong, 1.0, p_t)
+        pre_wrong = pw_blp(h, [effective_cov(hj, jam_wrong, 1.0) for hj in h_j], p_t)
         worst_rob = worst_wrong = -math.inf
         for q11, q12 in grid:
             jam = jammer_model(math.sqrt(10.0), q_from_elements(q11, q12))

@@ -139,7 +139,7 @@ class TestClosedFormMse:
         rng = np.random.default_rng(39)
         h, h_j, jam, covs = random_case(rng)
         p_t = 100.0
-        pre = pw_blp(h, h_j, jam, 1.0, p_t)
+        pre = pw_blp(h, covs, p_t)
         mse_mc = simulate_mse(rng, pre, h, h_j, jam, covs, n=100_000)
         assert mse_mc == pytest.approx(mse_closed_form(h, covs, p_t), rel=0.02)
 
@@ -173,7 +173,7 @@ class TestVariants:
         rng = np.random.default_rng(40)
         h, h_j = sample_channels(rng, 3, 3)
         jam = jammer_model(2.0, CIRCULAR_Q)
-        pre_pw = pw_blp(h, h_j, jam, 1.0, 20.0)
+        pre_pw = pw_blp(h, [effective_cov(hj, jam, 1.0) for hj in h_j], 20.0)
         pre_rob = robust_blp(h, 1.0, 4.0 * np.abs(h_j) ** 2, 20.0)
         np.testing.assert_allclose(pre_rob.p, pre_pw.p, atol=1e-10)
         assert pre_rob.beta == pytest.approx(pre_pw.beta, rel=1e-12)
@@ -192,7 +192,7 @@ class TestVariants:
         rng = np.random.default_rng(42)
         h, h_j = sample_channels(rng, 3, 3)
         jam = jammer_model(0.0, CIRCULAR_Q)
-        pre_pw = pw_blp(h, h_j, jam, 1.5, 10.0)
+        pre_pw = pw_blp(h, [effective_cov(hj, jam, 1.5) for hj in h_j], 10.0)
         pre_naive = naive_blp(h, 1.5, 10.0)
         np.testing.assert_allclose(pre_naive.p, pre_pw.p, atol=1e-10)
 
@@ -200,7 +200,7 @@ class TestVariants:
         rng = np.random.default_rng(43)
         for _ in range(10):
             h, h_j, jam, covs = random_case(rng)
-            pre_pw = pw_blp(h, h_j, jam, 1.0, 50.0)
+            pre_pw = pw_blp(h, covs, 50.0)
             pre_naive = naive_blp(h, 1.0, 50.0)
             assert mse_of_precoder(pre_naive, h, covs) >= mse_of_precoder(pre_pw, h, covs) - 1e-10
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ncprecode import cli
+from ncprecode import cli, sim
 
 MINIMAL = """
 [scenario]
@@ -135,6 +135,37 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, code",
+        [
+            ("rho2_db", "nan", 2), ("rho2_db", "inf", 2), ("rho2_db", "4000", 2),
+            ("psi_db", "nan", 2), ("psi_db", "inf", 2), ("psi_db", "4000", 2),
+            ("p_t_db", "nan", 2), ("p_t_db", "inf", 2), ("p_t_db", "4000", 2),
+            ("p_t_db", "-inf", 2), ("p_t_db", "-4000", 2),
+            ("rho2_db", "-inf", 0), ("psi_db", "-inf", 0),
+        ],
+    )
+    def test_db_values_need_a_finite_linear_value(self, tmp_path, key, value, code):
+        text = "\n".join(
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in (MINIMAL + "p_t_db = 20.0\n").splitlines()
+        )
+        cfg = write(tmp_path, "db.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("method", ["naive_blp", "pw_blp", "robust_blp"])
+    def test_budget_whose_precoder_power_underflows(self, tmp_path, capsys, method):
+        # 10^(-200) is a positive budget, but the MMSE precoder's power is
+        # of order p_t^2 and underflows to 0, so no beta exists.
+        text = MINIMAL.replace("method = nc_slp", f"method = {method}") + "p_t_db = -2000\n"
+        cfg = write(tmp_path, "tiny.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert "error: power budget 1e-200 is too small" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_linalg_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def singular(args):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -238,6 +269,28 @@ class TestGridValidation:
         cfg = write(tmp_path, "bad.cfg", bad)
         out = tmp_path / "x.csv"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestGridKeys:
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("verify-lemma2", LEMMA1_SMALL, "psi_db"),
+            ("verify-lemma1", LEMMA2_SMALL, "p_t_db"),
+            ("sweep-q", LEMMA1_SMALL.replace("method = pw_blp", "method = msm"), "psi_db"),
+        ],
+        ids=["verify-lemma2", "verify-lemma1", "sweep-q-msm"],
+    )
+    def test_missing_surface_key_fails_at_load(self, tmp_path, monkeypatch, capsys, command, config, key):
+        def no_draw(*args):
+            raise AssertionError("a draw was computed")
+
+        monkeypatch.setattr(sim, "_draw_surface", no_draw)
+        cfg = write(tmp_path, "grid.cfg", config)
+        out = tmp_path / "x.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,0 +1,80 @@
+"""Static checks of the package source: no unread parameters, no dangling exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ncprecode"
+MODULES = sorted(SRC.glob("*.py"))
+
+# Functions whose signature a caller fixes: numpy's errstate callback is
+# called as call(err, flag).
+EXEMPT = {("solver", "_raise_singular")}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _params(fn):
+    a = fn.args
+    names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    return names + [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+
+
+def _unread_params(tree):
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            node.id
+            for stmt in body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        name = getattr(fn, "name", "<lambda>")
+        for param in _params(fn):
+            if param not in read:
+                yield name, param
+
+
+def _defined(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    unread = [
+        f"{fn}({param})"
+        for fn, param in _unread_params(_tree(path))
+        if (path.stem, fn) not in EXEMPT
+    ]
+    assert not unread, f"{path.name}: parameters never read: {', '.join(unread)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_export_is_defined(path):
+    tree = _tree(path)
+    missing = sorted(set(_exports(tree)) - _defined(tree))
+    assert not missing, f"{path.name}: __all__ names not defined: {', '.join(missing)}"

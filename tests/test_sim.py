@@ -20,7 +20,6 @@ from ncprecode.sim import (
     sample_psk,
     sweep_q_grid,
     per_trial_metrics,
-    _scenario_constants,
     _summarize,
 )
 from ncprecode import cli
@@ -115,13 +114,13 @@ class TestMarginFromPsi:
 
 class TestEnergyEfficiency:
     def test_no_errors(self):
-        assert energy_efficiency(0.0, 2, 100, 4, 10.0) == pytest.approx(0.8)
+        assert energy_efficiency(0.0, 2, 4, 10.0) == pytest.approx(0.8)
 
     def test_all_blocks_fail(self):
-        assert energy_efficiency(1.0, 2, 100, 4, 10.0) == 0.0
+        assert energy_efficiency(1.0, 2, 4, 10.0) == 0.0
 
     def test_zero_power(self):
-        assert energy_efficiency(0.0, 2, 100, 4, 0.0) == 0.0
+        assert energy_efficiency(0.0, 2, 4, 0.0) == 0.0
 
 
 def small_scenario(method, **kw):
@@ -369,7 +368,7 @@ class TestSweep:
         assert not res.argmax_on_boundary
 
     def test_power_mode_matches_public_op(self):
-        from ncprecode.sim import _scenario_constants, sample_psk as _sp
+        from ncprecode.sim import sample_psk as _sp
         from ncprecode.slp import nc_slp
 
         sc = Scenario(
@@ -377,7 +376,6 @@ class TestSweep:
             block_len=1, seed=5, method="nc_slp", psi_db=6.0,
         )
         res = sweep_q_grid(sc, grid_n=11, n_symbols=4)
-        consts = _scenario_constants(sc)
         rng = _stream(sc.seed, 0, 0)
         h, h_j = sample_channels(rng, sc.m, sc.k)
         rng_s = _stream(sc.seed, 0, 1)
@@ -385,10 +383,10 @@ class TestSweep:
         for i, j in [(5, 5), (0, 5), (8, 2)]:
             if not res.feasible[i, j]:
                 continue
-            jam = jammer_model(consts["rho"], q_from_elements(res.q11[i], res.q12[j]))
+            jam = jammer_model(sc.rho, q_from_elements(res.q11[i], res.q12[j]))
             avg = np.mean(
                 [
-                    nc_slp(h, h_j, jam, consts["awgn_var"], s, consts["targets"], sc.p, sc.theta).power
+                    nc_slp(h, h_j, jam, sc.awgn_var, s, sc.delta0, sc.p, sc.theta).power
                     for s in symbols
                 ]
             )
@@ -433,7 +431,6 @@ def slot_indices(sc, trial):
 
 def per_slot_reference(sc):
     """Per-trial (power, symbol errors, bit errors) with one public precoder call per slot."""
-    c = _scenario_constants(sc)
     k, d, theta = sc.k, sc.d, sc.theta
     const = psk_constellation(d)
     gray = [i ^ (i >> 1) for i in range(d)]
@@ -441,12 +438,12 @@ def per_slot_reference(sc):
     for trial in range(sc.trials):
         rng = _stream(sc.seed, trial, 0)
         h, h_j = sample_channels(rng, sc.m, k)
-        jam = jammer_model(c["rho"], sc.q_spec.draw(rng))
-        covs = [effective_cov(hj, jam, c["awgn_var"]) for hj in h_j]
+        jam = jammer_model(sc.rho, sc.q_spec.draw(rng))
+        covs = [effective_cov(hj, jam, sc.awgn_var) for hj in h_j]
         sigma2 = np.array([g.trace() for g in covs])
-        eff = [slp.whitened_effective_channel(h[u], covs[u], math.sqrt(sigma2[u])) for u in range(k)]
+        eff = [slp.whitened_effective_channel(h[u], covs[u]) for u in range(k)]
         plain = [tuple(expand_row(h[u])) for u in range(k)]
-        pw_targets = c["delta0"] * math.cos(theta) + np.sqrt(chi2_scale(sc.p) * sigma2 / 2.0)
+        pw_targets = sc.delta0 * math.cos(theta) + np.sqrt(chi2_scale(sc.p) * sigma2 / 2.0)
         whiten = sc.method in ("pw_msm", "pw_slp")
         power = 0.0
         err = np.zeros(k, dtype=np.int64)
@@ -456,23 +453,23 @@ def per_slot_reference(sc):
             idx = rng_s.integers(1, d + 1, size=k)
             s = const[idx - 1]
             if sc.method == "msm":
-                xb = slp.pw_slp_msm(plain, s, c["p_t"], theta)[0].x
+                xb = slp.pw_slp_msm(plain, s, sc.p_t, theta)[0].x
             elif sc.method == "pw_msm":
-                xb = slp.pw_slp_msm(eff, s, c["p_t"], theta)[0].x
+                xb = slp.pw_slp_msm(eff, s, sc.p_t, theta)[0].x
             elif sc.method == "pw_slp":
                 xb = slp.pw_slp_minpower(eff, s, pw_targets, theta).x
             elif sc.method == "nc_slp":
-                xb = slp.nc_slp(h, h_j, jam, c["awgn_var"], s, c["targets"], sc.p, theta).x
+                xb = slp.nc_slp(h, h_j, jam, sc.awgn_var, s, sc.delta0, sc.p, theta).x
             elif sc.method == "naive_slp":
-                xb = slp.naive_slp(h, h_j, c["rho2"], c["awgn_var"], s, c["targets"], sc.p, theta).x
+                xb = slp.naive_slp(h, h_j, sc.rho2, sc.awgn_var, s, sc.delta0, sc.p, theta).x
             else:
                 xb = slp.robust_slp(
-                    h, h_j, c["rho2"], c["awgn_var"], s, c["targets"], sc.p, theta, sc.n_div
+                    h, h_j, sc.rho2, sc.awgn_var, s, sc.delta0, sc.p, theta, sc.n_div
                 ).x
             x = xb[: sc.m] + 1j * xb[sc.m :]
             power += float(np.real(x @ np.conj(x)))
-            zv = rng_s.standard_normal(2) @ (c["rho"] * jam.t_factor).T
-            nv = math.sqrt(0.5 * c["awgn_var"]) * rng_s.standard_normal((k, 2))
+            zv = rng_s.standard_normal(2) @ (sc.rho * jam.t_factor).T
+            nv = math.sqrt(0.5 * sc.awgn_var) * rng_s.standard_normal((k, 2))
             y = h @ x + h_j * complex(zv[0], zv[1]) + (nv[:, 0] + 1j * nv[:, 1])
             for u in range(k):
                 yu = y[u]

@@ -16,7 +16,6 @@ from ncprecode.noisegeom import (
 from ncprecode.oracles import min_norm_by_enumeration
 from ncprecode.sim import margin_from_psi, psk_constellation, sample_channels
 from ncprecode.slp import (
-    MarginTargets,
     ellipse_margins,
     margin_rows,
     margin_rows_pair,
@@ -49,7 +48,7 @@ class TestWhitenedEffectiveChannel:
 
         sigma2 = 3.7
         g = SymMat2.scaled_identity(sigma2 / 2)
-        e1, e2 = whitened_effective_channel(h[0], g, math.sqrt(sigma2))
+        e1, e2 = whitened_effective_channel(h[0], g)
         hb = expand_row(h[0])
         np.testing.assert_allclose(e1, hb[0], atol=1e-12)
         np.testing.assert_allclose(e2, hb[1], atol=1e-12)
@@ -59,7 +58,7 @@ class TestWhitenedEffectiveChannel:
         h, _ = sample_channels(rng, 2, 1)
         jam = jammer_model(0.0, CIRCULAR_Q)
         g = effective_cov(0.3 + 0.1j, jam, 2.0)
-        e1, e2 = whitened_effective_channel(h[0], g, math.sqrt(g.trace()))
+        e1, e2 = whitened_effective_channel(h[0], g)
         hb = expand_row(h[0])
         np.testing.assert_allclose(e1, hb[0], atol=1e-12)
         np.testing.assert_allclose(e2, hb[1], atol=1e-12)
@@ -155,15 +154,15 @@ class TestMarginRows:
         np.testing.assert_allclose(mr_pair.a_plus, mr.a_plus, atol=1e-14)
 
 
-def eff_channels_from(h, covs, sigmas):
-    return [whitened_effective_channel(h[i], covs[i], sigmas[i]) for i in range(len(covs))]
+def eff_channels_from(h, covs):
+    return [whitened_effective_channel(h[i], covs[i]) for i in range(len(covs))]
 
 
 class TestPwSlpMinPower:
     def test_zero_targets(self):
         rng = np.random.default_rng(58)
-        h, h_j, jam, covs, sig = random_slp_case(rng)
-        eff = eff_channels_from(h, covs, sig)
+        h, h_j, jam, covs = random_slp_case(rng)
+        eff = eff_channels_from(h, covs)
         s = rand_symbols(rng, 4, 3)
         sol = pw_slp_minpower(eff, s, np.zeros(3), THETA4)
         assert sol.power == 0.0
@@ -171,8 +170,8 @@ class TestPwSlpMinPower:
 
     def test_doubling_targets_quadruples_power(self):
         rng = np.random.default_rng(59)
-        h, h_j, jam, covs, sig = random_slp_case(rng)
-        eff = eff_channels_from(h, covs, sig)
+        h, h_j, jam, covs = random_slp_case(rng)
+        eff = eff_channels_from(h, covs)
         s = rand_symbols(rng, 4, 3)
         p1 = pw_slp_minpower(eff, s, np.full(3, 1.3), THETA4).power
         p2 = pw_slp_minpower(eff, s, np.full(3, 2.6), THETA4).power
@@ -180,8 +179,8 @@ class TestPwSlpMinPower:
 
     def test_single_user_vs_enumeration(self):
         rng = np.random.default_rng(60)
-        h, h_j, jam, covs, sig = random_slp_case(rng, m=1, k=1)
-        eff = eff_channels_from(h, covs, sig)
+        h, h_j, jam, covs = random_slp_case(rng, m=1, k=1)
+        eff = eff_channels_from(h, covs)
         s = rand_symbols(rng, 4, 1)
         sol = pw_slp_minpower(eff, s, [2.0], THETA4)
         mr = margin_rows_pair(eff[0][0], eff[0][1], s[0], THETA4)
@@ -191,8 +190,8 @@ class TestPwSlpMinPower:
 
     def test_constraint_slacks_and_kkt(self):
         rng = np.random.default_rng(61)
-        h, h_j, jam, covs, sig = random_slp_case(rng)
-        eff = eff_channels_from(h, covs, sig)
+        h, h_j, jam, covs = random_slp_case(rng)
+        eff = eff_channels_from(h, covs)
         s = rand_symbols(rng, 4, 3)
         sol = pw_slp_minpower(eff, s, np.full(3, 2.0), THETA4)
         assert np.min(sol.achieved_margins) >= -1e-7
@@ -209,8 +208,8 @@ class TestPwSlpMinPower:
 class TestPwSlpMsm:
     def test_power_scaling(self):
         rng = np.random.default_rng(62)
-        h, h_j, jam, covs, sig = random_slp_case(rng)
-        eff = eff_channels_from(h, covs, sig)
+        h, h_j, jam, covs = random_slp_case(rng)
+        eff = eff_channels_from(h, covs)
         s = rand_symbols(rng, 4, 3)
         sol1, d1 = pw_slp_msm(eff, s, 10.0, THETA4)
         sol2, d2 = pw_slp_msm(eff, s, 40.0, THETA4)
@@ -219,8 +218,8 @@ class TestPwSlpMsm:
 
     def test_duality_round_trip(self):
         rng = np.random.default_rng(63)
-        h, h_j, jam, covs, sig = random_slp_case(rng)
-        eff = eff_channels_from(h, covs, sig)
+        h, h_j, jam, covs = random_slp_case(rng)
+        eff = eff_channels_from(h, covs)
         s = rand_symbols(rng, 4, 3)
         p_t = 25.0
         sol, delta = pw_slp_msm(eff, s, p_t, THETA4)
@@ -242,14 +241,14 @@ class TestPwSlpMsm:
 
 class TestEllipseMargins:
     def test_circular(self):
-        ell = ConfidenceEllipse(np.zeros(2), 2.0, 2.0, 0.0, 3.0)
+        ell = ConfidenceEllipse(2.0, 2.0, 0.0, 3.0)
         du, dl = ellipse_margins(ell, THETA4)
         assert du == pytest.approx(math.sqrt(6.0))
         assert dl == pytest.approx(math.sqrt(6.0))
 
     def test_aligned_major_axis(self):
         theta = 0.6
-        ell = ConfidenceEllipse(np.zeros(2), 3.0, 0.5, theta, 2.0)
+        ell = ConfidenceEllipse(3.0, 0.5, theta, 2.0)
         du, _ = ellipse_margins(ell, theta)
         assert du == pytest.approx(math.sqrt(2.0 * 0.5), rel=1e-12)
 
@@ -262,7 +261,7 @@ class TestEllipseMargins:
             alpha = rng.uniform(0, math.pi)
             theta = rng.uniform(0.1, math.pi / 2)
             omega = rng.uniform(1.0, 6.0)
-            ell = ConfidenceEllipse(np.zeros(2), lam1, lam2, alpha, omega)
+            ell = ConfidenceEllipse(lam1, lam2, alpha, omega)
             v = np.array([math.cos(alpha), math.sin(alpha)])
             vp = np.array([-v[1], v[0]])
             g = lam1 * np.outer(v, v) + lam2 * np.outer(vp, vp)
@@ -279,7 +278,7 @@ class TestEllipseMargins:
             lam1 = rng.uniform(0.5, 4.0)
             lam2 = rng.uniform(0.05, lam1)
             alpha = rng.uniform(0, math.pi)
-            ell = ConfidenceEllipse(np.zeros(2), lam1, lam2, alpha, chi2_scale(0.9))
+            ell = ConfidenceEllipse(lam1, lam2, alpha, chi2_scale(0.9))
             v = np.array([math.cos(alpha), math.sin(alpha)])
             vp = np.array([-v[1], v[0]])
             pts = (
@@ -296,7 +295,7 @@ class TestEllipseMargins:
 
 class TestTangentPoints:
     def test_circle(self):
-        ell = ConfidenceEllipse(np.zeros(2), 1.5, 1.5, 0.0, 2.0)
+        ell = ConfidenceEllipse(1.5, 1.5, 0.0, 2.0)
         for pt in tangent_points(ell, THETA4):
             assert np.linalg.norm(pt) == pytest.approx(math.sqrt(2.0 * 1.5), rel=1e-12)
 
@@ -308,7 +307,7 @@ class TestTangentPoints:
             alpha = rng.uniform(0, math.pi)
             theta = rng.uniform(0.1, math.pi / 2)
             omega = rng.uniform(1.0, 6.0)
-            ell = ConfidenceEllipse(np.zeros(2), lam1, lam2, alpha, omega)
+            ell = ConfidenceEllipse(lam1, lam2, alpha, omega)
             v = np.array([math.cos(alpha), math.sin(alpha)])
             vp = np.array([-v[1], v[0]])
             ginv = np.outer(v, v) / lam1 + np.outer(vp, vp) / lam2
@@ -328,7 +327,7 @@ class TestTangentPoints:
             lam2 = rng.uniform(0.05, lam1)
             alpha = rng.uniform(0, math.pi)
             theta = rng.uniform(0.1, math.pi / 2)
-            ell = ConfidenceEllipse(np.zeros(2), lam1, lam2, alpha, 3.0)
+            ell = ConfidenceEllipse(lam1, lam2, alpha, 3.0)
             du, dl = ellipse_margins(ell, theta)
             up, _, lp, _ = tangent_points(ell, theta)
             u_off, v_off = -up[0], up[1]
@@ -340,7 +339,7 @@ class TestTangentPoints:
             )
 
     def test_theta_right_angle(self):
-        ell = ConfidenceEllipse(np.zeros(2), 2.0, 0.7, 1.0, 3.0)
+        ell = ConfidenceEllipse(2.0, 0.7, 1.0, 3.0)
         pts = tangent_points(ell, math.pi / 2)
         v = np.array([math.cos(1.0), math.sin(1.0)])
         vp = np.array([-v[1], v[0]])
@@ -349,7 +348,7 @@ class TestTangentPoints:
             assert pt @ ginv @ pt == pytest.approx(3.0, rel=1e-9)
 
     def test_degenerate_segment(self):
-        ell = ConfidenceEllipse(np.zeros(2), 2.0, 0.0, 0.8, 3.0)
+        ell = ConfidenceEllipse(2.0, 0.0, 0.8, 3.0)
         pts = tangent_points(ell, THETA4)
         end = math.sqrt(3.0 * 2.0) * np.array([math.cos(0.8), math.sin(0.8)])
         np.testing.assert_allclose(pts[0], end, atol=1e-12)
@@ -362,8 +361,7 @@ def random_slp_case(rng, m=3, k=3, rho2=10.0, q11=0.75, q12=0.25, awgn=1.0):
     h, h_j = sample_channels(rng, m, k)
     jam = jammer_model(math.sqrt(rho2), q_from_elements(q11, q12))
     covs = [effective_cov(hj, jam, awgn) for hj in h_j]
-    sig = [math.sqrt(g.trace()) for g in covs]
-    return h, h_j, jam, covs, sig
+    return h, h_j, jam, covs
 
 
 class TestNcSlp:
@@ -375,20 +373,19 @@ class TestNcSlp:
         jam = jammer_model(0.0, CIRCULAR_Q)
         awgn = 1.7
         covs = [effective_cov(hj, jam, awgn) for hj in h_j]
-        sig = [math.sqrt(g.trace()) for g in covs]
         s = rand_symbols(rng, 4, 3)
         p = 0.9
         delta0 = 1.2
-        sol_nc = nc_slp(h, h_j, jam, awgn, s, MarginTargets.uniform(delta0, 3), p, THETA4)
+        sol_nc = nc_slp(h, h_j, jam, awgn, s, delta0, p, THETA4)
         target = delta0 * math.cos(THETA4) + math.sqrt(chi2_scale(p) * awgn / 2.0)
-        sol_pw = pw_slp_minpower(eff_channels_from(h, covs, sig), s, np.full(3, target), THETA4)
+        sol_pw = pw_slp_minpower(eff_channels_from(h, covs), s, np.full(3, target), THETA4)
         assert sol_nc.power == pytest.approx(sol_pw.power, rel=1e-10)
 
     def test_confidence_monotone(self):
         rng = np.random.default_rng(70)
-        h, h_j, jam, covs, sig = random_slp_case(rng)
+        h, h_j, jam, covs = random_slp_case(rng)
         s = rand_symbols(rng, 4, 3)
-        targets = MarginTargets.uniform(1.0, 3)
+        targets = 1.0
         p_prev = 0.0
         for p in (0.5, 0.7, 0.9, 0.99):
             power = nc_slp(h, h_j, jam, 1.0, s, targets, p, THETA4).power
@@ -397,9 +394,9 @@ class TestNcSlp:
 
     def test_solution_invariants(self):
         rng = np.random.default_rng(71)
-        h, h_j, jam, covs, sig = random_slp_case(rng)
+        h, h_j, jam, covs = random_slp_case(rng)
         s = rand_symbols(rng, 8, 3)
-        sol = nc_slp(h, h_j, jam, 1.0, s, MarginTargets.uniform(0.8, 3), 0.95, math.pi / 8)
+        sol = nc_slp(h, h_j, jam, 1.0, s, 0.8, 0.95, math.pi / 8)
         assert np.min(sol.achieved_margins) >= -1e-7
 
     @staticmethod
@@ -407,7 +404,7 @@ class TestNcSlp:
         # one user, zero preset margin, powers over a covariance grid on the disk
         rng = np.random.default_rng(72)
         h, h_j = sample_channels(rng, 3, 1)
-        zero = MarginTargets.uniform(0.0, 1)
+        zero = 0.0
         qs = [
             (q11, q12)
             for q11 in np.linspace(0.0, 1.0, 11)
@@ -483,9 +480,9 @@ def orientation_bounds(h_j, jammer_power, awgn_var, s, delta, omega, theta, phi)
 class TestRobustSlp:
     def test_n_div_one_is_single_orientation(self):
         rng = np.random.default_rng(73)
-        h, h_j, jam, covs, sig = random_slp_case(rng)
+        h, h_j, jam, covs = random_slp_case(rng)
         s = rand_symbols(rng, 4, 3)
-        targets = MarginTargets.uniform(1.0, 3)
+        targets = 1.0
         sol1 = robust_slp(h, h_j, 10.0, 1.0, s, targets, 0.95, THETA4, n_div=1)
         # reproduce by hand at phi = pi
         from ncprecode.slp import _min_power
@@ -500,9 +497,9 @@ class TestRobustSlp:
 
     def test_nested_grid_monotone(self):
         rng = np.random.default_rng(74)
-        h, h_j, jam, covs, sig = random_slp_case(rng)
+        h, h_j, jam, covs = random_slp_case(rng)
         s = rand_symbols(rng, 4, 3)
-        targets = MarginTargets.uniform(1.0, 3)
+        targets = 1.0
         prev = -np.inf
         for n_div in (4, 8, 16, 32):
             power = robust_slp(h, h_j, 10.0, 1.0, s, targets, 0.95, THETA4, n_div=n_div).power
@@ -517,7 +514,7 @@ class TestRobustSlp:
         for _ in range(20):
             h, h_j = sample_channels(rng, 3, 3)
             s = rand_symbols(rng, 4, 3)
-            targets = MarginTargets.uniform(1.0, 3)
+            targets = 1.0
             phi = int(rng.integers(1, n_div + 1)) * math.pi / n_div
             jam = jammer_model(math.sqrt(10.0), q_rank_one(phi))
             p_nc = nc_slp(h, h_j, jam, 1.0, s, targets, 0.95, THETA4).power
@@ -526,9 +523,9 @@ class TestRobustSlp:
 
     def test_conservative_mode(self):
         rng = np.random.default_rng(76)
-        h, h_j, jam, covs, sig = random_slp_case(rng)
+        h, h_j, jam, covs = random_slp_case(rng)
         s = rand_symbols(rng, 4, 3)
-        targets = MarginTargets.uniform(0.5, 3)
+        targets = 0.5
         default = robust_slp(h, h_j, 10.0, 1.0, s, targets, 0.95, THETA4, n_div=8)
         conservative = robust_slp(
             h, h_j, 10.0, 1.0, s, targets, 0.95, THETA4, n_div=8, conservative=True
@@ -561,7 +558,7 @@ class TestPhysicalContainment:
             h, h_j = sample_channels(rng, 3, 3)
             idx = rng.integers(0, 4, size=3)
             s = psk_constellation(4)[idx]
-            sol = nc_slp(h, h_j, jam, 1.0, s, MarginTargets.uniform(0.0, 3), p, theta)
+            sol = nc_slp(h, h_j, jam, 1.0, s, 0.0, p, theta)
             x = sol.x[:3] + 1j * sol.x[3:]
             for k in range(3):
                 c = sample_noise(rng, h_j[k], jam, 1.0, size=100_000)
@@ -577,11 +574,24 @@ class TestNaiveSlp:
         h, h_j = sample_channels(rng, 3, 3)
         jam = jammer_model(math.sqrt(10.0), CIRCULAR_Q)
         s = rand_symbols(rng, 4, 3)
-        targets = MarginTargets.uniform(1.0, 3)
+        targets = 1.0
         sol_nc = nc_slp(h, h_j, jam, 1.0, s, targets, 0.9, THETA4)
         sol_naive = naive_slp(h, h_j, 10.0, 1.0, s, targets, 0.9, THETA4)
         assert sol_naive.power == pytest.approx(sol_nc.power, rel=1e-12)
         np.testing.assert_allclose(sol_naive.x, sol_nc.x, atol=1e-10)
+
+
+class TestPresetMargin:
+    def test_negative_margin_rejected(self):
+        rng = np.random.default_rng(79)
+        h, h_j, jam, _ = random_slp_case(rng)
+        s = rand_symbols(rng, 4, 3)
+        with pytest.raises(ValueError, match="delta0"):
+            nc_slp(h, h_j, jam, 1.0, s, -0.1, 0.95, THETA4)
+        with pytest.raises(ValueError, match="delta0"):
+            naive_slp(h, h_j, 10.0, 1.0, s, -0.1, 0.95, THETA4)
+        with pytest.raises(ValueError, match="delta0"):
+            robust_slp(h, h_j, 10.0, 1.0, s, -0.1, 0.95, THETA4)
 
 
 class TestRankOneSmallAwgn:
@@ -607,7 +617,6 @@ class TestRankOneSmallAwgn:
         rng = np.random.default_rng(2024)
         omega = chi2_scale(self.P)
         delta0 = margin_from_psi(10.0, THETA4, self.RHO2, awgn_var)
-        targets = MarginTargets.uniform(delta0, self.K)
         eps = np.finfo(float).eps
         for _ in range(self.DRAWS):
             h, h_j = sample_channels(rng, self.M, self.K)
@@ -615,18 +624,18 @@ class TestRankOneSmallAwgn:
             s = rand_symbols(rng, 4, self.K)
             covs = [effective_cov(hj, jam, awgn_var) for hj in h_j]
 
-            nc = [nc_bounds(g, s_k, delta0, delta0, self.P, THETA4) for g, s_k in zip(covs, s)]
-            self.assert_feasible(nc_slp(h, h_j, jam, awgn_var, s, targets, self.P, THETA4), nc)
+            nc = [nc_bounds(g, s_k, delta0, self.P, THETA4) for g, s_k in zip(covs, s)]
+            self.assert_feasible(nc_slp(h, h_j, jam, awgn_var, s, delta0, self.P, THETA4), nc)
 
             rb = [
-                robust_bounds(hj, self.RHO2, awgn_var, s_k, delta0, delta0, omega, THETA4, 8)
+                robust_bounds(hj, self.RHO2, awgn_var, s_k, delta0, omega, THETA4, 8)
                 for hj, s_k in zip(h_j, s)
             ]
-            sol = robust_slp(h, h_j, self.RHO2, awgn_var, s, targets, self.P, THETA4, n_div=8)
+            sol = robust_slp(h, h_j, self.RHO2, awgn_var, s, delta0, self.P, THETA4, n_div=8)
             self.assert_feasible(sol, rb)
 
             sigma2 = np.array([g.trace() for g in covs])
-            eff = [whitened_effective_channel(h[u], covs[u], math.sqrt(sigma2[u])) for u in range(self.K)]
+            eff = [whitened_effective_channel(h[u], covs[u]) for u in range(self.K)]
             pw_targets = delta0 * math.cos(THETA4) + np.sqrt(omega * sigma2 / 2.0)
             self.assert_feasible(pw_slp_minpower(eff, s, pw_targets, THETA4), pw_targets)
 
