@@ -9,11 +9,14 @@ are bit-identical regardless of how trials are distributed over worker
 threads.
 
 Within a trial only d^K symbol vectors and d K (user, symbol) pairs exist,
-so per-trial work is done once and reused across slots: the transmit
-vector, its power and the noise-free received points once per distinct
-symbol-index vector (``_run_trial``), and each user's margin rows and
-bounds once per (user, symbol index) (``_TrialEngine``), both filled on
-first use and dropped with the trial. The reused values are the ones a
+so per-trial work is done once and reused across slots. ``_TrialEngine``
+builds the per-trial constants at set-up: the BLP precoder, or each user's
+channel pair and, for designs whose bounds do not depend on the symbol,
+each user's bounds. The transmit vector, its power and the noise-free
+received points are kept once per distinct symbol-index vector
+(``_run_trial``), and each user's margin rows with their bounds once per
+(user, symbol index) (``_TrialEngine``), both filled on first use and
+dropped with the trial. The reused values are the ones a
 fresh computation would return, because they are deterministic functions
 of the same inputs, so every output byte is the same as without reuse.
 """
@@ -159,7 +162,8 @@ class Scenario:
     budget p_t and the preset margin delta0; None without their dB key) are
     derived from the fields once, on first use. Every dB field must have a
     finite linear value; -inf is allowed for rho2_db (no jammer) and psi_db
-    (zero preset margin), and p_t_db must give a positive budget.
+    (zero preset margin), and p_t_db must give a positive budget whose square
+    is finite (the BLP designs' precoder power is of order p_t^2).
     """
 
     m: int
@@ -204,6 +208,8 @@ class Scenario:
                 raise ValueError(f"{key} = {db!r} has no finite linear value")
             if key == "p_t_db" and lin <= 0.0:
                 raise ValueError(f"p_t_db = {db!r} gives no positive transmit power budget")
+            if key == "p_t_db" and not math.isfinite(lin * lin):
+                raise ValueError(f"p_t_db = {db!r} gives a budget whose square overflows")
         if self.psi_db is not None and not math.isfinite(self.delta0):
             raise ValueError(f"psi_db = {self.psi_db!r} gives an infinite preset margin")
         if self.n_div < 1:
@@ -334,72 +340,59 @@ class _TrialStats:
 class _TrialEngine:
     """Per-trial state: precoder/solver plus the receiver pipeline.
 
-    For the QP methods, each user's margin rows and bounds depend on the
-    trial and that user's own symbol only, so they are built once per
-    (user, symbol index) on first use and reused by every later symbol
-    vector of the trial; a new symbol vector then costs one stacking and the
-    QP solve.
+    Set-up builds everything that depends on the trial only: the BLP
+    precoder, or each user's channel pair and, where the bounds do not
+    depend on the symbol, that user's bounds (pw_slp's matched-reliability
+    targets, naive_slp's circularised bounds; None, rows only, for the
+    maximin designs). nc_slp and robust_slp bound a user per symbol, so
+    their bounds come from ``bound_fn``. Each user's (rows, bounds) term is
+    built once per (user, symbol index) on first use and reused by every
+    later symbol vector of the trial; a new symbol vector then costs one
+    stacking and the QP solve.
     """
 
     def __init__(self, sc: Scenario, h, h_j, jam):
         self.sc = sc
-        self.h = h
-        self.h_j = h_j
-        k = sc.k
+        k, method, theta = sc.k, sc.method, sc.theta
         self.const = psk_constellation(sc.d)
-        self.covs = [effective_cov(h_j[i], jam, sc.awgn_var) for i in range(k)]
-        self.sigma2 = np.array([g.trace() for g in self.covs])
+        covs = self.covs = [effective_cov(h_j[i], jam, sc.awgn_var) for i in range(k)]
         self.whiten = None
-        if sc.method in _WHITENED_RX:
-            self.whiten = [sqrt_inv_psd2(g) for g in self.covs]
+        if method in _WHITENED_RX:
+            self.whiten = [sqrt_inv_psd2(g) for g in covs]
         self.terms = [[None] * sc.d for _ in range(k)]   # (user, symbol index) -> (rows, bounds)
-        self._setup_method()
-
-    def _setup_method(self):
-        sc = self.sc
-        method = sc.method
-        if method in BLP_METHODS:
-            if method == "pw_blp":
-                pre = _blp.pw_blp(self.h, self.covs, sc.p_t)
-            elif method == "robust_blp":
-                jp = sc.rho2 * np.abs(self.h_j) ** 2
-                pre = _blp.robust_blp(self.h, sc.awgn_var, jp, sc.p_t)
-            else:
-                pre = _blp.naive_blp(self.h, sc.awgn_var, sc.p_t)
-            self.precoder = pre
+        if method == "pw_blp":
+            self.precoder = _blp.pw_blp(h, covs, sc.p_t)
+        elif method == "robust_blp":
+            self.precoder = _blp.robust_blp(h, sc.awgn_var, sc.rho2 * np.abs(h_j) ** 2, sc.p_t)
+        elif method == "naive_blp":
+            self.precoder = _blp.naive_blp(h, sc.awgn_var, sc.p_t)
         elif method in ("pw_msm", "pw_slp"):
-            self.pairs = [_slp.whitened_effective_channel(self.h[i], self.covs[i]) for i in range(sc.k)]
-            if method == "pw_slp":
-                # Matched-reliability whitened-domain targets: after whitening
-                # the noise is circular with power sigma_k^2, so the preset
-                # margin plus its confidence disk maps to
-                # delta cos(theta) + sqrt(omega sigma_k^2 / 2); the raw-domain
-                # designs apply the same preset with their own (elliptical or
-                # circularized) confidence terms.
-                omega = chi2_scale(sc.p)
-                self.pw_targets = sc.delta0 * math.cos(sc.theta) + np.sqrt(
-                    omega * self.sigma2 / 2.0
-                )
+            self.pairs = [_slp.whitened_effective_channel(h[i], covs[i]) for i in range(k)]
         else:
-            self.pairs = [expand_row(self.h[i]) for i in range(sc.k)]
-
-    def _user_terms(self, u: int, i: int):
-        """Margin rows and bounds of user u for its 0-based symbol index i."""
-        sc = self.sc
-        method, theta, s_k = sc.method, sc.theta, self.const[i]
-        if method in MSM_METHODS:
-            return _slp.user_terms(self.pairs[u], s_k, theta)
+            self.pairs = [expand_row(h[i]) for i in range(k)]
+        omega = chi2_scale(sc.p)
+        self.bounds = [None] * k   # per-user symbol-free bounds
+        self.bound_fn = None       # (user, symbol) -> bounds, for symbol-dependent designs
         if method == "pw_slp":
-            return _slp.user_terms(self.pairs[u], s_k, theta, np.full(2, self.pw_targets[u]))
-        if method == "nc_slp":
-            bounds = _slp.nc_bounds(self.covs[u], s_k, sc.delta0, sc.p, theta)
+            # Matched-reliability whitened-domain targets: after whitening
+            # the noise is circular with power sigma_k^2, so the preset
+            # margin plus its confidence disk maps to
+            # delta cos(theta) + sqrt(omega sigma_k^2 / 2); the raw-domain
+            # designs apply the same preset with their own (elliptical or
+            # circularized) confidence terms.
+            sigma2 = np.array([g.trace() for g in covs])
+            targets = sc.delta0 * math.cos(theta) + np.sqrt(omega * sigma2 / 2.0)
+            self.bounds = [np.full(2, target) for target in targets]
         elif method == "naive_slp":
-            bounds = _slp.naive_bounds(self.h_j[u], sc.rho2, sc.awgn_var, sc.delta0, chi2_scale(sc.p), theta)
-        else:  # robust_slp
-            bounds = _slp.robust_bounds(
-                self.h_j[u], sc.rho2, sc.awgn_var, s_k, sc.delta0, chi2_scale(sc.p), theta, sc.n_div
+            self.bounds = [
+                _slp.naive_bounds(h_j[u], sc.rho2, sc.awgn_var, sc.delta0, omega, theta) for u in range(k)
+            ]
+        elif method == "nc_slp":
+            self.bound_fn = lambda u, s_k: _slp.nc_bounds(covs[u], s_k, sc.delta0, sc.p, theta)
+        elif method == "robust_slp":
+            self.bound_fn = lambda u, s_k: _slp.robust_bounds(
+                h_j[u], sc.rho2, sc.awgn_var, s_k, sc.delta0, omega, theta, sc.n_div
             )
-        return _slp.user_terms(self.pairs[u], s_k, theta, bounds)
 
     def transmit(self, idx: np.ndarray) -> np.ndarray:
         """Complex transmit vector for one vector of 1-based symbol indices."""
@@ -414,7 +407,9 @@ class _TrialEngine:
         for u, i in enumerate(idx - 1):
             entry = self.terms[u][i]
             if entry is None:
-                entry = self.terms[u][i] = self._user_terms(u, i)
+                s_k = self.const[i]
+                bounds = self.bounds[u] if self.bound_fn is None else self.bound_fn(u, s_k)
+                entry = self.terms[u][i] = _slp.user_terms(self.pairs[u], s_k, sc.theta, bounds)
             terms.append(entry)
         if sc.method in MSM_METHODS:
             xb = _slp.solve_max_margin(terms, sc.p_t)[0]
@@ -700,9 +695,7 @@ def _sweep_power(h, h_j, rho, awgn_var, delta0, p, theta, grid_n, symbols):
         rows = []
         coeffs = []
         for u in range(k):
-            mr = _slp.margin_rows(h[u], s[u], theta)
-            rows.append(mr.a_minus)
-            rows.append(mr.a_plus)
+            rows += _slp.user_terms(expand_row(h[u]), s[u], theta)[0]
             jv = symbol_rotation(s[u]).T @ expand_row([h_j[u]])
             for nvec in (n_u, n_l):
                 w = jv.T @ nvec

@@ -17,7 +17,8 @@ design's own bound function, and solves the stacked terms with
 :func:`solve_min_power` or :func:`solve_max_margin`. A user's terms depend
 only on that user's channel, noise and symbol, so the Monte-Carlo engine
 caches them per (user, symbol) and stacks the cached terms through the same
-two functions.
+two functions; bounds that do not depend on the symbol (pw_slp, naive_slp)
+are per-user constants it builds once at trial set-up.
 """
 
 import cmath
@@ -130,19 +131,6 @@ def _check_rows(a: np.ndarray):
         raise ZeroRow("degenerate (zero) margin constraint row")
 
 
-def _solution(prob: QpProblem, sol) -> SlpSolution:
-    return SlpSolution(
-        x=sol.x,
-        power=sol.objective,
-        achieved_margins=prob.a @ sol.x - prob.b,
-    )
-
-
-def _min_power(rows, bounds) -> SlpSolution:
-    prob = QpProblem(rows, bounds)
-    return _solution(prob, solve_min_norm(prob))
-
-
 def user_terms(pair, s_k: complex, theta: float, bounds=None):
     """One user's margin rows for symbol s_k, paired with their bounds.
 
@@ -168,24 +156,27 @@ def _stack_rows(terms) -> np.ndarray:
 def solve_min_power(terms, conservative: bool = False) -> SlpSolution:
     """Minimum-power transmit vector for per-user (rows, bounds) terms.
 
-    Bounds with a leading orientation axis give one QP per orientation, and
-    the solution needing the most power is returned (the first on ties);
-    with conservative=True a single QP on their elementwise maxima is solved.
+    The stacked bounds are one orientation (1-D) or one per jammer-covariance
+    orientation (leading axis). Each orientation is one QP on the shared rows,
+    and the solution needing the most power is returned (the first on ties).
+    With conservative=True the orientations are first reduced to their
+    elementwise maxima, a single QP; 1-D bounds are one orientation either
+    way. The bounds may be per-user constants built once or per-symbol
+    arrays: the stacking is the same.
     """
     a = _stack_rows(terms)
     _check_rows(a)
-    b = np.concatenate([bounds for _, bounds in terms], axis=-1)
-    if b.ndim == 1:
-        return _min_power(a, b)
+    b = np.atleast_2d(np.concatenate([bounds for _, bounds in terms], axis=-1))
     if conservative:
-        return _min_power(a, np.max(b, axis=0))
+        b = np.max(b, axis=0, keepdims=True)
     best = None
     for bounds in b:
         prob = QpProblem(a, bounds)
         sol = solve_min_norm(prob)
         if best is None or sol.objective > best[1].objective:
             best = prob, sol
-    return _solution(*best)
+    prob, sol = best
+    return SlpSolution(x=sol.x, power=sol.objective, achieved_margins=prob.a @ sol.x - prob.b)
 
 
 def solve_max_margin(terms, p_t: float):

@@ -207,16 +207,14 @@ def kkt_residuals(prob: QpProblem, sol: QpSolution):
     return primal, comp, stat
 
 
-def validate_solution(
-    prob: QpProblem,
-    sol: QpSolution,
-    primal_tol: float = 1e-7,
-    comp_tol: float = 1e-6,
-    stat_tol: float = 1e-6,
-) -> bool:
-    """Re-check the three KKT conditions independently of the solve path."""
+def validate_solution(prob: QpProblem, sol: QpSolution) -> bool:
+    """Re-check the three KKT conditions independently of the solve path.
+
+    Relative to s = max(1, max |b|): primal violation at most 1e-7 s,
+    complementary slackness at most 1e-6 s^2, stationarity at most 1e-6 s.
+    """
     if np.any(sol.duals < -1e-12):
         return False
     primal, comp, stat = kkt_residuals(prob, sol)
     scale = max(1.0, float(np.max(np.abs(prob.b))))
-    return primal <= primal_tol * scale and comp <= comp_tol * scale ** 2 and stat <= stat_tol * scale
+    return primal <= 1e-7 * scale and comp <= 1e-6 * scale ** 2 and stat <= 1e-6 * scale

@@ -33,12 +33,12 @@ class SymMat2:
     m22: float
 
     @classmethod
-    def from_array(cls, m, tol: float = 1e-9) -> "SymMat2":
+    def from_array(cls, m) -> "SymMat2":
         m = np.asarray(m, dtype=float)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
         scale = max(1.0, abs(m[0, 1]), abs(m[1, 0]))
-        if abs(m[0, 1] - m[1, 0]) > tol * scale:
+        if abs(m[0, 1] - m[1, 0]) > 1e-9 * scale:
             raise ValueError("matrix is not symmetric")
         off = 0.5 * (m[0, 1] + m[1, 0])
         return cls(float(m[0, 0]), float(off), float(m[1, 1]))

@@ -166,6 +166,54 @@ class TestRun:
         assert "error: power budget 1e-200 is too small" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["naive_blp", "pw_blp", "robust_blp", "msm", "pw_msm"])
+    @pytest.mark.parametrize("p_t_db, code", [("1600", 2), ("3080", 2), ("1500", 0)])
+    def test_budget_whose_square_overflows_fails_at_load(self, tmp_path, capsys, method, p_t_db, code):
+        # p_t^2 overflows above about 1541.3 dB; the BLP precoder's power is
+        # of order p_t^2. Warnings are errors here, so a run that overflows
+        # fails the test.
+        text = MINIMAL.replace("method = nc_slp", f"method = {method}") + f"p_t_db = {p_t_db}\n"
+        cfg = write(tmp_path, "huge.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == code
+        if code:
+            assert "budget whose square overflows" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            header, row = out.read_text().splitlines()
+            values = dict(zip(header.split(","), row.split(",")))
+            assert all(np.isfinite(float(values[c])) for c in cli.METRIC_COLUMNS[:-1])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL.replace("q = random_rank_one", "q = bogus"), "bad covariance spec: bogus"),
+            (MINIMAL.replace("q = random_rank_one", "q = rank_one"), "bad covariance spec: rank_one"),
+            (MINIMAL.replace("q = random_rank_one", "q = elements:0.1"), "bad covariance spec: elements:0.1"),
+            (MINIMAL.replace("[scenario]", "[other]"), "config must contain a [scenario] section"),
+            (MINIMAL + "[sweep]\np = 0.5, x\n", "bad sweep axis 'p': 0.5, x"),
+            (MINIMAL + "[sweep]\np =\n", "bad sweep axis 'p'"),
+            (MINIMAL + "[sweep]\nmethod = nc_slp, bogus\n", "unknown method in sweep: bogus"),
+            (MINIMAL + "[sweep]\nmethod = ,\n", "empty sweep axis 'method'"),
+            (MINIMAL + "[sweep]\np = 0.5, 1.5\n", "confidence level must be in (0, 1)"),
+        ],
+        ids=[
+            "q-bogus", "q-rank_one-no-phi", "q-elements-one-value", "no-scenario", "sweep-p-not-a-number",
+            "sweep-p-empty", "sweep-method-unknown", "sweep-method-empty", "sweep-p-out-of-range",
+        ],
+    )
+    def test_config_errors_exit_2(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path, "bad.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        assert cli.main(["run", "--config", missing, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"config error: cannot read config file: {missing}" in capsys.readouterr().err
+
     def test_linalg_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def singular(args):
             raise np.linalg.LinAlgError("Singular matrix")

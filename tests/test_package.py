@@ -1,12 +1,14 @@
-"""Static checks of the package source: no unread parameters, no dangling exports."""
+"""Static checks of the package source: no unread parameters, no dangling exports, no orphans."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncprecode"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # Functions whose signature a caller fixes: numpy's errstate callback is
 # called as call(err, flag).
@@ -78,3 +80,30 @@ def test_every_export_is_defined(path):
     tree = _tree(path)
     missing = sorted(set(_exports(tree)) - _defined(tree))
     assert not missing, f"{path.name}: __all__ names not defined: {', '.join(missing)}"
+
+
+def _named(paths):
+    """How often each name is loaded, read as an attribute or imported."""
+    named = Counter()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                named[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                named[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                named[node.name] += 1
+    return named
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    # A helper that lost its last caller (or test) is dead code; a name that
+    # appears only in __all__ does not count as a use.
+    named = _named(MODULES + TESTS)
+    orphans = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not named[node.name]
+    ]
+    assert not orphans, f"top-level definitions named nowhere in the package or its tests: {', '.join(orphans)}"

@@ -300,7 +300,7 @@ def reference_error_counts_nc(sc):
                     np.array([math.sin(theta), math.cos(theta)]),
                 ):
                     bounds.append(delta0 * math.cos(theta) + math.sqrt(omega * nvec @ gch @ nvec))
-            xb = min_norm_by_enumeration(np.vstack(rows), np.array(bounds), feas_tol=1e-9)
+            xb = min_norm_by_enumeration(np.vstack(rows), np.array(bounds))
             x = xb[: sc.m] + 1j * xb[sc.m :]
             zv = rng_s.standard_normal(2) @ (rho * t_fac).T
             z = complex(zv[0], zv[1])
@@ -529,3 +529,27 @@ class TestSlotReuse:
             pairs += len({(u, int(idx[u])) for idx in idxs for u in range(sc.k)})
         assert calls["solve"] == vectors * solves_per_vector
         assert calls["terms"] == pairs <= sc.trials * sc.d * sc.k
+
+    @pytest.mark.parametrize("method, bound", [
+        ("naive_slp", "naive_bounds"), ("nc_slp", "nc_bounds"), ("robust_slp", "robust_bounds"),
+    ])
+    def test_symbol_free_bounds_are_built_once_per_user(self, monkeypatch, method, bound):
+        # naive_slp's bounds do not depend on the symbol, so each trial builds
+        # them once per user at set-up; nc_slp and robust_slp bound each
+        # distinct (user, symbol) of the trial once.
+        sc = reuse_scenario(method)
+        calls = []
+        fn = getattr(slp, bound)
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(slp, bound, counted)
+        per_trial_metrics(sc)
+        pairs = sum(
+            len({(u, int(idx[u])) for idx in slot_indices(sc, trial) for u in range(sc.k)})
+            for trial in range(sc.trials)
+        )
+        assert pairs > sc.trials * sc.k
+        assert len(calls) == (sc.trials * sc.k if method == "naive_slp" else pairs)

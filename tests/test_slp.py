@@ -27,10 +27,13 @@ from ncprecode.slp import (
     robust_bounds,
     robust_slp,
     safety_margin,
+    solve_min_power,
     tangent_points,
+    user_terms,
     whitened_effective_channel,
     worst_case_pterms,
 )
+from ncprecode.solver import QpProblem, solve_min_norm
 from ncprecode.wlalg import eig2_sym, expand_row, expand_vec, sqrt_inv_psd2
 
 THETA4 = math.pi / 4
@@ -467,6 +470,53 @@ class TestWorstCasePterms:
             assert max(pl1, pl2) == pytest.approx(np.max(lo), rel=1e-12)
 
 
+class TestSolveMinPower:
+    """One QP per bound orientation; conservative=True first takes the elementwise maxima."""
+
+    @staticmethod
+    def terms(rng, orientations=None, k=3, m=3):
+        h, _ = sample_channels(rng, m, k)
+        s = rand_symbols(rng, 4, k)
+        shape = (2,) if orientations is None else (orientations, 4)
+        return [
+            user_terms(expand_row(h[u]), s[u], THETA4, rng.uniform(0.5, 2.0, size=shape))
+            for u in range(k)
+        ]
+
+    @staticmethod
+    def stacked(terms):
+        a = np.array([row for rows, _ in terms for row in rows])
+        return a, np.concatenate([bounds for _, bounds in terms], axis=-1)
+
+    def test_one_dimensional_bounds_are_one_qp(self):
+        terms = self.terms(np.random.default_rng(81))
+        a, b = self.stacked(terms)
+        sol = solve_min_power(terms)
+        ref = solve_min_norm(QpProblem(a, b))
+        assert np.array_equal(sol.x, ref.x)
+        assert sol.power == ref.objective
+        assert np.array_equal(sol.achieved_margins, a @ ref.x - b)
+
+    def test_conservative_is_one_qp_on_the_elementwise_maxima(self):
+        terms = self.terms(np.random.default_rng(82), orientations=5)
+        a, b = self.stacked(terms)
+        assert b.shape == (5, a.shape[0])
+        sol = solve_min_power(terms, conservative=True)
+        ref = solve_min_norm(QpProblem(a, np.max(b, axis=0)))
+        assert np.array_equal(sol.x, ref.x)
+        assert sol.power == ref.objective
+        worst = max((solve_min_norm(QpProblem(a, row)) for row in b), key=lambda r: r.objective)
+        assert np.array_equal(solve_min_power(terms).x, worst.x)
+
+    def test_conservative_with_one_dimensional_bounds_is_the_plain_call(self):
+        terms = self.terms(np.random.default_rng(83))
+        plain = solve_min_power(terms)
+        conservative = solve_min_power(terms, conservative=True)
+        assert np.array_equal(conservative.x, plain.x)
+        assert conservative.power == plain.power
+        assert np.array_equal(conservative.achieved_margins, plain.achieved_margins)
+
+
 def orientation_bounds(h_j, jammer_power, awgn_var, s, delta, omega, theta, phi):
     """Worst-case bounds (u1, u2, l1, l2 per user) of one rank-one orientation phi."""
     bounds = []
@@ -485,15 +535,13 @@ class TestRobustSlp:
         targets = 1.0
         sol1 = robust_slp(h, h_j, 10.0, 1.0, s, targets, 0.95, THETA4, n_div=1)
         # reproduce by hand at phi = pi
-        from ncprecode.slp import _min_power
-
         rows = []
         for i in range(3):
             mr = margin_rows(h[i], s[i], THETA4)
             rows += [mr.a_minus, mr.a_minus, mr.a_plus, mr.a_plus]
         bounds = orientation_bounds(h_j, 10.0, 1.0, s, 1.0, chi2_scale(0.95), THETA4, math.pi)
-        ref = _min_power(rows, bounds)
-        assert sol1.power == pytest.approx(ref.power, rel=1e-12)
+        ref = solve_min_norm(QpProblem(rows, bounds)).objective
+        assert sol1.power == pytest.approx(ref, rel=1e-12)
 
     def test_nested_grid_monotone(self):
         rng = np.random.default_rng(74)
