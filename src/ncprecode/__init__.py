@@ -58,10 +58,8 @@ from .sim import (
     verify_lemma_slp,
 )
 from .slp import (
-    MarginRows,
     SlpSolution,
     ellipse_margins,
-    margin_rows,
     margin_rows_pair,
     naive_slp,
     nc_slp,

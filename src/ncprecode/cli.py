@@ -55,17 +55,15 @@ def _fmt(value) -> str:
 
 
 def _parse_qspec(text: str) -> QSpec:
-    kind, sep, args = text.strip().partition(":")
-    if kind in ("circular", "random_rank_one") and not sep:
-        return QSpec(kind)
-    if kind not in ("elements", "rank_one") or not sep:
+    """``kind`` or ``kind:v1,...`` with as many values as QSpec.KINDS gives the kind."""
+    kind, sep, rest = text.strip().partition(":")
+    arity = QSpec.KINDS.get(kind)
+    if arity is None or bool(sep) != (arity > 0):
         raise ConfigError(f"bad covariance spec: {text}")
-    values = [float(v) for v in args.split(",")]
-    if kind == "elements" and len(values) == 2:
-        return QSpec(kind, q11=values[0], q12=values[1])
-    if kind == "rank_one" and len(values) == 1:
-        return QSpec(kind, phi=values[0])
-    raise ConfigError(f"bad covariance spec: {text}")
+    args = tuple(float(v) for v in rest.split(",")) if sep else ()
+    if len(args) != arity:
+        raise ConfigError(f"bad covariance spec: {text}")
+    return QSpec(kind, args)
 
 
 def _get(section, key, conv, required=True, default=None):
@@ -102,8 +100,11 @@ _GRID = {
 
 def load_config(path: str):
     """Parse a config file into (base Scenario, sweep axes, grid options)."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)   # a '%' in a value is literal
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
     if "scenario" not in parser:

@@ -27,6 +27,7 @@ __all__ = [
     "chi2_scale",
     "ellipse_from_cov",
     "sample_noise",
+    "boundary_normals",
     "wedge_exit_probability",
 ]
 
@@ -161,6 +162,17 @@ def sample_noise(rng, h_jk: complex, jam: JammerModel, awgn_var: float, size: in
     return v @ mix + std * rng.standard_normal((size, 2))
 
 
+def boundary_normals(theta: float):
+    """Unit normals (n_u, n_l) of the upper and lower PSK decision boundaries.
+
+    In the frame de-rotated by the symbol phase the decision wedge
+    |arg y| < theta is n_u^T y >= 0 and n_l^T y >= 0 with
+    n_u = (sin theta, -cos theta) and n_l = (sin theta, cos theta).
+    """
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    return np.array([sin_t, -cos_t]), np.array([sin_t, cos_t])
+
+
 def _norm_cdf(x):
     """Standard normal CDF, elementwise."""
     return 0.5 * _ERFC(-np.asarray(x, dtype=float) / math.sqrt(2.0))
@@ -189,17 +201,15 @@ def wedge_exit_probability(mu, cov, theta: float) -> np.ndarray:
     mu holds noise-free received points in the frame de-rotated by their
     symbol phase (shape (..., 2)), cov the matching noise covariances (shape
     (..., 2, 2), or one (2, 2) for all). The wedge |arg y| < theta is the
-    intersection of n_u^T y >= 0 and n_l^T y >= 0 with boundary normals
-    n_u = (sin theta, -cos theta) and n_l = (sin theta, cos theta). With the
-    standardized distances a, b and the correlation r of the two boundary
-    projections the exit probability is
+    intersection of n_u^T y >= 0 and n_l^T y >= 0 (:func:`boundary_normals`).
+    With the standardized distances a, b and the correlation r of the two
+    boundary projections the exit probability is
     Phi(-a) + Phi(-b) - Phi2(-a, -b; r); for theta = pi/2 (BPSK) both
     boundaries are one line and it reduces to Phi(-a).
     """
     mu = np.asarray(mu, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    n_u = np.array([math.sin(theta), -math.cos(theta)])
-    n_l = np.array([math.sin(theta), math.cos(theta)])
+    n_u, n_l = boundary_normals(theta)
     cov_u = cov @ n_u
     sd_u = np.sqrt(cov_u @ n_u)
     a = (mu @ n_u) / sd_u

@@ -18,6 +18,7 @@ import numpy as np
 
 from .noisegeom import (
     ConfidenceEllipse,
+    boundary_normals,
     chi2_scale,
     effective_cov,
     jammer_model,
@@ -133,8 +134,7 @@ def _sampled_margins(ellipse: ConfidenceEllipse, theta: float, samples: int):
         math.sqrt(ellipse.omega * ellipse.lambda1) * np.outer(np.cos(t), v)
         + math.sqrt(ellipse.omega * max(ellipse.lambda2, 0.0)) * np.outer(np.sin(t), vp)
     )
-    n_u = np.array([math.sin(theta), -math.cos(theta)])
-    n_l = np.array([math.sin(theta), math.cos(theta)])
+    n_u, n_l = boundary_normals(theta)
     return float(np.max(pts @ n_u)), float(np.max(pts @ n_l))
 
 
@@ -149,8 +149,7 @@ def _slope_residual(ellipse: ConfidenceEllipse, theta: float) -> float:
     v = np.array([math.cos(ellipse.alpha), math.sin(ellipse.alpha)])
     vp = np.array([-v[1], v[0]])
     ginv = np.outer(v, v) / ellipse.lambda1 + np.outer(vp, vp) / ellipse.lambda2
-    n_u = np.array([math.sin(theta), -math.cos(theta)])
-    n_l = np.array([math.sin(theta), math.cos(theta)])
+    n_u, n_l = boundary_normals(theta)
     worst = 0.0
     for pt, nvec in zip(pts, (n_u, n_u, n_l, n_l)):
         grad = ginv @ pt

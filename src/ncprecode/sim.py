@@ -32,6 +32,7 @@ from . import blp as _blp
 from . import slp as _slp
 from .noisegeom import (
     CIRCULAR_Q,
+    boundary_normals,
     chi2_scale,
     effective_cov,
     jammer_model,
@@ -41,7 +42,7 @@ from .noisegeom import (
     wedge_exit_probability,
 )
 from .solver import _min_norm_kernel, _solve
-from .wlalg import SymMat2, expand_row, sqrt_inv_psd2, symbol_rotation
+from .wlalg import SymMat2, collapse_vec, expand_row, expand_vec, sqrt_inv_psd2, symbol_rotation
 
 __all__ = [
     "QSpec",
@@ -109,48 +110,44 @@ def _rekey(rng: np.random.Generator, seed: int, trial: int, slot: int) -> None:
 class QSpec:
     """Jammer covariance specification for a scenario.
 
-    kind is one of "circular", "elements" (explicit q11/q12 inside the PSD
-    disk, checked on construction), "rank_one" (fixed orientation phi), or
-    "random_rank_one" (orientation redrawn uniformly on [0, pi) each trial).
+    kind is one of "circular", "elements" (args (q11, q12) inside the PSD
+    disk, checked on construction), "rank_one" (args (phi,), a fixed
+    orientation), or "random_rank_one" (orientation redrawn uniformly on
+    [0, pi) each trial). KINDS gives the number of args each kind takes; the
+    config grammar is ``kind`` or ``kind:arg,...`` with that many values.
     """
 
     kind: str = "circular"
-    q11: float | None = None
-    q12: float | None = None
-    phi: float | None = None
+    args: tuple = ()
+
+    KINDS = {"circular": 0, "elements": 2, "rank_one": 1, "random_rank_one": 0}
 
     def __post_init__(self):
-        if self.kind not in ("circular", "elements", "rank_one", "random_rank_one"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown covariance spec kind: {self.kind}")
+        if len(self.args) != self.KINDS[self.kind]:
+            raise ValueError(f"{self.kind} spec takes {self.KINDS[self.kind]} values, got {len(self.args)}")
         if self.kind == "elements":
-            if self.q11 is None or self.q12 is None:
-                raise ValueError("elements spec requires q11 and q12")
-            q_from_elements(self.q11, self.q12)  # raises InfeasibleQ outside the PSD disk
-        if self.kind == "rank_one" and self.phi is None:
-            raise ValueError("rank_one spec requires an orientation phi")
+            q_from_elements(*self.args)  # raises InfeasibleQ outside the PSD disk
 
     def draw(self, rng) -> SymMat2:
-        if self.kind == "circular":
-            return CIRCULAR_Q
         if self.kind == "elements":
-            return q_from_elements(self.q11, self.q12)
+            return q_from_elements(*self.args)
         if self.kind == "rank_one":
-            return q_rank_one(self.phi)
-        return q_rank_one(rng.uniform(0.0, math.pi))
+            return q_rank_one(*self.args)
+        if self.kind == "random_rank_one":
+            return q_rank_one(rng.uniform(0.0, math.pi))
+        return CIRCULAR_Q
 
     @property
     def rank_deficient(self) -> bool:
         """Whether the covariance is singular (rank one) in every trial."""
         if self.kind == "elements":
-            return SymMat2(self.q11, self.q12, 1.0 - self.q11).det() <= 0.0
+            return q_from_elements(*self.args).det() <= 0.0
         return self.kind in ("rank_one", "random_rank_one")
 
     def label(self) -> str:
-        if self.kind == "elements":
-            return f"elements:{self.q11!r},{self.q12!r}"
-        if self.kind == "rank_one":
-            return f"rank_one:{self.phi!r}"
-        return self.kind
+        return f"{self.kind}:{','.join(map(repr, self.args))}" if self.args else self.kind
 
 
 @dataclass(frozen=True)
@@ -214,11 +211,20 @@ class Scenario:
             raise ValueError(f"psi_db = {self.psi_db!r} gives an infinite preset margin")
         if self.n_div < 1:
             raise ValueError("n_div must be at least 1")
-        if self.method in _WHITENED_RX and self.awgn_std == 0.0 and self.q_spec.rank_deficient:
-            raise ValueError(
-                f"method {self.method} whitens the effective noise, which is singular "
-                "for a rank-deficient jammer covariance unless awgn_std > 0"
-            )
+        if self.awgn_std == 0.0:
+            # The BLP designs and the pw_* receivers whiten a noise covariance.
+            if self.method in _WHITENED_RX and self.q_spec.rank_deficient:
+                raise ValueError(
+                    f"method {self.method} whitens the effective noise, which is singular "
+                    "for a rank-deficient jammer covariance unless awgn_std > 0"
+                )
+            if self.method == "naive_blp":
+                raise ValueError("method naive_blp whitens the AWGN alone, which is zero unless awgn_std > 0")
+            if self.method in _WHITENED_RX | {"robust_blp"} and self.rho2 == 0.0:
+                raise ValueError(
+                    f"method {self.method} whitens the effective noise, which is zero "
+                    "without a jammer (rho2 = 0) unless awgn_std > 0"
+                )
 
     @property
     def theta(self) -> float:
@@ -375,14 +381,10 @@ class _TrialEngine:
         self.bound_fn = None       # (user, symbol) -> bounds, for symbol-dependent designs
         if method == "pw_slp":
             # Matched-reliability whitened-domain targets: after whitening
-            # the noise is circular with power sigma_k^2, so the preset
-            # margin plus its confidence disk maps to
-            # delta cos(theta) + sqrt(omega sigma_k^2 / 2); the raw-domain
-            # designs apply the same preset with their own (elliptical or
-            # circularized) confidence terms.
-            sigma2 = np.array([g.trace() for g in covs])
-            targets = sc.delta0 * math.cos(theta) + np.sqrt(omega * sigma2 / 2.0)
-            self.bounds = [np.full(2, target) for target in targets]
+            # the noise is circular with power sigma_k^2 = tr G_k; the
+            # raw-domain designs apply the same preset with their own
+            # (elliptical or circularized) confidence terms.
+            self.bounds = [_slp.circular_bounds(g.trace(), sc.delta0, omega, theta) for g in covs]
         elif method == "naive_slp":
             self.bounds = [
                 _slp.naive_bounds(h_j[u], sc.rho2, sc.awgn_var, sc.delta0, omega, theta) for u in range(k)
@@ -397,12 +399,8 @@ class _TrialEngine:
     def transmit(self, idx: np.ndarray) -> np.ndarray:
         """Complex transmit vector for one vector of 1-based symbol indices."""
         sc = self.sc
-        m = sc.m
         if sc.method in BLP_METHODS:
-            s = self.const[idx - 1]
-            sbar = np.concatenate([s.real, s.imag])
-            xb = self.precoder.p @ sbar
-            return xb[:m] + 1j * xb[m:]
+            return collapse_vec(self.precoder.p @ expand_vec(self.const[idx - 1]))
         terms = []
         for u, i in enumerate(idx - 1):
             entry = self.terms[u][i]
@@ -415,7 +413,7 @@ class _TrialEngine:
             xb = _slp.solve_max_margin(terms, sc.p_t)[0]
         else:
             xb = _slp.solve_min_power(terms).x
-        return xb[:m] + 1j * xb[m:]
+        return collapse_vec(xb)
 
     def detect(self, y_k: complex, user: int) -> int:
         if self.whiten is not None:
@@ -682,9 +680,8 @@ def _sweep_power(h, h_j, rho, awgn_var, delta0, p, theta, grid_n, symbols):
     cells = np.argwhere(feas)
     k = h.shape[0]
     omega = chi2_scale(p)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    n_u = np.array([sin_t, -cos_t])
-    n_l = np.array([sin_t, cos_t])
+    cos_t = math.cos(theta)
+    normals = boundary_normals(theta)
     rho2 = rho * rho
     half_awgn = 0.5 * awgn_var
 
@@ -697,16 +694,14 @@ def _sweep_power(h, h_j, rho, awgn_var, delta0, p, theta, grid_n, symbols):
         for u in range(k):
             rows += _slp.user_terms(expand_row(h[u]), s[u], theta)[0]
             jv = symbol_rotation(s[u]).T @ expand_row([h_j[u]])
-            for nvec in (n_u, n_l):
+            for nvec in normals:
                 w = jv.T @ nvec
                 # w^T Q w = w2^2 + q11 (w1^2 - w2^2) + 2 q12 w1 w2
                 coeffs.append((w[1] ** 2, w[0] ** 2 - w[1] ** 2, 2.0 * w[0] * w[1]))
         a = np.vstack(rows)
         gram = a @ a.T
         row_norm2 = np.einsum("ij,ij->i", a, a)
-        const = np.array([c0 for c0, _, _ in coeffs])
-        lin11 = np.array([c1 for _, c1, _ in coeffs])
-        lin12 = np.array([c2 for _, _, c2 in coeffs])
+        const, lin11, lin12 = np.array(coeffs).T
         # bounds per cell: delta0 cos(theta) + sqrt(omega (rho^2 w^T Q w + awgn/2))
         qf = const[None, :] + q11_c[:, None] * lin11[None, :] + q12_c[:, None] * lin12[None, :]
         qf = np.maximum(qf, 0.0)

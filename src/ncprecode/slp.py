@@ -29,16 +29,21 @@ import numpy as np
 
 from .blp import _per_user
 from .errors import DegenerateEllipse, ZeroRow
-from .noisegeom import ConfidenceEllipse, chi2_scale, effective_cov, rotated_cov, ellipse_from_cov
+from .noisegeom import (
+    ConfidenceEllipse,
+    boundary_normals,
+    chi2_scale,
+    effective_cov,
+    ellipse_from_cov,
+    rotated_cov,
+)
 from .solver import QpProblem, solve_maximin, solve_min_norm
 from .wlalg import expand_row, sqrt_inv_psd2
 
 __all__ = [
-    "MarginRows",
     "SlpSolution",
     "whitened_effective_channel",
     "safety_margin",
-    "margin_rows",
     "margin_rows_pair",
     "user_terms",
     "solve_min_power",
@@ -52,23 +57,12 @@ __all__ = [
     "worst_case_pterms",
     "robust_bounds",
     "robust_slp",
+    "circular_bounds",
     "naive_bounds",
     "naive_slp",
 ]
 
 _ROW_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class MarginRows:
-    """Per-user constraint rows for the two PSK decision boundaries.
-
-    a_minus bounds the distance to the upper boundary (positive imaginary
-    side after de-rotation by the symbol phase), a_plus the lower one.
-    """
-
-    a_minus: np.ndarray
-    a_plus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,27 +97,21 @@ def safety_margin(s_k: complex, h_e, x, theta: float) -> float:
     return z.real * math.sin(theta) - abs(z.imag) * math.cos(theta)
 
 
-def margin_rows_pair(h_e1, h_e2, s_k: complex, theta: float) -> MarginRows:
-    """Margin rows from a (first row, second row) real effective-channel pair."""
+def margin_rows_pair(h_e1, h_e2, s_k: complex, theta: float):
+    """(a_minus, a_plus): one user's margin rows for the two decision boundaries.
+
+    (h_e1, h_e2) is the user's real effective-channel pair, for a complex
+    row h the two rows of ``expand_row(h)``. a_minus bounds the distance to
+    the upper boundary (positive imaginary side after de-rotation by the
+    symbol phase), a_plus the lower one: with sh = s* h the rows are
+    [Re sh, -Im sh] sin(theta) -/+ [Im sh, Re sh] cos(theta), so
+    a_minus @ xbar is exactly Re{s* h x} sin(theta) - Im{s* h x} cos(theta).
+    """
     s = complex(s_k)
     h_minus = s.real * np.asarray(h_e1) + s.imag * np.asarray(h_e2)
     h_plus = -s.imag * np.asarray(h_e1) + s.real * np.asarray(h_e2)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
-    return MarginRows(
-        a_minus=h_minus * sin_t - h_plus * cos_t,
-        a_plus=h_minus * sin_t + h_plus * cos_t,
-    )
-
-
-def margin_rows(h_k, s_k: complex, theta: float) -> MarginRows:
-    """Margin rows built from a complex channel row and its intended symbol.
-
-    With sh = s* h these are [Re sh, -Im sh] sin(theta) -/+ [Im sh, Re sh]
-    cos(theta); a_minus @ xbar is exactly the upper-boundary distance
-    Re{s* h x} sin(theta) - Im{s* h x} cos(theta).
-    """
-    hb = expand_row(h_k)
-    return margin_rows_pair(hb[0], hb[1], s_k, theta)
+    return h_minus * sin_t - h_plus * cos_t, h_minus * sin_t + h_plus * cos_t
 
 
 def _check_rows(a: np.ndarray):
@@ -144,9 +132,9 @@ def user_terms(pair, s_k: complex, theta: float, bounds=None):
     :func:`solve_min_power` and :func:`solve_max_margin` stack these terms
     in user order.
     """
-    mr = margin_rows_pair(pair[0], pair[1], s_k, theta)
+    a_minus, a_plus = margin_rows_pair(*pair, s_k, theta)
     r = 1 if bounds is None else np.shape(bounds)[-1] // 2
-    return (mr.a_minus,) * r + (mr.a_plus,) * r, bounds
+    return (a_minus,) * r + (a_plus,) * r, bounds
 
 
 def _stack_rows(terms) -> np.ndarray:
@@ -238,7 +226,7 @@ def tangent_points(ellipse: ConfidenceEllipse, theta: float):
     Returns (upper+, upper-, lower+, lower-). The upper pair are the points
     where the tangent line is parallel to the upper decision boundary (slope
     tan theta); they are the support points of the ellipse along the unit
-    normal n_u = (sin theta, -cos theta), at +/- sqrt(omega) G n / sqrt(n^T G n).
+    normal n_u of :func:`boundary_normals`, at +/- sqrt(omega) G n / sqrt(n^T G n).
     A rank-one ellipse (lambda2 = 0) degenerates to a segment and both pairs
     collapse to its endpoints +/- sqrt(omega lambda1) along the major axis.
     """
@@ -256,8 +244,7 @@ def tangent_points(ellipse: ConfidenceEllipse, theta: float):
         gn = g @ nvec
         return math.sqrt(omega / float(nvec @ gn)) * gn
 
-    pu = support(np.array([math.sin(theta), -math.cos(theta)]))
-    pl = support(np.array([math.sin(theta), math.cos(theta)]))
+    pu, pl = map(support, boundary_normals(theta))
     return pu, -pu, pl, -pl
 
 
@@ -371,13 +358,21 @@ def robust_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: f
     )
 
 
+def circular_bounds(sigma2: float, delta0: float, omega: float, theta: float) -> np.ndarray:
+    """Both bounds of a user whose noise is circular with total power sigma2.
+
+    The confidence disk of covariance (sigma2 / 2) I adds sqrt(omega sigma2 / 2)
+    to the preset margin term delta0 cos(theta) on either boundary. pw_slp
+    applies it to the whitened noise, naive_slp (:func:`naive_bounds`) to the
+    circularized raw noise.
+    """
+    return np.full(2, delta0 * math.cos(theta) + math.sqrt(omega * 0.5 * sigma2))
+
+
 def naive_bounds(h_jk: complex, jammer_power: float, awgn_var: float,
                  delta0: float, omega: float, theta: float) -> np.ndarray:
     """One user's bounds with the noise circularized at its total power."""
-    sigma2 = jammer_power * abs(complex(h_jk)) ** 2 + awgn_var
-    margin = math.sqrt(omega * 0.5 * sigma2)
-    cos_t = math.cos(theta)
-    return np.full(2, delta0 * cos_t + margin)
+    return circular_bounds(jammer_power * abs(complex(h_jk)) ** 2 + awgn_var, delta0, omega, theta)
 
 
 def naive_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: float, p: float,

@@ -127,6 +127,75 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "method, rho2_db",
+        [("naive_blp", "10.0"), ("naive_blp", "-inf")]
+        + [(m, r) for m in ("robust_blp", "pw_blp", "pw_msm", "pw_slp") for r in ("-inf", "-4000")],
+    )
+    def test_zero_noise_whitening_fails_at_load(self, tmp_path, capsys, method, rho2_db):
+        # naive_blp whitens the AWGN alone; robust_blp and the pw_* methods
+        # whiten the effective noise, which is zero without AWGN and jammer
+        # (-4000 dB underflows to rho2 = 0).
+        bad = (
+            MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
+            .replace("rho2_db = 10.0", f"rho2_db = {rho2_db}")
+            .replace("method = nc_slp", f"method = {method}\np_t_db = 20.0")
+            .replace("q = random_rank_one", "q = circular")
+        )
+        cfg = write(tmp_path, "bad.cfg", bad)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: method {method} whitens" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method, rho2_db",
+        [("robust_blp", "10.0"), ("pw_blp", "10.0")]
+        + [(m, "-inf") for m in ("nc_slp", "naive_slp", "robust_slp", "msm")],
+    )
+    def test_zero_noise_accepted_where_nothing_is_whitened(self, tmp_path, method, rho2_db):
+        ok = (
+            MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
+            .replace("rho2_db = 10.0", f"rho2_db = {rho2_db}")
+            .replace("method = nc_slp", f"method = {method}\np_t_db = 20.0")
+            .replace("q = random_rank_one", "q = circular")
+        )
+        cfg = write(tmp_path, "ok.cfg", ok)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL + "m = 3\n", "option 'm' in section 'scenario' already exists"),
+            (MINIMAL + "[scenario]\nseed = 1\n", "section 'scenario' already exists"),
+            ("m = 2\n" + MINIMAL, "File contains no section headers"),
+            (MINIMAL.replace("m = 2", "m = %(x)s"), "bad value for 'm': %(x)s"),
+        ],
+        ids=["repeated-key", "repeated-section", "no-section-header", "percent-is-literal"],
+    )
+    def test_unparsable_config_exits_2(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path, "bad.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("covariance", ["circular", "elements:0.7,-0.3", "rank_one:0.6", "random_rank_one"])
+    def test_covariance_spec_label_round_trip(self, covariance):
+        spec = cli._parse_qspec(covariance)
+        assert spec.label() == covariance
+        assert cli._parse_qspec(spec.label()) == spec
+
+    @pytest.mark.parametrize(
+        "kind, args", [("circular", (0.5,)), ("elements", (0.5,)), ("rank_one", ()), ("rank_one", (0.1, 0.2)),
+                       ("bogus", ())],
+    )
+    def test_covariance_spec_arity_checked_on_construction(self, kind, args):
+        with pytest.raises(ValueError):
+            sim.QSpec(kind, args)
+
     @pytest.mark.parametrize("q", ["elements:1.2,0.0", "elements:0.5,0.51", "elements:-0.01,0.0"])
     def test_covariance_outside_disk_fails_at_load(self, tmp_path, q):
         bad = MINIMAL.replace("q = random_rank_one", f"q = {q}")

@@ -6,6 +6,7 @@ import pytest
 from ncprecode.errors import InfeasibleQ, InvalidConfidence
 from ncprecode.noisegeom import (
     CIRCULAR_Q,
+    boundary_normals,
     chi2_scale,
     effective_cov,
     ellipse_from_cov,
@@ -180,6 +181,20 @@ class TestSampling:
         c = sample_noise(rng, 1.2 + 0.1j, jam, 0.5, size=1_000_000)
         sigma = math.sqrt(effective_cov(1.2 + 0.1j, jam, 0.5).trace())
         assert np.max(np.abs(c.mean(axis=0))) < 4 * sigma / 1000
+
+
+class TestBoundaryNormals:
+    @pytest.mark.parametrize("theta", [math.pi / 2, math.pi / 4, math.pi / 8, math.pi / 16])
+    def test_unit_normals_of_the_wedge_boundaries(self, theta):
+        n_u, n_l = boundary_normals(theta)
+        # the arrays every caller used to build inline
+        assert np.array_equal(n_u, np.array([math.sin(theta), -math.cos(theta)]))
+        assert np.array_equal(n_l, np.array([math.sin(theta), math.cos(theta)]))
+        assert np.linalg.norm(n_u) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(n_l) == pytest.approx(1.0, abs=1e-15)
+        # each is orthogonal to its boundary ray arg y = +theta / -theta
+        assert n_u @ [math.cos(theta), math.sin(theta)] == pytest.approx(0.0, abs=1e-15)
+        assert n_l @ [math.cos(theta), -math.sin(theta)] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestWedgeExit:

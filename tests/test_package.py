@@ -1,4 +1,4 @@
-"""Static checks of the package source: no unread parameters, no dangling exports, no orphans."""
+"""Static checks of the package source: no unread parameters, no dangling exports, no orphans, no unused imports."""
 
 import ast
 from collections import Counter
@@ -107,3 +107,21 @@ def test_every_top_level_definition_is_named_elsewhere():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not named[node.name]
     ]
     assert not orphans, f"top-level definitions named nowhere in the package or its tests: {', '.join(orphans)}"
+
+
+def _imported(tree):
+    """Names a module's own top-level and nested import statements bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"], ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    # The package's __init__ imports are its public re-exports; every other
+    # module must load each name it imports or list it in __all__.
+    tree = _tree(path)
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = sorted(set(_imported(tree)) - loaded - set(_exports(tree)))
+    assert not unused, f"{path.name}: imported but never used: {', '.join(unused)}"

@@ -170,7 +170,7 @@ class TestRunMonteCarlo:
 
     def test_pw_msm_converges_to_msm_in_awgn(self):
         kw = dict(m=3, k=3, awgn_std=40.0, p_t_db=30.0, trials=20, block_len=40,
-                  d=4, q_spec=QSpec("rank_one", phi=0.6))
+                  d=4, q_spec=QSpec("rank_one", (0.6,)))
         r_pw = run_montecarlo(small_scenario("pw_msm", **kw))
         r_msm = run_montecarlo(small_scenario("msm", **kw))
         assert r_pw.ber == pytest.approx(r_msm.ber, rel=0.1)

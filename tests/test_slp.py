@@ -16,9 +16,10 @@ from ncprecode.noisegeom import (
 from ncprecode.oracles import min_norm_by_enumeration
 from ncprecode.sim import margin_from_psi, psk_constellation, sample_channels
 from ncprecode.slp import (
+    circular_bounds,
     ellipse_margins,
-    margin_rows,
     margin_rows_pair,
+    naive_bounds,
     naive_slp,
     nc_bounds,
     nc_slp,
@@ -112,10 +113,10 @@ class TestSafetyMargin:
 
 class TestMarginRows:
     def test_fixed_example(self):
-        mr = margin_rows([1.0], 1.0 + 0j, THETA4)
+        a_minus, a_plus = margin_rows_pair(*expand_row([1.0]), 1.0 + 0j, THETA4)
         r = math.sqrt(2) / 2
-        np.testing.assert_allclose(mr.a_minus, [r, -r], atol=1e-15)
-        np.testing.assert_allclose(mr.a_plus, [r, r], atol=1e-15)
+        np.testing.assert_allclose(a_minus, [r, -r], atol=1e-15)
+        np.testing.assert_allclose(a_plus, [r, r], atol=1e-15)
 
     def test_row_sum_identity(self):
         rng = np.random.default_rng(55)
@@ -123,10 +124,10 @@ class TestMarginRows:
             h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             s = np.exp(1j * rng.uniform(0, 2 * math.pi))
             theta = rng.uniform(0.1, math.pi / 2)
-            mr = margin_rows(h, s, theta)
+            a_minus, a_plus = margin_rows_pair(*expand_row(h), s, theta)
             sh = np.conj(s) * h
             h1 = np.concatenate([sh.real, -sh.imag])
-            np.testing.assert_allclose(mr.a_minus + mr.a_plus, 2 * math.sin(theta) * h1, atol=1e-12)
+            np.testing.assert_allclose(a_minus + a_plus, 2 * math.sin(theta) * h1, atol=1e-12)
 
     def test_symbolic_expansion_oracle(self):
         # a_minus @ xbar equals Re{s* h x} sin(theta) - Im{s* h x} cos(theta)
@@ -136,25 +137,28 @@ class TestMarginRows:
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             s = np.exp(1j * rng.uniform(0, 2 * math.pi))
             theta = rng.uniform(0.1, math.pi / 2)
-            mr = margin_rows(h, s, theta)
+            a_minus, a_plus = margin_rows_pair(*expand_row(h), s, theta)
             z = np.conj(s) * (h @ x)
             xb = expand_vec(x)
-            assert mr.a_minus @ xb == pytest.approx(
+            assert a_minus @ xb == pytest.approx(
                 z.real * math.sin(theta) - z.imag * math.cos(theta), rel=1e-11, abs=1e-11
             )
-            assert mr.a_plus @ xb == pytest.approx(
+            assert a_plus @ xb == pytest.approx(
                 z.real * math.sin(theta) + z.imag * math.cos(theta), rel=1e-11, abs=1e-11
             )
 
-    def test_pair_matches_complex_row(self):
+    def test_pair_equals_row_formula(self):
+        # bit-exact against the row formula, so the engine's rows keep every byte
         rng = np.random.default_rng(57)
-        h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        s = np.exp(1j * 1.1)
-        hb = expand_row(h)
-        mr_pair = margin_rows_pair(hb[0], hb[1], s, THETA4)
-        mr = margin_rows(h, s, THETA4)
-        np.testing.assert_allclose(mr_pair.a_minus, mr.a_minus, atol=1e-14)
-        np.testing.assert_allclose(mr_pair.a_plus, mr.a_plus, atol=1e-14)
+        for theta in (math.pi / 2, THETA4, math.pi / 8, math.pi / 16):
+            h_e1, h_e2 = rng.standard_normal((2, 6))
+            s = complex(np.exp(1j * rng.uniform(0, 2 * math.pi)))
+            h_minus = s.real * h_e1 + s.imag * h_e2
+            h_plus = -s.imag * h_e1 + s.real * h_e2
+            sin_t, cos_t = math.sin(theta), math.cos(theta)
+            a_minus, a_plus = margin_rows_pair(h_e1, h_e2, s, theta)
+            assert np.array_equal(a_minus, h_minus * sin_t - h_plus * cos_t)
+            assert np.array_equal(a_plus, h_minus * sin_t + h_plus * cos_t)
 
 
 def eff_channels_from(h, covs):
@@ -186,8 +190,7 @@ class TestPwSlpMinPower:
         eff = eff_channels_from(h, covs)
         s = rand_symbols(rng, 4, 1)
         sol = pw_slp_minpower(eff, s, [2.0], THETA4)
-        mr = margin_rows_pair(eff[0][0], eff[0][1], s[0], THETA4)
-        a = np.vstack([mr.a_minus, mr.a_plus])
+        a = np.vstack(margin_rows_pair(eff[0][0], eff[0][1], s[0], THETA4))
         ref = min_norm_by_enumeration(a, np.array([2.0, 2.0]))
         assert np.max(np.abs(sol.x - ref)) < 1e-8
 
@@ -200,8 +203,7 @@ class TestPwSlpMinPower:
         assert np.min(sol.achieved_margins) >= -1e-7
         rows = []
         for (e1, e2), sk in zip(eff, s):
-            mr = margin_rows_pair(e1, e2, sk, THETA4)
-            rows += [mr.a_minus, mr.a_plus]
+            rows += margin_rows_pair(e1, e2, sk, THETA4)
         a = np.vstack(rows)
         # stationarity certificate: x in the cone of active rows
         duals, *_ = np.linalg.lstsq(a.T, 2.0 * sol.x, rcond=None)
@@ -537,8 +539,8 @@ class TestRobustSlp:
         # reproduce by hand at phi = pi
         rows = []
         for i in range(3):
-            mr = margin_rows(h[i], s[i], THETA4)
-            rows += [mr.a_minus, mr.a_minus, mr.a_plus, mr.a_plus]
+            a_minus, a_plus = margin_rows_pair(*expand_row(h[i]), s[i], THETA4)
+            rows += [a_minus, a_minus, a_plus, a_plus]
         bounds = orientation_bounds(h_j, 10.0, 1.0, s, 1.0, chi2_scale(0.95), THETA4, math.pi)
         ref = solve_min_norm(QpProblem(rows, bounds)).objective
         assert sol1.power == pytest.approx(ref, rel=1e-12)
@@ -582,8 +584,8 @@ class TestRobustSlp:
         # the conservative vector satisfies every sampled orientation's bounds
         rows = []
         for i in range(3):
-            mr = margin_rows(h[i], s[i], THETA4)
-            rows += [mr.a_minus, mr.a_minus, mr.a_plus, mr.a_plus]
+            a_minus, a_plus = margin_rows_pair(*expand_row(h[i]), s[i], THETA4)
+            rows += [a_minus, a_minus, a_plus, a_plus]
         a = np.vstack(rows)
         for n in range(1, 9):
             bounds = orientation_bounds(
@@ -627,6 +629,27 @@ class TestNaiveSlp:
         sol_naive = naive_slp(h, h_j, 10.0, 1.0, s, targets, 0.9, THETA4)
         assert sol_naive.power == pytest.approx(sol_nc.power, rel=1e-12)
         np.testing.assert_allclose(sol_naive.x, sol_nc.x, atol=1e-10)
+
+
+class TestCircularBounds:
+    def test_equals_matched_reliability_targets(self):
+        # the expression the engine used for pw_slp's whitened-domain targets
+        rng = np.random.default_rng(80)
+        omega = chi2_scale(0.8)
+        for sigma2 in rng.exponential(10.0, 1000):
+            expected = np.full(2, 1.7 * math.cos(THETA4) + np.sqrt(omega * sigma2 / 2.0))
+            assert np.array_equal(circular_bounds(sigma2, 1.7, omega, THETA4), expected)
+
+    def test_naive_bounds_circularize_the_total_power(self):
+        rng = np.random.default_rng(81)
+        omega = chi2_scale(0.95)
+        for _ in range(100):
+            h_jk = complex(rng.standard_normal(), rng.standard_normal())
+            rho2, awgn_var, delta0 = rng.exponential(5.0, 3)
+            assert np.array_equal(
+                naive_bounds(h_jk, rho2, awgn_var, delta0, omega, THETA4),
+                circular_bounds(rho2 * abs(h_jk) ** 2 + awgn_var, delta0, omega, THETA4),
+            )
 
 
 class TestPresetMargin:
