@@ -9,7 +9,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 from numpy.linalg import LinAlgError
 
@@ -66,11 +66,9 @@ def _parse_qspec(text: str) -> QSpec:
     return QSpec(kind, args)
 
 
-def _get(section, key, conv, required=True, default=None):
+def _get(section, key, conv):
     if key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in [{section.name}]")
-        return default
+        raise ConfigError(f"missing required key '{key}' in [{section.name}]")
     try:
         return conv(section[key])
     except ConfigError:
@@ -79,16 +77,13 @@ def _get(section, key, conv, required=True, default=None):
         raise ConfigError(f"bad value for '{key}': {section[key]} ({exc})") from exc
 
 
-# [scenario] keys in the order they are checked. Optional keys map to
-# (Scenario field, converter); absent ones take Scenario's defaults.
-_SCENARIO_REQUIRED = {
-    "m": int, "k": int, "d": int, "rho2_db": float, "awgn_std": float, "p": float,
-    "trials": int, "block_len": int, "seed": int, "method": str.strip,
-}
-_SCENARIO_OPTIONAL = {
-    "q": ("q_spec", _parse_qspec), "p_t_db": ("p_t_db", float),
-    "psi_db": ("psi_db", float), "n_div": ("n_div", int),
-}
+# [scenario] key -> Scenario field, in field order (the order they are
+# checked). The key is the field name, except q for q_spec; a field without
+# a default is a required key, and its type picks the converter.
+_SCENARIO_KEYS = {"q" if f.name == "q_spec" else f.name: f for f in fields(Scenario)}
+_CONVERTERS = {int: int, float: float, float | None: float, str: str.strip, QSpec: _parse_qspec}
+# Numeric [sweep] axes, in expand_sweep's order (which fixes the row order).
+_SWEEP_AXES = ("rho2_db", "p", "psi_db")
 # [grid] key -> (converter, default, validity test, rule in the error message).
 _GRID = {
     "resolution": (int, 21, lambda v: v >= 5, "at least 5"),
@@ -109,39 +104,45 @@ def load_config(path: str):
         raise ConfigError(f"cannot read config file: {path}")
     if "scenario" not in parser:
         raise ConfigError("config must contain a [scenario] section")
+    known = {"scenario": _SCENARIO_KEYS, "sweep": _SWEEP_AXES + ("method",), "grid": _GRID}
+    for name in parser.sections():
+        if name not in known:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in parser[name]:   # includes the keys of configparser's [DEFAULT]
+            if key not in known[name]:
+                raise ConfigError(f"unknown key '{key}' in [{name}]")
     sec = parser["scenario"]
-    fields = {key: _get(sec, key, conv) for key, conv in _SCENARIO_REQUIRED.items()}
-    for key, (name, conv) in _SCENARIO_OPTIONAL.items():
-        if key in sec:
-            fields[name] = _get(sec, key, conv)
+    values = {
+        f.name: _get(sec, key, _CONVERTERS[f.type])
+        for key, f in _SCENARIO_KEYS.items()
+        if key in sec or f.default is MISSING and f.default_factory is MISSING
+    }
     try:
-        base = Scenario(**fields)
+        base = Scenario(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     sweep = {}
-    if "sweep" in parser:
-        sw = parser["sweep"]
-        for key, conv in (("psi_db", float), ("p", float), ("rho2_db", float)):
-            if key in sw:
-                try:
-                    values = sorted(conv(v) for v in sw[key].split(","))
-                except Exception as exc:
-                    raise ConfigError(f"bad sweep axis '{key}': {sw[key]}") from exc
-                sweep[key] = values
-        if "method" in sw:
-            methods = [v.strip() for v in sw["method"].split(",") if v.strip()]
-            for mname in methods:
-                if mname not in METHODS:
-                    raise ConfigError(f"unknown method in sweep: {mname}")
-            if not methods:
-                raise ConfigError("empty sweep axis 'method'")
-            sweep["method"] = methods
+    sw = parser["sweep"] if "sweep" in parser else {}
+    for key in _SWEEP_AXES:
+        if key in sw:
+            try:
+                sweep[key] = sorted(float(v) for v in sw[key].split(","))
+            except Exception as exc:
+                raise ConfigError(f"bad sweep axis '{key}': {sw[key]}") from exc
+    if "method" in sw:
+        methods = [v.strip() for v in sw["method"].split(",") if v.strip()]
+        for mname in methods:
+            if mname not in METHODS:
+                raise ConfigError(f"unknown method in sweep: {mname}")
+        if not methods:
+            raise ConfigError("empty sweep axis 'method'")
+        sweep["method"] = methods
 
     gr = parser["grid"] if "grid" in parser else {}
     grid = {}
     for key, (conv, default, valid, rule) in _GRID.items():
-        grid[key] = _get(gr, key, conv, required=False, default=default)
+        grid[key] = _get(gr, key, conv) if key in gr else default
         if not valid(grid[key]):
             raise ConfigError(f"[grid] {key} must be {rule}, got {grid[key]}")
     return base, sweep, grid
@@ -153,7 +154,7 @@ def expand_sweep(base: Scenario, sweep: dict):
         scenarios = [base]
         if "method" in sweep:
             scenarios = [replace(s, method=m) for m in sweep["method"] for s in scenarios]
-        for key in ("rho2_db", "p", "psi_db"):
+        for key in _SWEEP_AXES:
             if key in sweep:
                 scenarios = [replace(s, **{key: v}) for s in scenarios for v in sweep[key]]
     except ValueError as exc:
@@ -200,14 +201,17 @@ def _grid_config(path: str, mode: str | None = None):
     """(Scenario, grid options) for a grid command whose surface is `mode`.
 
     The MSE surface needs p_t_db and the power surface psi_db; without it the
-    command fails here, before any draw. mode None is the mode sweep-q picks
-    from the method.
+    command fails here, before any draw. The MSE surface also needs AWGN: it
+    spans the rank-one boundary, where the effective noise it inverts is
+    otherwise singular. mode None is the mode sweep-q picks from the method.
     """
     base, _, grid = load_config(path)
     mode = mode or surface_mode(base.method)
     key = SURFACE_KEYS[mode]
     if getattr(base, key) is None:
         raise ConfigError(f"the {mode} surface needs '{key}' in [scenario]")
+    if mode == "mse" and base.awgn_std == 0.0:
+        raise ConfigError("the mse surface needs awgn_std > 0: its rank-one cells have singular noise without it")
     return base, grid
 
 

@@ -6,8 +6,8 @@ closed-form or solver path used in production. The CLI exposes the suites in
 SUITES through the `oracle` subcommand; the test suite asserts on the same
 outcomes. The wedge-exit suite (run_wedge_suite) is a test oracle only: it
 is not in SUITES, so `ncprecode oracle` does not offer it. Each suite draws
-its instances from its own fixed seed (20240-20243), so every run checks the
-same instances.
+a fixed number of instances from its own fixed seed (20240-20243), so every
+run checks the same instances.
 """
 
 import itertools
@@ -80,11 +80,11 @@ def min_norm_by_enumeration(a, b):
     return best
 
 
-def run_qp_suite(count: int = 200) -> OracleOutcome:
+def run_qp_suite() -> OracleOutcome:
     """Random min-norm QPs (n <= 6, m <= 8) vs. the enumeration oracle.
 
-    Counts `count` feasible instances; genuinely infeasible random draws must
-    be flagged infeasible by both routes and are reported separately.
+    Counts 200 feasible instances; genuinely infeasible random draws must be
+    flagged infeasible by both routes and are reported separately.
     """
     from .errors import Infeasible
 
@@ -93,7 +93,7 @@ def run_qp_suite(count: int = 200) -> OracleOutcome:
     failures = 0
     feasible = 0
     infeasible = 0
-    while feasible < count:
+    while feasible < 200:
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 9))
         a = rng.standard_normal((m, n))
@@ -119,7 +119,7 @@ def run_qp_suite(count: int = 200) -> OracleOutcome:
         name="qp-enumeration",
         passed=failures == 0,
         detail=(
-            f"{count} feasible instances ({infeasible} infeasible cross-checked), "
+            f"{feasible} feasible instances ({infeasible} infeasible cross-checked), "
             f"max |dx| = {worst_dx:.3e}, failures = {failures}"
         ),
     )
@@ -161,8 +161,9 @@ def _slope_residual(ellipse: ConfidenceEllipse, theta: float) -> float:
 _ELLIPSE_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)   # decision half-angles of BPSK, QPSK, 8-PSK
 
 
-def run_ellipse_suite(count: int = 100, samples: int = 1_000_000) -> OracleOutcome:
-    """Closed-form margins vs. dense boundary sampling plus tangency checks."""
+def run_ellipse_suite() -> OracleOutcome:
+    """Closed-form margins vs. dense boundary sampling (10^6 points) plus tangency checks."""
+    count = 100
     rng = np.random.default_rng(20241)
     worst_margin = 0.0
     worst_slope = 0.0
@@ -174,7 +175,7 @@ def run_ellipse_suite(count: int = 100, samples: int = 1_000_000) -> OracleOutco
         ell = ConfidenceEllipse(lambda1=lam1, lambda2=lam2, alpha=alpha, omega=chi2_scale(p))
         for theta in _ELLIPSE_THETAS:
             du, dl = ellipse_margins(ell, theta)
-            su, sl = _sampled_margins(ell, theta, samples)
+            su, sl = _sampled_margins(ell, theta, 1_000_000)
             worst_margin = max(worst_margin, abs(du - su), abs(dl - sl))
             worst_slope = max(worst_slope, _slope_residual(ell, theta))
     passed = worst_margin <= 1e-4 and worst_slope <= 1e-8
@@ -188,8 +189,9 @@ def run_ellipse_suite(count: int = 100, samples: int = 1_000_000) -> OracleOutco
     )
 
 
-def run_covariance_suite(draws: int = 1_000_000) -> OracleOutcome:
+def run_covariance_suite() -> OracleOutcome:
     """Sampled covariances vs. the closed forms, raw and whitened."""
+    draws = 1_000_000
     rng = np.random.default_rng(20242)
     h_jk = complex(rng.standard_normal(), rng.standard_normal())
     jam = jammer_model(math.sqrt(10.0), q_from_elements(0.8, 0.35))
@@ -222,16 +224,17 @@ def run_covariance_suite(draws: int = 1_000_000) -> OracleOutcome:
     )
 
 
-def run_wedge_suite(samples: int = 1_000_000) -> OracleOutcome:
+def run_wedge_suite() -> OracleOutcome:
     """Wedge-exit probabilities vs. sampled effective noise around fixed points.
 
     For every PSK order and three jammer covariances (circular, general
     improper, rank-one over a small AWGN floor) one noise-free point inside
-    the decision wedge and one past its upper boundary are perturbed by
-    `samples` effective-noise draws; the fraction of draws leaving the wedge
+    the decision wedge and one past its upper boundary are perturbed by 10^6
+    effective-noise draws; the fraction of draws leaving the wedge
     |arg y| < pi/D must match wedge_exit_probability within four sampling
     standard errors.
     """
+    samples = 1_000_000
     rng = np.random.default_rng(20243)
     covariances = (
         (q_from_elements(0.5, 0.0), 1.0),

@@ -654,40 +654,32 @@ def _boundary_mask(feasible):
     return feasible & ~inner
 
 
-def _sweep_mse(h, h_j, rho, awgn_var, p_t, grid_n):
-    q11, q12 = _grid_axes(grid_n)
-    feas = _feasible_mask(q11, q12)
-    values = np.full((grid_n, grid_n), np.nan)
-    for i in range(grid_n):
-        for j in range(grid_n):
-            if not feas[i, j]:
-                continue
-            jam = jammer_model(rho, q_from_elements(q11[i], q12[j]))
-            covs = [effective_cov(hj, jam, awgn_var) for hj in h_j]
-            values[i, j] = _blp.mse_closed_form(h, covs, p_t)
-    return q11, q12, feas, values
+def _sweep_mse(sc: Scenario, h, h_j, q11, q12) -> np.ndarray:
+    """Closed-form MSE of the pre-whitened BLP design at each cell (q11[c], q12[c])."""
+    values = []
+    for q1, q2 in zip(q11, q12):
+        jam = jammer_model(sc.rho, q_from_elements(q1, q2))
+        covs = [effective_cov(hj, jam, sc.awgn_var) for hj in h_j]
+        values.append(_blp.mse_closed_form(h, covs, sc.p_t))
+    return np.array(values)
 
 
-def _sweep_power(h, h_j, rho, awgn_var, delta0, p, theta, grid_n, symbols):
-    """Average minimum power of the transmit-only design over the Q grid.
+def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
+    """Average minimum power of the transmit-only design at each cell (q11[c], q12[c]).
 
     The per-user squared margin terms are affine in (q11, q12), so for each
     symbol draw the constraint matrix and its Gram matrix are fixed and only
-    the QP bounds vary across the grid.
+    the QP bounds vary across the cells.
     """
-    q11, q12 = _grid_axes(grid_n)
-    feas = _feasible_mask(q11, q12)
-    cells = np.argwhere(feas)
     k = h.shape[0]
-    omega = chi2_scale(p)
+    omega = chi2_scale(sc.p)
+    theta = sc.theta
     cos_t = math.cos(theta)
     normals = boundary_normals(theta)
-    rho2 = rho * rho
-    half_awgn = 0.5 * awgn_var
+    rho2 = sc.rho * sc.rho
+    half_awgn = 0.5 * sc.awgn_var
 
-    totals = np.zeros(len(cells))
-    q11_c = q11[cells[:, 0]]
-    q12_c = q12[cells[:, 1]]
+    totals = np.zeros(len(q11))
     for s in symbols:
         rows = []
         coeffs = []
@@ -703,15 +695,15 @@ def _sweep_power(h, h_j, rho, awgn_var, delta0, p, theta, grid_n, symbols):
         row_norm2 = np.einsum("ij,ij->i", a, a)
         const, lin11, lin12 = np.array(coeffs).T
         # bounds per cell: delta0 cos(theta) + sqrt(omega (rho^2 w^T Q w + awgn/2))
-        qf = const[None, :] + q11_c[:, None] * lin11[None, :] + q12_c[:, None] * lin12[None, :]
+        qf = const[None, :] + q11[:, None] * lin11[None, :] + q12[:, None] * lin12[None, :]
         qf = np.maximum(qf, 0.0)
-        bounds_all = delta0 * cos_t + np.sqrt(omega * (rho2 * qf + half_awgn))
+        bounds_all = sc.delta0 * cos_t + np.sqrt(omega * (rho2 * qf + half_awgn))
         # Adjacent cells usually share the optimal active set, so try to
         # certify the previous cell's set via the full KKT conditions before
         # falling back to the solver; either path returns the unique optimum.
         prev_active: list[int] = []
         eps_p = 1e-9 * max(1.0, float(np.max(bounds_all)))
-        for ci in range(len(cells)):
+        for ci in range(len(q11)):
             b = bounds_all[ci]
             power = None
             if prev_active:
@@ -728,9 +720,7 @@ def _sweep_power(h, h_j, rho, awgn_var, delta0, p, theta, grid_n, symbols):
                 x, _, prev_active = _min_norm_kernel(a, b, gram, row_norm2)
                 power = float(x @ x)
             totals[ci] += power
-    values = np.full((grid_n, grid_n), np.nan)
-    values[cells[:, 0], cells[:, 1]] = totals / len(symbols)
-    return q11, q12, feas, values
+    return totals / len(symbols)
 
 
 def _draw_surface(sc: Scenario, draw: int, grid_n: int, n_symbols: int, mode: str) -> SweepResult:
@@ -739,19 +729,25 @@ def _draw_surface(sc: Scenario, draw: int, grid_n: int, n_symbols: int, mode: st
     The channels come from trial `draw`'s set-up stream. Mode "mse" sweeps
     the closed-form MSE of the pre-whitened BLP design; mode "power" sweeps
     the transmit-only minimum power averaged over n_symbols symbol vectors
-    drawn from the trial's slot-1 stream.
+    drawn from the trial's slot-1 stream. Each sweep returns one value per
+    feasible cell, in row-major order.
     """
     if grid_n < 5:
         raise ValueError("grid resolution must be at least 5")
+    q11, q12 = _grid_axes(grid_n)
+    feas = _feasible_mask(q11, q12)
+    cells = np.argwhere(feas)
+    q11_c = q11[cells[:, 0]]
+    q12_c = q12[cells[:, 1]]
     h, h_j = sample_channels(_stream(sc.seed, draw, 0), sc.m, sc.k)
     if mode == "mse":
-        q11, q12, feas, values = _sweep_mse(h, h_j, sc.rho, sc.awgn_var, sc.p_t, grid_n)
+        cell_values = _sweep_mse(sc, h, h_j, q11_c, q12_c)
     else:
         rng_s = _stream(sc.seed, draw, 1)
         symbols = [sample_psk(rng_s, sc.d, sc.k) for _ in range(n_symbols)]
-        q11, q12, feas, values = _sweep_power(
-            h, h_j, sc.rho, sc.awgn_var, sc.delta0, sc.p, sc.theta, grid_n, symbols
-        )
+        cell_values = _sweep_power(sc, h, h_j, q11_c, q12_c, symbols)
+    values = np.full((grid_n, grid_n), np.nan)
+    values[cells[:, 0], cells[:, 1]] = cell_values
     boundary = _boundary_mask(feas)
     flat = np.where(feas, values, -np.inf)
     arg = np.unravel_index(int(np.argmax(flat)), flat.shape)

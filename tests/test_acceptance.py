@@ -231,14 +231,14 @@ def test_c03_closed_form_mse_matches_simulation():
 
 def test_c04_qp_enumeration_oracle():
     """200 feasible random QPs match subset enumeration; KKT certificates hold."""
-    outcome = run_qp_suite(count=200)
+    outcome = run_qp_suite()
     assert outcome.passed, outcome.detail
     _report("c04", outcome.detail)
 
 
 def test_c05_ellipse_geometry_oracle():
     """Closed-form margins vs 1e6-point sampling; tangency residuals <= 1e-8."""
-    outcome = run_ellipse_suite(count=100, samples=1_000_000)
+    outcome = run_ellipse_suite()
     assert outcome.passed, outcome.detail
     _report("c05", outcome.detail)
 
@@ -331,7 +331,7 @@ def test_c07_pw_msm_vs_msm_convergence():
 
 def test_c08_prewhitening_invariants():
     """Sampled whitened-noise covariances match I2 and (sigma^2/2) I2 to 1%."""
-    outcome = run_covariance_suite(draws=1_000_000)
+    outcome = run_covariance_suite()
     assert outcome.passed, outcome.detail
     _report("c08", outcome.detail)
 

@@ -265,10 +265,18 @@ class TestRun:
             (MINIMAL + "[sweep]\nmethod = nc_slp, bogus\n", "unknown method in sweep: bogus"),
             (MINIMAL + "[sweep]\nmethod = ,\n", "empty sweep axis 'method'"),
             (MINIMAL + "[sweep]\np = 0.5, 1.5\n", "confidence level must be in (0, 1)"),
+            (MINIMAL + "[sweep]\npsi_db = x\nrho2_db = y\n", "bad sweep axis 'rho2_db': y"),
+            (MINIMAL + "n_dvi = 4\n", "unknown key 'n_dvi' in [scenario]"),
+            (MINIMAL + "[sweep]\nmethods = nc_slp, msm\n", "unknown key 'methods' in [sweep]"),
+            (MINIMAL + "[grid]\nresolutoin = 3\n", "unknown key 'resolutoin' in [grid]"),
+            ("[DEFAULT]\nseeed = 1\n" + MINIMAL, "unknown key 'seeed' in [scenario]"),
+            (MINIMAL + "[grid]\n[sweeps]\np = 0.5\n", "unknown section [sweeps]"),
         ],
         ids=[
             "q-bogus", "q-rank_one-no-phi", "q-elements-one-value", "no-scenario", "sweep-p-not-a-number",
             "sweep-p-empty", "sweep-method-unknown", "sweep-method-empty", "sweep-p-out-of-range",
+            "sweep-two-bad-axes", "scenario-unknown-key", "sweep-unknown-key", "grid-unknown-key",
+            "default-unknown-key", "unknown-section",
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, text, message):
@@ -276,6 +284,25 @@ class TestRun:
         out = tmp_path / "x.csv"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_scenario_field_loads_from_its_key(self, tmp_path):
+        text = MINIMAL.replace("q = random_rank_one", "q = elements:0.8,0.1") + "n_div = 8\np_t_db = 20.0\n"
+        base, sweep, _ = cli.load_config(write(tmp_path, "all.cfg", text))
+        assert base == sim.Scenario(
+            m=2, k=2, d=4, rho2_db=10.0, awgn_std=1.0, p=0.9, trials=3, block_len=10, seed=99,
+            method="nc_slp", q_spec=sim.QSpec("elements", (0.8, 0.1)), p_t_db=20.0, psi_db=5.0, n_div=8,
+        )
+        assert sweep == {}
+
+    @pytest.mark.parametrize(
+        "key", ["m", "k", "d", "rho2_db", "awgn_std", "p", "trials", "block_len", "seed", "method"]
+    )
+    def test_each_required_key_is_reported(self, tmp_path, capsys, key):
+        text = "\n".join(line for line in MINIMAL.splitlines() if not line.startswith(f"{key} ="))
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 2
+        assert f"config error: missing required key '{key}' in [scenario]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
@@ -387,6 +414,33 @@ class TestGridValidation:
         out = tmp_path / "x.csv"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestGridNoise:
+    @pytest.mark.parametrize("resolution", ["7", "8"])
+    @pytest.mark.parametrize("command", ["verify-lemma1", "sweep-q"])
+    def test_mse_surface_without_awgn_fails_at_load(self, tmp_path, capsys, command, resolution):
+        # An odd grid holds exactly rank-one cells, whose noise is singular
+        # without AWGN; an even grid's cells are only near rank one.
+        bad = (
+            LEMMA1_SMALL.replace("awgn_std = 1.0", "awgn_std = 0.0")
+            .replace("method = pw_blp", "method = robust_blp")
+            .replace("resolution = 11", f"resolution = {resolution}")
+            .replace("draws = 6", "draws = 2")
+        )
+        cfg = write(tmp_path, "bad.cfg", bad)
+        out = tmp_path / "x.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: the mse surface needs awgn_std > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify-lemma2", "sweep-q"])
+    def test_power_surface_without_awgn_runs(self, tmp_path, command):
+        ok = LEMMA2_SMALL.replace("awgn_std = 1.0", "awgn_std = 0.0").replace("draws = 6", "draws = 2")
+        cfg = write(tmp_path, "ok.cfg", ok)
+        out = tmp_path / "x.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) in (0, 3)
+        assert out.exists()
 
 
 class TestGridKeys:

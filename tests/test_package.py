@@ -1,7 +1,8 @@
-"""Static checks of the package source: no unread parameters, no dangling exports, no orphans, no unused imports."""
+"""Static checks of the package source: no unread parameters, no defaults nothing overrides, no dangling
+exports, no orphans, no unused imports."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncprecode"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+BENCH = sorted((SRC.parent.parent / "bench").glob("*.py"))
 
 # Functions whose signature a caller fixes: numpy's errstate callback is
 # called as call(err, flag).
@@ -73,6 +75,57 @@ def test_every_parameter_is_read(path):
         if (path.stem, fn) not in EXEMPT
     ]
     assert not unread, f"{path.name}: parameters never read: {', '.join(unread)}"
+
+
+def _functions(tree):
+    """Every function with the number of leading parameters a call does not pass (self or cls)."""
+    for node in ast.walk(tree):
+        body = node.body if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) else []
+        for fn in body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+                yield fn, int(isinstance(node, ast.ClassDef) and not static)
+
+
+def _defaults(fn):
+    """(name, position or None, default node) of each parameter that has a default."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    for pos, (param, default) in enumerate(zip(positional[first:], a.defaults), first):
+        yield param.arg, pos, default
+    for param, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield param.arg, None, default
+
+
+def _sets(call, param, pos, default):
+    """Whether `call` may pass `param` a value other than its default."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords):
+        return True   # *args or **kwargs: cannot tell, so assume it does
+    values = [kw.value for kw in call.keywords if kw.arg == param]
+    if pos is not None and pos < len(call.args):
+        values.append(call.args[pos])
+    return any(ast.dump(v) != ast.dump(default) for v in values)
+
+
+def test_every_default_is_overridden_somewhere():
+    # A defaulted parameter that no call in the package, its tests or the
+    # benchmark sets to another value only ever takes its default: it is a
+    # constant, not a setting.
+    calls = defaultdict(list)
+    for path in MODULES + TESTS + BENCH:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls[getattr(node.func, "id", None) or node.func.attr].append(node)
+    fixed = [
+        f"{path.stem}.{fn.name}({param})"
+        for path in MODULES
+        for fn, skip in _functions(_tree(path))
+        for param, pos, default in _defaults(fn)
+        if not any(_sets(call, param, None if pos is None else pos - skip, default) for call in calls[fn.name])
+    ]
+    assert not fixed, f"parameters that only ever take their default: {', '.join(fixed)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
