@@ -85,7 +85,14 @@ def mmse_blp(h_e: np.ndarray, p_t: float) -> LinearPrecoder:
     two_k, two_m = h_e.shape
     k = two_k // 2
     a = 2.0 * k / p_t
-    gram = h_e.T @ h_e + a * np.eye(two_m)
+    with np.errstate(over="ignore"):
+        gram = h_e.T @ h_e + a * np.eye(two_m)
+    if not np.isfinite(gram).all():
+        # whitening scales the channel by the inverse square root of its noise
+        # covariance, so a vanishing covariance takes H_E^T H_E out of range
+        raise PrecodingError(
+            "the whitened channel's Gram product overflows: the noise covariance is too small to whiten"
+        )
     chol = np.linalg.cholesky(gram)
     eye = np.eye(two_m)
     delta = np.linalg.solve(chol.T, np.linalg.solve(chol, eye))

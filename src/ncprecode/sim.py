@@ -670,6 +670,17 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
     The per-user squared margin terms are affine in (q11, q12), so for each
     symbol draw the constraint matrix and its Gram matrix are fixed and only
     the QP bounds vary across the cells.
+
+    For a fixed active set S the optimum is affine in the bounds b:
+    mu = G_SS^-1 2 b_S and x = A_S^T mu / 2, and it is the cell's optimum
+    exactly when mu >= 0 and A x >= b - eps_p (the full KKT conditions).
+    The kernel finds S at one cell; the cells after it are certified against
+    S in windows of 4, 8, 16, ... cells, one stacked solve and two stacked
+    matmuls per window, and the kernel runs again at the first cell that
+    fails. The stacked gufunc forms (gesv per right-hand-side row, matmul per
+    stacked vector) compute each cell with the same operations as a solve
+    and matmul on that cell alone, so every cell's power has the bits of the
+    per-cell check before it, and the kernel runs on the same cells.
     """
     k = h.shape[0]
     omega = chi2_scale(sc.p)
@@ -678,8 +689,9 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
     normals = boundary_normals(theta)
     rho2 = sc.rho * sc.rho
     half_awgn = 0.5 * sc.awgn_var
+    n_cells = len(q11)
 
-    totals = np.zeros(len(q11))
+    totals = np.zeros(n_cells)
     for s in symbols:
         rows = []
         coeffs = []
@@ -698,28 +710,38 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
         qf = const[None, :] + q11[:, None] * lin11[None, :] + q12[:, None] * lin12[None, :]
         qf = np.maximum(qf, 0.0)
         bounds_all = sc.delta0 * cos_t + np.sqrt(omega * (rho2 * qf + half_awgn))
-        # Adjacent cells usually share the optimal active set, so try to
-        # certify the previous cell's set via the full KKT conditions before
-        # falling back to the solver; either path returns the unique optimum.
-        prev_active: list[int] = []
         eps_p = 1e-9 * max(1.0, float(np.max(bounds_all)))
-        for ci in range(len(q11)):
-            b = bounds_all[ci]
-            power = None
-            if prev_active:
-                s_arr = np.asarray(prev_active)
+        ci = 0
+        while ci < n_cells:
+            x, _, active = _min_norm_kernel(a, bounds_all[ci], gram, row_norm2)
+            totals[ci] += float(x @ x)
+            ci += 1
+            if not active:
+                continue
+            s_arr = np.asarray(active)
+            g_ss = gram[s_arr[:, None], s_arr]
+            a_st = a[s_arr].T
+            width = 4
+            while ci < n_cells:
+                b_w = bounds_all[ci:ci + width]
                 try:
-                    mu = _solve(gram[s_arr[:, None], s_arr], 2.0 * b[s_arr])
+                    mu = _solve(g_ss, 2.0 * b_w[:, s_arr])
                 except np.linalg.LinAlgError:
-                    mu = None
-                if mu is not None and (mu >= 0.0).all():
-                    x = 0.5 * (a[s_arr].T @ mu)
-                    if (a @ x - b >= -eps_p).all():
-                        power = float(x @ x)
-            if power is None:
-                x, _, prev_active = _min_norm_kernel(a, b, gram, row_norm2)
-                power = float(x @ x)
-            totals[ci] += power
+                    # A singular G_SS fails every cell; anything else fails
+                    # only some, so retry one cell at a time to find which.
+                    if width == 1:
+                        break
+                    width = 1
+                    continue
+                x_w = 0.5 * np.matmul(a_st, mu[:, :, None])[:, :, 0]
+                ok = (mu >= 0.0).all(1) & (np.matmul(a, x_w[:, :, None])[:, :, 0] - b_w >= -eps_p).all(1)
+                n_ok = len(ok) if ok.all() else int(ok.argmin())
+                x_ok = x_w[:n_ok]
+                totals[ci:ci + n_ok] += np.matmul(x_ok[:, None, :], x_ok[:, :, None])[:, 0, 0]
+                ci += n_ok
+                if n_ok < len(ok):
+                    break
+                width *= 2
     return totals / len(symbols)
 
 

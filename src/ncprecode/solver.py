@@ -71,6 +71,12 @@ def _solve(a, b):
     has the same bits and a singular matrix raises the same LinAlgError; the
     array-wrapping checks around it, which cost several times the solve for
     the small systems here, are skipped.
+
+    `b` may also be a stack of right-hand sides, one per row. The gufunc
+    broadcasts `a` over the rows and makes one ``gesv`` call per row, so row
+    r of the result has the bits of ``_solve(a, b[r])``. (A 2-D ``b`` given to
+    ``np.linalg.solve`` is a matrix of right-hand-side columns instead, solved
+    in one call whose columns need not match the 1-D results bit for bit.)
     """
     with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         return _umath_linalg.solve1(a, b, signature="dd->d")

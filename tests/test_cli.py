@@ -235,6 +235,26 @@ class TestRun:
         assert "error: power budget 1e-200 is too small" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["robust_blp", "pw_blp"])
+    @pytest.mark.parametrize("rho2_db", ["-3080", "-3200"])
+    def test_whitened_gram_overflow_is_reported(self, tmp_path, capsys, method, rho2_db):
+        # Without AWGN the whitened channel is of order 1/sqrt(rho2), so its
+        # Gram product overflows. Warnings are errors here, so a run that
+        # overflows before the check fails the test.
+        text = (
+            MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
+            .replace("rho2_db = 10.0", f"rho2_db = {rho2_db}")
+            .replace("method = nc_slp", f"method = {method}\np_t_db = 20.0")
+            .replace("q = random_rank_one", "q = circular")
+        )
+        cfg = write(tmp_path, "tiny-jammer.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: the whitened channel's Gram product overflows" in err
+        assert "underflows" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["naive_blp", "pw_blp", "robust_blp", "msm", "pw_msm"])
     @pytest.mark.parametrize("p_t_db, code", [("1600", 2), ("3080", 2), ("1500", 0)])
     def test_budget_whose_square_overflows_fails_at_load(self, tmp_path, capsys, method, p_t_db, code):

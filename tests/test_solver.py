@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ncprecode.solver import (
     QpProblem,
     kkt_residuals,
     solve_maximin,
+    _solve,
     solve_min_norm,
     validate_solution,
 )
@@ -87,6 +89,29 @@ class TestMinNorm:
         assert primal <= 1e-7
         assert comp <= 1e-6
         assert stat <= 1e-6
+
+
+class TestSolveStack:
+    """`_solve` on a stack of right-hand sides is one gesv call per row."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_row_has_the_bits_of_its_own_solve(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            rows = rng.standard_normal((n, n + 2))
+            g = rows @ rows.T
+            rhs = 2.0 * rng.standard_normal((rng.integers(1, 40), n))
+            stacked = _solve(g, rhs)
+            assert stacked.shape == rhs.shape
+            for r in range(len(rhs)):
+                assert stacked[r].tobytes() == _solve(g, rhs[r]).tobytes()
+
+    def test_singular_matrix_with_a_stack_raises(self):
+        g = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve(g, np.ones((3, 2)))
 
 
 class TestMaximin:
