@@ -183,7 +183,5 @@ def robust_blp(channels, awgn_var: float, jammer_powers_per_user, p_t: float) ->
 
 
 def naive_blp(channels, awgn_var: float, p_t: float) -> LinearPrecoder:
-    """MMSE precoder that ignores the jammer entirely (AWGN-only covariance)."""
-    h = _as_channel_matrix(channels)
-    covs = [SymMat2.scaled_identity(0.5 * awgn_var)] * h.shape[0]
-    return mmse_blp(stack_whitened(h, covs), p_t)
+    """MMSE precoder that ignores the jammer entirely: robust_blp with zero jammer power."""
+    return robust_blp(channels, awgn_var, 0.0, p_t)

@@ -297,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = add_command("run", "run the configured scenarios/sweeps", "output path ('-' for stdout)")
     run.add_argument("--threads", type=int, default=1,
-                     help="worker threads (must not change results); measured 1.5-2.7x slower "
-                          "at 2 than at 1 on a 2-core host, see README")
+                     help="worker threads, at least 1 (must not change results); measured "
+                          "1.5-2.7x slower at 2 than at 1 on a 2-core host, see README")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     add_command("sweep-q", "metric surface over the covariance disk")
     add_command("verify-lemma1", "worst-case MSE location check")
@@ -318,7 +318,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

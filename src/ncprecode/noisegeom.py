@@ -76,7 +76,7 @@ def q_from_elements(q11: float, q12: float) -> SymMat2:
     The feasible region is the disk (q11 - 1/2)^2 + q12^2 <= 1/4 (PSD with
     trace one); the boundary circle holds the rank-one covariances.
     """
-    if (q11 - 0.5) ** 2 + q12 ** 2 > 0.25 + 1e-12:
+    if not ((q11 - 0.5) ** 2 + q12 ** 2 <= 0.25 + 1e-12):   # written so that NaN fails it
         raise InfeasibleQ(f"(q11, q12) = ({q11}, {q12}) is outside the feasible disk")
     return SymMat2(float(q11), float(q12), 1.0 - float(q11))
 

@@ -8,17 +8,19 @@ counter-based Philox streams keyed by (master seed, trial, slot), so results
 are bit-identical regardless of how trials are distributed over worker
 threads.
 
-Within a trial only d^K symbol vectors and d K (user, symbol) pairs exist,
-so per-trial work is done once and reused across slots. ``_TrialEngine``
-builds the per-trial constants at set-up: the BLP precoder, or each user's
-channel pair and, for designs whose bounds do not depend on the symbol,
-each user's bounds. The transmit vector, its power and the noise-free
-received points are kept once per distinct symbol-index vector
-(``_run_trial``), and each user's margin rows with their bounds once per
-(user, symbol index) (``_TrialEngine``), both filled on first use and
-dropped with the trial. The reused values are the ones a
-fresh computation would return, because they are deterministic functions
-of the same inputs, so every output byte is the same as without reuse.
+Each trial is one ``_TrialEngine(sc, trial)``: its constructor draws the
+trial's channels and jammer covariance from the trial's set-up stream and
+builds every per-trial constant once (the noise covariances, the jammer
+mixing matrix, the BLP precoder, or each user's channel pair and, for
+designs whose bounds do not depend on the symbol, each user's bounds), and
+its ``run`` method is the slot loop. Within a trial only d^K symbol vectors
+and d K (user, symbol) pairs exist, so the transmit vector, its power and
+the noise-free received points are kept once per distinct symbol-index
+vector, and each user's margin rows with their bounds once per (user,
+symbol index), both filled on first use and dropped with the trial. The
+reused values are the ones a fresh computation would return, because they
+are deterministic functions of the same inputs, so every output byte is the
+same as without reuse.
 """
 
 import math
@@ -72,6 +74,13 @@ MINPOWER_METHODS = ("naive_slp", "pw_slp", "nc_slp", "robust_slp")
 METHODS = BLP_METHODS + MSM_METHODS + MINPOWER_METHODS
 _WHITENED_RX = frozenset({"pw_blp", "pw_msm", "pw_slp"})
 
+# Per PSK order d: the number of bits that differ between the Gray codes
+# g(i) = i ^ (i >> 1) of 0-based symbol indices i and j, as [i][j].
+_BIT_ERRORS = {
+    d: [[bin(i ^ (i >> 1) ^ j ^ (j >> 1)).count("1") for j in range(d)] for i in range(d)]
+    for d in (2, 4, 8, 16)
+}
+
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
@@ -114,7 +123,8 @@ class QSpec:
     disk, checked on construction), "rank_one" (args (phi,), a fixed
     orientation), or "random_rank_one" (orientation redrawn uniformly on
     [0, pi) each trial). KINDS gives the number of args each kind takes; the
-    config grammar is ``kind`` or ``kind:arg,...`` with that many values.
+    config grammar is ``kind`` or ``kind:arg,...`` with that many values,
+    each finite.
     """
 
     kind: str = "circular"
@@ -127,6 +137,8 @@ class QSpec:
             raise ValueError(f"unknown covariance spec kind: {self.kind}")
         if len(self.args) != self.KINDS[self.kind]:
             raise ValueError(f"{self.kind} spec takes {self.KINDS[self.kind]} values, got {len(self.args)}")
+        if not all(map(math.isfinite, self.args)):
+            raise ValueError(f"{self.kind} spec values must be finite, got {self.args}")
         if self.kind == "elements":
             q_from_elements(*self.args)  # raises InfeasibleQ outside the PSD disk
 
@@ -179,7 +191,7 @@ class Scenario:
     n_div: int = 16
 
     def __post_init__(self):
-        if self.d not in (2, 4, 8, 16):
+        if self.d not in _BIT_ERRORS:
             raise ValueError("PSK order must be one of 2, 4, 8, 16")
         if self.trials < 1 or self.block_len < 1:
             raise ValueError("trials and block_len must be at least 1")
@@ -327,39 +339,28 @@ def energy_efficiency(bler: float, c_bits: float, k: int, avg_power: float) -> f
     return (1.0 - bler) * c_bits * k / avg_power
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
-
-
-_POPCOUNT = [bin(i).count("1") for i in range(32)]
-
-
-@dataclass
-class _TrialStats:
-    sym_err: np.ndarray
-    bit_err: np.ndarray
-    blk_err: np.ndarray
-    power_sum: float
-    ser_integrated: np.ndarray | None = None
-
-
 class _TrialEngine:
-    """Per-trial state: precoder/solver plus the receiver pipeline.
+    """One Monte-Carlo trial: its draws, its per-trial constants and its slot loop.
 
-    Set-up builds everything that depends on the trial only: the BLP
-    precoder, or each user's channel pair and, where the bounds do not
-    depend on the symbol, that user's bounds (pw_slp's matched-reliability
-    targets, naive_slp's circularised bounds; None, rows only, for the
-    maximin designs). nc_slp and robust_slp bound a user per symbol, so
-    their bounds come from ``bound_fn``. Each user's (rows, bounds) term is
-    built once per (user, symbol index) on first use and reused by every
-    later symbol vector of the trial; a new symbol vector then costs one
-    stacking and the QP solve.
+    Set-up draws the trial's channels and jammer covariance from its slot-0
+    stream and builds everything that depends on the trial only: the noise
+    covariances, the jammer mixing matrix, the BLP precoder, or each user's
+    channel pair and, where the bounds do not depend on the symbol, that
+    user's bounds (pw_slp's matched-reliability targets, naive_slp's
+    circularised bounds; None, rows only, for the maximin designs). nc_slp
+    and robust_slp bound a user per symbol, so their bounds come from
+    ``bound_fn``. Each user's (rows, bounds) term is built once per (user,
+    symbol index) on first use and reused by every later symbol vector of
+    the trial; a new symbol vector then costs one stacking and the QP solve.
     """
 
-    def __init__(self, sc: Scenario, h, h_j, jam):
-        self.sc = sc
+    def __init__(self, sc: Scenario, trial: int):
+        self.sc, self.trial = sc, trial
         k, method, theta = sc.k, sc.method, sc.theta
+        self.rng = _stream(sc.seed, trial, 0)   # re-keyed to each slot by run()
+        h, h_j = self.h, self.h_j = sample_channels(self.rng, sc.m, k)
+        jam = jammer_model(sc.rho, sc.q_spec.draw(self.rng))
+        self.mix = (sc.rho * jam.t_factor).T
         self.const = psk_constellation(sc.d)
         covs = self.covs = [effective_cov(h_j[i], jam, sc.awgn_var) for i in range(k)]
         self.whiten = None
@@ -441,67 +442,54 @@ class _TrialEngine:
         mu = rx * np.conj(const[idx - 1])
         return wedge_exit_probability(np.stack([mu.real, mu.imag], axis=-1), cov, sc.theta)
 
+    def run(self, integrate: bool):
+        """(symbol errors, bit errors, summed transmit power, noise-integrated SER) of the trial.
 
-def _run_trial(sc: Scenario, trial: int, integrate: bool = False) -> _TrialStats:
-    """Counted errors and transmit power of one channel trial.
-
-    The transmit vector, its power and the noise-free received points
-    rx = h x depend only on the trial and the slot's symbol-index vector, so
-    they are computed once per distinct index vector and reused by every
-    slot that draws it again; slots then only draw noise and detect. Reuse
-    is exact: a repeat would recompute the same deterministic function of
-    the same inputs, and every slot still draws its symbols and noise from
-    its own (seed, trial, slot) stream: the trial's generator, re-keyed by
-    :func:`_rekey`. The memo holds at most
-    min(block_len, d^K) entries and ends with the trial.
-    """
-    rng = _stream(sc.seed, trial, 0)
-    h, h_j = sample_channels(rng, sc.m, sc.k)
-    q = sc.q_spec.draw(rng)
-    jam = jammer_model(sc.rho, q)
-    engine = _TrialEngine(sc, h, h_j, jam)
-
-    k, d = sc.k, sc.d
-    gray = [_gray(i) for i in range(d)]
-    mix = (sc.rho * jam.t_factor).T
-    awgn_scale = math.sqrt(0.5 * sc.awgn_var)
-    sym_err = np.zeros(k, dtype=np.int64)
-    bit_err = np.zeros(k, dtype=np.int64)
-    power_sum = 0.0
-    memo = {}   # symbol-index vector -> (transmit power, noise-free received points)
-    rx_block = np.empty((sc.block_len, k), dtype=complex) if integrate else None
-    idx_block = np.empty((sc.block_len, k), dtype=np.int64) if integrate else None
-    for slot in range(1, sc.block_len + 1):
-        _rekey(rng, sc.seed, trial, slot)
-        idx = _draw_index(rng, d, k)
-        key = idx.tobytes()
-        hit = memo.get(key)
-        if hit is None:
-            x = engine.transmit(idx)
-            hit = memo[key] = (float(np.real(x @ np.conj(x))), h @ x)
-        power, rx = hit
-        power_sum += power
-        zv = rng.standard_normal(2) @ mix
-        z = complex(zv[0], zv[1])
-        nv = awgn_scale * rng.standard_normal((k, 2))
-        y = rx + h_j * z + (nv[:, 0] + 1j * nv[:, 1])
-        if rx_block is not None:
-            rx_block[slot - 1] = rx
-            idx_block[slot - 1] = idx
-        for u in range(k):
-            det = engine.detect(y[u], u)
-            if det != idx[u]:
-                sym_err[u] += 1
-                bit_err[u] += _POPCOUNT[gray[idx[u] - 1] ^ gray[det - 1]]
-    return _TrialStats(
-        sym_err=sym_err,
-        bit_err=bit_err,
-        blk_err=sym_err > 0,
-        power_sum=power_sum,
-        ser_integrated=(
-            engine.exit_probability(rx_block, idx_block).mean(axis=0) if integrate else None
-        ),
-    )
+        The per-user error counts are int64 arrays; the noise-integrated
+        per-user SER (see ``exit_probability``) is None unless `integrate`.
+        The transmit vector, its power and the noise-free received points
+        rx = h x depend only on the trial and the slot's symbol-index vector,
+        so they are computed once per distinct index vector and reused by
+        every slot that draws it again; slots then only draw noise and
+        detect. Reuse is exact: a repeat would recompute the same
+        deterministic function of the same inputs, and every slot still draws
+        its symbols and noise from its own (seed, trial, slot) stream: the
+        trial's generator, re-keyed by :func:`_rekey`. The memo holds at most
+        min(block_len, d^K) entries and ends with the trial.
+        """
+        sc, trial, rng, h, h_j, mix = self.sc, self.trial, self.rng, self.h, self.h_j, self.mix
+        k, d, bit_errors = sc.k, sc.d, _BIT_ERRORS[sc.d]
+        awgn_scale = math.sqrt(0.5 * sc.awgn_var)
+        sym_err = np.zeros(k, dtype=np.int64)
+        bit_err = np.zeros(k, dtype=np.int64)
+        power_sum = 0.0
+        memo = {}   # symbol-index vector -> (transmit power, noise-free received points)
+        rx_block = np.empty((sc.block_len, k), dtype=complex) if integrate else None
+        idx_block = np.empty((sc.block_len, k), dtype=np.int64) if integrate else None
+        for slot in range(1, sc.block_len + 1):
+            _rekey(rng, sc.seed, trial, slot)
+            idx = _draw_index(rng, d, k)
+            key = idx.tobytes()
+            hit = memo.get(key)
+            if hit is None:
+                x = self.transmit(idx)
+                hit = memo[key] = (float(np.real(x @ np.conj(x))), h @ x)
+            power, rx = hit
+            power_sum += power
+            zv = rng.standard_normal(2) @ mix
+            z = complex(zv[0], zv[1])
+            nv = awgn_scale * rng.standard_normal((k, 2))
+            y = rx + h_j * z + (nv[:, 0] + 1j * nv[:, 1])
+            if rx_block is not None:
+                rx_block[slot - 1] = rx
+                idx_block[slot - 1] = idx
+            for u in range(k):
+                det = self.detect(y[u], u)
+                if det != idx[u]:
+                    sym_err[u] += 1
+                    bit_err[u] += bit_errors[idx[u] - 1][det - 1]
+        ser_integrated = self.exit_probability(rx_block, idx_block).mean(axis=0) if integrate else None
+        return sym_err, bit_err, power_sum, ser_integrated
 
 
 def _std_err(values: np.ndarray) -> float:
@@ -545,7 +533,7 @@ def per_trial_metrics(sc: Scenario, threads: int = 1, noise_integrated: bool = F
     trials = sc.trials
 
     def run(t):
-        return _run_trial(sc, t, noise_integrated)
+        return _TrialEngine(sc, t).run(noise_integrated)
 
     if threads <= 1:
         stats = [run(t) for t in range(trials)]
@@ -553,11 +541,12 @@ def per_trial_metrics(sc: Scenario, threads: int = 1, noise_integrated: bool = F
         with ThreadPoolExecutor(max_workers=threads) as pool:
             stats = list(pool.map(run, range(trials)))
     k, t_len, c_bits = sc.k, sc.block_len, sc.c_bits
-    sym = np.vstack([st.sym_err for st in stats])            # trials x K
-    bits = np.vstack([st.bit_err for st in stats])
-    blk = np.vstack([st.blk_err for st in stats]).astype(float)
-    power = np.array([st.power_sum / t_len for st in stats])
-    ser_int = np.vstack([st.ser_integrated for st in stats]) if noise_integrated else None
+    sym_err, bit_err, power_sum, ser_integrated = zip(*stats)
+    sym = np.vstack(sym_err)            # trials x K
+    bits = np.vstack(bit_err)
+    blk = (sym > 0).astype(float)       # a user's block is in error when any of its symbols is
+    power = np.array([p / t_len for p in power_sum])
+    ser_int = np.vstack(ser_integrated) if noise_integrated else None
     return TrialSeries(
         ser_per_user=sym / t_len,
         worst_user_ser=sym.max(axis=1) / t_len,

@@ -196,7 +196,13 @@ class TestRun:
         with pytest.raises(ValueError):
             sim.QSpec(kind, args)
 
-    @pytest.mark.parametrize("q", ["elements:1.2,0.0", "elements:0.5,0.51", "elements:-0.01,0.0"])
+    @pytest.mark.parametrize(
+        "q",
+        [
+            "elements:1.2,0.0", "elements:0.5,0.51", "elements:-0.01,0.0",
+            "rank_one:nan", "rank_one:inf", "elements:nan,0", "elements:0.5,nan",
+        ],
+    )
     def test_covariance_outside_disk_fails_at_load(self, tmp_path, q):
         bad = MINIMAL.replace("q = random_rank_one", f"q = {q}")
         cfg = write(tmp_path, "bad.cfg", bad)
@@ -291,12 +297,20 @@ class TestRun:
             (MINIMAL + "[grid]\nresolutoin = 3\n", "unknown key 'resolutoin' in [grid]"),
             ("[DEFAULT]\nseeed = 1\n" + MINIMAL, "unknown key 'seeed' in [scenario]"),
             (MINIMAL + "[grid]\n[sweeps]\np = 0.5\n", "unknown section [sweeps]"),
+            (MINIMAL.replace("d = 4", "d = 3"), "PSK order must be one of 2, 4, 8, 16"),
+            (MINIMAL.replace("trials = 3", "trials = 0"), "trials and block_len must be at least 1"),
+            (MINIMAL.replace("block_len = 10", "block_len = 0"), "trials and block_len must be at least 1"),
+            (
+                MINIMAL.replace("psi_db = 5.0", "psi_db = 3000").replace("rho2_db = 10.0", "rho2_db = 100"),
+                "psi_db = 3000.0 gives an infinite preset margin",
+            ),
         ],
         ids=[
             "q-bogus", "q-rank_one-no-phi", "q-elements-one-value", "no-scenario", "sweep-p-not-a-number",
             "sweep-p-empty", "sweep-method-unknown", "sweep-method-empty", "sweep-p-out-of-range",
             "sweep-two-bad-axes", "scenario-unknown-key", "sweep-unknown-key", "grid-unknown-key",
-            "default-unknown-key", "unknown-section",
+            "default-unknown-key", "unknown-section", "psk-order-3", "zero-trials", "zero-block-len",
+            "preset-margin-overflows",
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, text, message):
@@ -414,6 +428,15 @@ class TestVerifyCommands:
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--config", cfg] + option)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_run_needs_at_least_one_thread(self, tmp_path, capsys, threads):
+        cfg, out = write(tmp_path, "t.cfg", MINIMAL), tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", cfg, "--out", str(out), "--threads", threads])
+        assert exc.value.code == 2
+        assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGridValidation:

@@ -45,6 +45,11 @@ class TestQConstruction:
         with pytest.raises(InfeasibleQ):
             q_from_elements(0.5, 0.51)
 
+    @pytest.mark.parametrize("q11, q12", [(math.nan, 0.0), (0.5, math.nan)])
+    def test_nan_is_outside_the_disk(self, q11, q12):
+        with pytest.raises(InfeasibleQ):
+            q_from_elements(q11, q12)
+
     def test_rank_one_by_angle(self):
         q = q_rank_one(0.3)
         assert q.trace() == pytest.approx(1.0, abs=1e-15)

@@ -392,6 +392,14 @@ class TestSweep:
             )
             assert res.values[i, j] == pytest.approx(avg, rel=1e-9)
 
+    def test_coarse_grid_rejected(self):
+        sc = Scenario(
+            m=2, k=2, d=4, rho2_db=10.0, awgn_std=1.0, p=0.9, trials=1,
+            block_len=1, seed=5, method="pw_blp", p_t_db=10.0,
+        )
+        with pytest.raises(ValueError, match="grid resolution must be at least 5"):
+            sweep_q_grid(sc, grid_n=4)
+
     def test_boundary_mask_consistency(self):
         sc = Scenario(
             m=2, k=2, d=4, rho2_db=10.0, awgn_std=1.0, p=0.9, trials=1,

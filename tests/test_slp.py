@@ -664,6 +664,13 @@ class TestPresetMargin:
         with pytest.raises(ValueError, match="delta0"):
             robust_slp(h, h_j, 10.0, 1.0, s, -0.1, 0.95, THETA4)
 
+    def test_empty_orientation_grid_rejected(self):
+        rng = np.random.default_rng(79)
+        h, h_j, _, _ = random_slp_case(rng)
+        s = rand_symbols(rng, 4, 3)
+        with pytest.raises(ValueError, match="n_div must be at least 1"):
+            robust_slp(h, h_j, 10.0, 1.0, s, 0.1, 0.95, THETA4, n_div=0)
+
 
 class TestRankOneSmallAwgn:
     """Seeded property checks: rank-one jammer, AWGN down to 1e-8, M = K = 4, QPSK.
