@@ -12,15 +12,20 @@ Each trial is one ``_TrialEngine(sc, trial)``: its constructor draws the
 trial's channels and jammer covariance from the trial's set-up stream and
 builds every per-trial constant once (the noise covariances, the jammer
 mixing matrix, the BLP precoder, or each user's channel pair and, for
-designs whose bounds do not depend on the symbol, each user's bounds), and
-its ``run`` method is the slot loop. Within a trial only d^K symbol vectors
-and d K (user, symbol) pairs exist, so the transmit vector, its power and
-the noise-free received points are kept once per distinct symbol-index
-vector, and each user's margin rows with their bounds once per (user,
-symbol index), both filled on first use and dropped with the trial. The
-reused values are the ones a fresh computation would return, because they
-are deterministic functions of the same inputs, so every output byte is the
-same as without reuse.
+designs whose bounds do not depend on the symbol, each user's bounds). Its
+``run`` method makes three passes over the slots: a draw pass stores each
+slot's symbol indices, jammer draw and AWGN draw; a solve pass designs the
+distinct symbol-index vectors, in order of first appearance, in one call,
+so that the SLP designs solve all of the trial's QPs in one batch
+(``solver.solve_min_norm_batch``); a detect pass adds each slot's noise and
+counts its errors. Within a trial only d^K symbol vectors and d K (user,
+symbol) pairs exist, so the transmit vector, its power and the noise-free
+received points are kept once per distinct symbol-index vector, and each
+user's margin rows with their bounds once per (user, symbol index), both
+dropped with the trial. The reused values are the ones a fresh computation
+would return, because they are deterministic functions of the same inputs,
+and the batched QPs have the bits of one solve each, so every output byte
+is the same as designing each slot in turn.
 """
 
 import math
@@ -351,7 +356,8 @@ class _TrialEngine:
     and robust_slp bound a user per symbol, so their bounds come from
     ``bound_fn``. Each user's (rows, bounds) term is built once per (user,
     symbol index) on first use and reused by every later symbol vector of
-    the trial; a new symbol vector then costs one stacking and the QP solve.
+    the trial; a new symbol vector then costs one stacking and its share of
+    the trial's batched QP solve.
     """
 
     def __init__(self, sc: Scenario, trial: int):
@@ -397,24 +403,38 @@ class _TrialEngine:
                 h_j[u], sc.rho2, sc.awgn_var, s_k, sc.delta0, omega, theta, sc.n_div
             )
 
-    def transmit(self, idx: np.ndarray) -> np.ndarray:
-        """Complex transmit vector for one vector of 1-based symbol indices."""
+    def design(self, vectors) -> list:
+        """Complex transmit vectors for distinct vectors of 1-based symbol indices, in order.
+
+        The SLP designs solve every vector's QP in one batch. A vector whose
+        terms, rows or QP fail raises that failure, and an earlier vector's
+        failure comes first, as one design call per vector would have it.
+        """
         sc = self.sc
         if sc.method in BLP_METHODS:
-            return collapse_vec(self.precoder.p @ expand_vec(self.const[idx - 1]))
-        terms = []
-        for u, i in enumerate(idx - 1):
-            entry = self.terms[u][i]
-            if entry is None:
-                s_k = self.const[i]
-                bounds = self.bounds[u] if self.bound_fn is None else self.bound_fn(u, s_k)
-                entry = self.terms[u][i] = _slp.user_terms(self.pairs[u], s_k, sc.theta, bounds)
-            terms.append(entry)
-        if sc.method in MSM_METHODS:
-            xb = _slp.solve_max_margin(terms, sc.p_t)[0]
-        else:
-            xb = _slp.solve_min_power(terms).x
-        return collapse_vec(xb)
+            return [collapse_vec(self.precoder.p @ expand_vec(self.const[idx - 1])) for idx in vectors]
+        built, terms = [], self.terms
+        try:
+            for idx in vectors:
+                built.append([terms[u][i] or self.term(u, i) for u, i in enumerate((idx - 1).tolist())])
+        except Exception:
+            if built:
+                self.solve(built)   # raises an earlier vector's failure first
+            raise
+        return [collapse_vec(xb) for xb in self.solve(built)]
+
+    def term(self, u: int, i: int):
+        """Build and keep user u's (rows, bounds) for 0-based symbol index i."""
+        s_k = self.const[i]
+        bounds = self.bounds[u] if self.bound_fn is None else self.bound_fn(u, s_k)
+        entry = self.terms[u][i] = _slp.user_terms(self.pairs[u], s_k, self.sc.theta, bounds)
+        return entry
+
+    def solve(self, terms) -> list:
+        """Real-stacked transmit vectors of per-vector terms."""
+        if self.sc.method in MSM_METHODS:
+            return [x for x, _ in _slp.solve_max_margin(terms, self.sc.p_t)]
+        return [sol.x for sol in _slp.solve_min_power(terms)]
 
     def detect(self, y_k: complex, user: int) -> int:
         if self.whiten is not None:
@@ -447,42 +467,53 @@ class _TrialEngine:
 
         The per-user error counts are int64 arrays; the noise-integrated
         per-user SER (see ``exit_probability``) is None unless `integrate`.
-        The transmit vector, its power and the noise-free received points
-        rx = h x depend only on the trial and the slot's symbol-index vector,
-        so they are computed once per distinct index vector and reused by
-        every slot that draws it again; slots then only draw noise and
-        detect. Reuse is exact: a repeat would recompute the same
-        deterministic function of the same inputs, and every slot still draws
-        its symbols and noise from its own (seed, trial, slot) stream: the
-        trial's generator, re-keyed by :func:`_rekey`. The memo holds at most
-        min(block_len, d^K) entries and ends with the trial.
+        Three passes over the slots:
+
+        1. Draw: each slot re-keys the trial's generator to its own (seed,
+           trial, slot) stream (:func:`_rekey`) and draws its symbol indices,
+           its jammer draw and its AWGN draw, in that order, and they are
+           stored.
+        2. Solve: one :meth:`design` call for the distinct index vectors, in
+           order of first appearance; each gives its transmit vector x, its
+           power and the noise-free received points rx = h x.
+        3. Detect: each slot adds its stored noise to its vector's rx, detects
+           and counts errors.
+
+        The transmit vector depends only on the trial and the index vector,
+        so every slot that draws a vector again reuses its values, exactly:
+        a repeat would recompute the same deterministic function of the same
+        inputs. The stored draws are the ones a slot loop would draw, so every
+        output byte is the same as designing each slot in turn.
         """
         sc, trial, rng, h, h_j, mix = self.sc, self.trial, self.rng, self.h, self.h_j, self.mix
         k, d, bit_errors = sc.k, sc.d, _BIT_ERRORS[sc.d]
         awgn_scale = math.sqrt(0.5 * sc.awgn_var)
-        sym_err = np.zeros(k, dtype=np.int64)
-        bit_err = np.zeros(k, dtype=np.int64)
-        power_sum = 0.0
-        memo = {}   # symbol-index vector -> (transmit power, noise-free received points)
-        rx_block = np.empty((sc.block_len, k), dtype=complex) if integrate else None
-        idx_block = np.empty((sc.block_len, k), dtype=np.int64) if integrate else None
+        slots = []
+        first = {}   # symbol-index vector -> its indices, in order of first appearance
         for slot in range(1, sc.block_len + 1):
             _rekey(rng, sc.seed, trial, slot)
             idx = _draw_index(rng, d, k)
-            key = idx.tobytes()
-            hit = memo.get(key)
-            if hit is None:
-                x = self.transmit(idx)
-                hit = memo[key] = (float(np.real(x @ np.conj(x))), h @ x)
-            power, rx = hit
-            power_sum += power
             zv = rng.standard_normal(2) @ mix
-            z = complex(zv[0], zv[1])
             nv = awgn_scale * rng.standard_normal((k, 2))
-            y = rx + h_j * z + (nv[:, 0] + 1j * nv[:, 1])
+            key = idx.tobytes()
+            first.setdefault(key, idx)
+            slots.append((key, idx, complex(zv[0], zv[1]), nv[:, 0] + 1j * nv[:, 1]))
+        memo = {   # symbol-index vector -> (transmit power, noise-free received points)
+            key: (float(np.real(x @ np.conj(x))), h @ x)
+            for key, x in zip(first, self.design(list(first.values())))
+        }
+        sym_err = np.zeros(k, dtype=np.int64)
+        bit_err = np.zeros(k, dtype=np.int64)
+        power_sum = 0.0
+        rx_block = np.empty((sc.block_len, k), dtype=complex) if integrate else None
+        idx_block = np.empty((sc.block_len, k), dtype=np.int64) if integrate else None
+        for slot, (key, idx, z, w) in enumerate(slots):
+            power, rx = memo[key]
+            power_sum += power
+            y = rx + h_j * z + w
             if rx_block is not None:
-                rx_block[slot - 1] = rx
-                idx_block[slot - 1] = idx
+                rx_block[slot] = rx
+                idx_block[slot] = idx
             for u in range(k):
                 det = self.detect(y[u], u)
                 if det != idx[u]:

@@ -37,7 +37,7 @@ from .noisegeom import (
     ellipse_from_cov,
     rotated_cov,
 )
-from .solver import QpProblem, solve_maximin, solve_min_norm
+from .solver import solve_maximin_batch, solve_min_norm, solve_min_norm_batch
 from .wlalg import expand_row, sqrt_inv_psd2
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "circular_bounds",
     "naive_bounds",
     "naive_slp",
+    "solve_min_norm",   # re-exported: the benchmark's tracer wraps it at every binding
 ]
 
 _ROW_EPS = 1e-12
@@ -114,11 +115,6 @@ def margin_rows_pair(h_e1, h_e2, s_k: complex, theta: float):
     return h_minus * sin_t - h_plus * cos_t, h_minus * sin_t + h_plus * cos_t
 
 
-def _check_rows(a: np.ndarray):
-    if np.min(np.sum(a * a, axis=1)) <= _ROW_EPS ** 2 * max(1.0, a.shape[1]):
-        raise ZeroRow("degenerate (zero) margin constraint row")
-
-
 def user_terms(pair, s_k: complex, theta: float, bounds=None):
     """One user's margin rows for symbol s_k, paired with their bounds.
 
@@ -137,41 +133,64 @@ def user_terms(pair, s_k: complex, theta: float, bounds=None):
     return (a_minus,) * r + (a_plus,) * r, bounds
 
 
-def _stack_rows(terms) -> np.ndarray:
-    return np.array([row for rows, _ in terms for row in rows])
+def _stack_rows(vectors) -> np.ndarray:
+    """Each vector's per-user rows, stacked in user order: vectors x rows x columns."""
+    return np.array([[row for rows, _ in terms for row in rows] for terms in vectors])
 
 
-def solve_min_power(terms, conservative: bool = False) -> SlpSolution:
-    """Minimum-power transmit vector for per-user (rows, bounds) terms.
+def _per_vector(vectors, solve):
+    """solve(row stacks) for per-vector terms, failing where a loop over the vectors would.
 
-    The stacked bounds are one orientation (1-D) or one per jammer-covariance
-    orientation (leading axis). Each orientation is one QP on the shared rows,
-    and the solution needing the most power is returned (the first on ties).
-    With conservative=True the orientations are first reduced to their
-    elementwise maxima, a single QP; 1-D bounds are one orientation either
-    way. The bounds may be per-user constants built once or per-symbol
-    arrays: the stacking is the same.
+    A vector with a numerically zero row raises ZeroRow, after the vectors
+    before it are solved, so that an earlier vector's failure comes first.
     """
-    a = _stack_rows(terms)
-    _check_rows(a)
-    b = np.atleast_2d(np.concatenate([bounds for _, bounds in terms], axis=-1))
-    if conservative:
-        b = np.max(b, axis=0, keepdims=True)
-    best = None
-    for bounds in b:
-        prob = QpProblem(a, bounds)
-        sol = solve_min_norm(prob)
-        if best is None or sol.objective > best[1].objective:
-            best = prob, sol
-    prob, sol = best
-    return SlpSolution(x=sol.x, power=sol.objective, achieved_margins=prob.a @ sol.x - prob.b)
+    a = _stack_rows(vectors)
+    zero = ((a * a).sum(axis=2).min(axis=1) <= _ROW_EPS ** 2 * max(1.0, a.shape[2])).tolist()
+    count = zero.index(True) if True in zero else len(a)
+    out = solve(a[:count]) if count else []
+    if count < len(a):
+        raise ZeroRow("degenerate (zero) margin constraint row")
+    return out
 
 
-def solve_max_margin(terms, p_t: float):
-    """(x, delta): the largest common margin delta of per-user rows under power p_t."""
-    a = _stack_rows(terms)
-    _check_rows(a)
-    return solve_maximin(a, p_t)
+def solve_min_power(vectors, conservative: bool = False) -> list:
+    """Minimum-power transmit vector of each symbol vector's per-user (rows, bounds) terms.
+
+    The stacked bounds of a vector are one orientation (1-D) or one per
+    jammer-covariance orientation (leading axis). Each orientation is one QP
+    on the vector's rows, and the solution needing the most power is
+    returned (the first on ties). With conservative=True the orientations are
+    first reduced to their elementwise maxima, a single QP; 1-D bounds are one
+    orientation either way. The bounds may be per-user constants built once
+    or per-symbol arrays: the stacking is the same. Every QP of every vector
+    goes to one :func:`solve_min_norm_batch` call, and the first vector, in
+    order, whose rows or QP fail raises that failure.
+    """
+
+    def solve(a):
+        n_vec, m = a.shape[:2]
+        b = np.array([np.concatenate([bounds for _, bounds in terms], axis=-1) for terms in vectors[:n_vec]])
+        b = b.reshape(n_vec, -1, m)
+        if conservative:
+            b = np.max(b, axis=1, keepdims=True)
+        n_or = b.shape[1]
+        sols = solve_min_norm_batch(a, b.reshape(-1, m), np.arange(n_vec).repeat(n_or))
+        for sol in sols:
+            if isinstance(sol, Exception):
+                raise sol
+        # max keeps the first of equal objectives
+        pick = [max(range(v * n_or, (v + 1) * n_or), key=lambda i: sols[i].objective) for v in range(n_vec)]
+        x = np.array([sols[i].x for i in pick])
+        margins = np.matmul(a, x[:, :, None])[:, :, 0] - b.reshape(-1, m)[pick]
+        return [SlpSolution(x=x[v], power=sols[i].objective, achieved_margins=margins[v])
+                for v, i in enumerate(pick)]
+
+    return _per_vector(vectors, solve)
+
+
+def solve_max_margin(vectors, p_t: float) -> list:
+    """(x, delta) of each symbol vector: the largest common margin of its rows under power p_t."""
+    return _per_vector(vectors, lambda a: solve_maximin_batch(a, p_t))
 
 
 def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:
@@ -183,8 +202,8 @@ def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:
     s = np.ravel(np.asarray(s, dtype=complex))
     t = _per_user(targets, len(s))
     return solve_min_power(
-        [user_terms(pair, s_k, theta, np.full(2, t_k)) for pair, s_k, t_k in zip(eff_channels, s, t)]
-    )
+        [[user_terms(pair, s_k, theta, np.full(2, t_k)) for pair, s_k, t_k in zip(eff_channels, s, t)]]
+    )[0]
 
 
 def pw_slp_msm(eff_channels, s, p_t: float, theta: float):
@@ -195,12 +214,12 @@ def pw_slp_msm(eff_channels, s, p_t: float, theta: float):
     """
     s = np.ravel(np.asarray(s, dtype=complex))
     terms = [user_terms(pair, s_k, theta) for pair, s_k in zip(eff_channels, s)]
-    x, delta = solve_max_margin(terms, p_t)
+    x, delta = solve_max_margin([terms], p_t)[0]
     return (
         SlpSolution(
             x=x,
             power=float(x @ x),
-            achieved_margins=_stack_rows(terms) @ x - delta,
+            achieved_margins=_stack_rows([terms])[0] @ x - delta,
         ),
         delta,
     )
@@ -277,15 +296,13 @@ def nc_slp(channels, h_j, jam, awgn_var: float, s, delta0: float, p: float, thet
     receiver processing is assumed.
     """
     h, h_j, s = _users(channels, h_j, s, delta0)
-    return solve_min_power(
-        [
-            user_terms(
-                expand_row(h[u]), s[u], theta,
-                nc_bounds(effective_cov(h_j[u], jam, awgn_var), s[u], delta0, p, theta),
-            )
-            for u in range(len(s))
-        ]
-    )
+    return solve_min_power([[
+        user_terms(
+            expand_row(h[u]), s[u], theta,
+            nc_bounds(effective_cov(h_j[u], jam, awgn_var), s[u], delta0, p, theta),
+        )
+        for u in range(len(s))
+    ]])[0]
 
 
 def worst_case_pterms(alpha_check: float, theta: float, jam_power: float, awgn_var: float):
@@ -346,16 +363,13 @@ def robust_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: f
         raise ValueError("n_div must be at least 1")
     h, h_j, s = _users(channels, h_j, s, delta0)
     omega = chi2_scale(p)
-    return solve_min_power(
-        [
-            user_terms(
-                expand_row(h[u]), s[u], theta,
-                robust_bounds(h_j[u], jammer_power, awgn_var, s[u], delta0, omega, theta, n_div),
-            )
-            for u in range(len(s))
-        ],
-        conservative,
-    )
+    return solve_min_power([[
+        user_terms(
+            expand_row(h[u]), s[u], theta,
+            robust_bounds(h_j[u], jammer_power, awgn_var, s[u], delta0, omega, theta, n_div),
+        )
+        for u in range(len(s))
+    ]], conservative)[0]
 
 
 def circular_bounds(sigma2: float, delta0: float, omega: float, theta: float) -> np.ndarray:
@@ -385,12 +399,10 @@ def naive_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: fl
     """
     h, h_j, s = _users(channels, h_j, s, delta0)
     omega = chi2_scale(p)
-    return solve_min_power(
-        [
-            user_terms(
-                expand_row(h[u]), s[u], theta,
-                naive_bounds(h_j[u], jammer_power, awgn_var, delta0, omega, theta),
-            )
-            for u in range(len(s))
-        ]
-    )
+    return solve_min_power([[
+        user_terms(
+            expand_row(h[u]), s[u], theta,
+            naive_bounds(h_j[u], jammer_power, awgn_var, delta0, omega, theta),
+        )
+        for u in range(len(s))
+    ]])[0]

@@ -7,6 +7,7 @@ is built on top of these primitives.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,10 +128,18 @@ def sqrt_inv_psd2(g: SymMat2) -> np.ndarray:
     """Symmetric principal inverse square root W of a positive definite g.
 
     Satisfies W @ g @ W.T == I. The symmetric root is one whitener among
-    many; fixing it keeps downstream results deterministic.
+    many; fixing it keeps downstream results deterministic. Every whitening
+    of a noise covariance in the package goes through here. A singular g
+    whose larger eigenvalue is below the smallest normal float (a noise
+    power that underflows, as a jammer of about -3230 dB without AWGN gives)
+    raises NotPositiveDefinite("the noise covariance is too small to whiten
+    ..."); any other singular or indefinite g raises it as not strictly
+    positive definite.
     """
     lam1, lam2, v = eig2_sym(g)
     if lam2 <= 0.0:
+        if lam1 < sys.float_info.min:
+            raise NotPositiveDefinite("the noise covariance is too small to whiten: its entries underflow")
         raise NotPositiveDefinite("matrix must be strictly positive definite")
     vp = np.array([-v[1], v[0]])
     return np.outer(v, v) / math.sqrt(lam1) + np.outer(vp, vp) / math.sqrt(lam2)

@@ -261,6 +261,42 @@ class TestRun:
         assert "underflows" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["robust_blp", "pw_blp", "pw_slp", "pw_msm"])
+    @pytest.mark.parametrize("rho2_db", ["-3230", "-3235"])
+    def test_underflowing_noise_covariance_is_reported(self, tmp_path, capsys, method, rho2_db):
+        # A subnormal jammer power passes the rho2 = 0 load rule, but without
+        # AWGN a user's noise covariance underflows to zero and cannot be
+        # whitened. Warnings are errors here.
+        text = (
+            MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
+            .replace("rho2_db = 10.0", f"rho2_db = {rho2_db}")
+            .replace("method = nc_slp", f"method = {method}\np_t_db = 20.0")
+            .replace("q = random_rank_one", "q = circular")
+        )
+        cfg = write(tmp_path, "subnormal-jammer.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "the noise covariance is too small to whiten" in err
+        assert "strictly positive definite" not in err
+        assert not out.exists()
+
+    def test_more_users_than_antennas_is_inconsistent(self, tmp_path, capsys):
+        # m = 2 antennas cannot meet four users' margins: the first distinct
+        # symbol vector's QP fails. A 64-slot block has more distinct vectors
+        # than the batch crossover, so the lockstep kernel raises it.
+        text = (
+            MINIMAL.replace("k = 2", "k = 4")
+            .replace("block_len = 10", "block_len = 64")
+            .replace("q = random_rank_one", "q = circular")
+        )
+        cfg = write(tmp_path, "m-below-k.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: inconsistent constraints\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["naive_blp", "pw_blp", "robust_blp", "msm", "pw_msm"])
     @pytest.mark.parametrize("p_t_db, code", [("1600", 2), ("3080", 2), ("1500", 0)])
     def test_budget_whose_square_overflows_fails_at_load(self, tmp_path, capsys, method, p_t_db, code):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ncprecode import slp
+from ncprecode import slp, solver
+from ncprecode.errors import Infeasible
 from ncprecode.noisegeom import chi2_scale, effective_cov, jammer_model, q_from_elements
 from ncprecode.oracles import min_norm_by_enumeration
 from ncprecode.sim import (
     QSpec,
     Scenario,
+    _TrialEngine,
     _rekey,
     _stream,
     energy_efficiency,
@@ -23,6 +25,7 @@ from ncprecode.sim import (
     _summarize,
 )
 from ncprecode import cli
+from ncprecode.solver import QpProblem, validate_solution
 from ncprecode.wlalg import expand_row, sqrt_inv_psd2, symbol_rotation
 
 
@@ -518,16 +521,20 @@ class TestSlotReuse:
 
     @pytest.mark.parametrize("method, solves_per_vector", [("nc_slp", 1), ("robust_slp", 8)])
     def test_one_solve_per_distinct_vector_and_lazy_terms(self, monkeypatch, method, solves_per_vector):
+        # "solve" counts the problems given to the batched QP entry point:
+        # one per distinct vector and jammer-covariance orientation.
         sc = reuse_scenario(method)
         calls = {"solve": 0, "terms": 0}
 
-        def counted(name, fn):
+        def counted(name, fn, count=lambda *args: 1):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name] += count(*args)
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(slp, "solve_min_norm", counted("solve", slp.solve_min_norm))
+        monkeypatch.setattr(
+            slp, "solve_min_norm_batch", counted("solve", slp.solve_min_norm_batch, lambda a, b, owner: len(b))
+        )
         monkeypatch.setattr(slp, "user_terms", counted("terms", slp.user_terms))
         per_trial_metrics(sc)
         vectors = pairs = 0
@@ -561,3 +568,61 @@ class TestSlotReuse:
         )
         assert pairs > sc.trials * sc.k
         assert len(calls) == (sc.trials * sc.k if method == "naive_slp" else pairs)
+
+
+def long_block_scenario(method):
+    # the benchmark's mc_long_block shape: M = K = 4, QPSK, one 512-slot trial
+    return Scenario(
+        m=4, k=4, d=4, rho2_db=10.0, awgn_std=1.0, p=0.8, trials=1, block_len=512,
+        seed=20240901, method=method, q_spec=QSpec("random_rank_one"), p_t_db=26.4,
+        psi_db=10.0, n_div=16,
+    )
+
+
+class TestBatchedSolves:
+    """The engine's QPs go to the batched entry point, each with an exact KKT certificate."""
+
+    @pytest.mark.parametrize("method", QP_METHODS)
+    def test_every_batched_solution_is_certified(self, monkeypatch, method):
+        batches = []
+        batch = solver.solve_min_norm_batch
+
+        def recording(a, b, owner=None):
+            out = batch(a, b, owner)
+            batches.append((np.asarray(a), np.asarray(b), np.arange(len(a)) if owner is None else owner, out))
+            return out
+
+        monkeypatch.setattr(solver, "solve_min_norm_batch", recording)   # the maximin designs
+        monkeypatch.setattr(slp, "solve_min_norm_batch", recording)      # the min-power designs
+        run_montecarlo(long_block_scenario(method))
+        assert len(batches) == 1
+        a, b, owner, out = batches[0]
+        assert len(a) >= solver.BATCH_CROSSOVER   # the lockstep kernel solved them
+        assert len(out) == len(b) == len(a) * (16 if method == "robust_slp" else 1)
+        for sol, bounds, o in zip(out, b, owner):
+            assert validate_solution(QpProblem(a[o], bounds), sol)
+
+    @staticmethod
+    def clashing_engine():
+        # user 1 shares user 0's channel, so a vector with two different
+        # symbols asks one received point to lie in two sectors; the term of
+        # user 1 with symbol index 3 (0-based) cannot be built
+        engine = _TrialEngine(reuse_scenario("nc_slp"), 0)
+        engine.pairs[1] = engine.pairs[0]
+        bound_fn = engine.bound_fn
+
+        def failing(u, s_k):
+            if u == 1 and s_k == engine.const[3]:
+                raise ValueError("no bounds for this symbol")
+            return bound_fn(u, s_k)
+
+        engine.bound_fn = failing
+        return engine
+
+    def test_design_fails_at_the_first_failing_vector(self):
+        same, clash, broken = np.array([1, 1]), np.array([1, 2]), np.array([3, 4])
+        assert len(self.clashing_engine().design([same, same + 1])) == 2
+        with pytest.raises(Infeasible, match="inconsistent constraints"):
+            self.clashing_engine().design([same, clash, broken])
+        with pytest.raises(ValueError, match="no bounds"):
+            self.clashing_engine().design([same, broken, clash])

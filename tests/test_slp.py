@@ -28,13 +28,15 @@ from ncprecode.slp import (
     robust_bounds,
     robust_slp,
     safety_margin,
+    solve_max_margin,
     solve_min_power,
     tangent_points,
     user_terms,
     whitened_effective_channel,
     worst_case_pterms,
 )
-from ncprecode.solver import QpProblem, solve_min_norm
+from ncprecode.errors import Infeasible, ZeroRow
+from ncprecode.solver import BATCH_CROSSOVER, QpProblem, solve_min_norm
 from ncprecode.wlalg import eig2_sym, expand_row, expand_vec, sqrt_inv_psd2
 
 THETA4 = math.pi / 4
@@ -493,7 +495,7 @@ class TestSolveMinPower:
     def test_one_dimensional_bounds_are_one_qp(self):
         terms = self.terms(np.random.default_rng(81))
         a, b = self.stacked(terms)
-        sol = solve_min_power(terms)
+        sol = solve_min_power([terms])[0]
         ref = solve_min_norm(QpProblem(a, b))
         assert np.array_equal(sol.x, ref.x)
         assert sol.power == ref.objective
@@ -503,17 +505,46 @@ class TestSolveMinPower:
         terms = self.terms(np.random.default_rng(82), orientations=5)
         a, b = self.stacked(terms)
         assert b.shape == (5, a.shape[0])
-        sol = solve_min_power(terms, conservative=True)
+        sol = solve_min_power([terms], conservative=True)[0]
         ref = solve_min_norm(QpProblem(a, np.max(b, axis=0)))
         assert np.array_equal(sol.x, ref.x)
         assert sol.power == ref.objective
         worst = max((solve_min_norm(QpProblem(a, row)) for row in b), key=lambda r: r.objective)
-        assert np.array_equal(solve_min_power(terms).x, worst.x)
+        assert np.array_equal(solve_min_power([terms])[0].x, worst.x)
+
+    def test_many_vectors_are_the_single_vector_calls(self):
+        # enough vectors for the lockstep kernel; each still gets the bits of its own call
+        rng = np.random.default_rng(84)
+        for orientations in (None, 5):
+            vectors = [self.terms(rng, orientations) for _ in range(BATCH_CROSSOVER + 3)]
+            for conservative in (False, True):
+                for terms, sol in zip(vectors, solve_min_power(vectors, conservative)):
+                    one = solve_min_power([terms], conservative)[0]
+                    assert np.array_equal(sol.x, one.x)
+                    assert sol.power == one.power
+                    assert np.array_equal(sol.achieved_margins, one.achieved_margins)
+
+    def test_the_first_failing_vector_raises(self):
+        # as a loop over the vectors would: an earlier vector's failure wins,
+        # whether it is a zero row or an inconsistent QP
+        rng = np.random.default_rng(85)
+        good = [self.terms(rng) for _ in range(BATCH_CROSSOVER + 3)]
+        (rows, bounds), *rest = good[0]
+        zero = [(tuple(np.zeros_like(r) for r in rows), bounds), *rest]
+        clash = [((rows[0], -rows[0]), np.ones(2)), *rest]   # a x >= 1 and -a x >= 1
+        with pytest.raises(Infeasible, match="inconsistent constraints"):
+            solve_min_power(good[:3] + [clash] + good[3:6] + [zero] + good[6:])
+        with pytest.raises(ZeroRow):
+            solve_min_power(good[:3] + [zero] + [clash] + good[3:])
+        with pytest.raises(ZeroRow):
+            solve_min_power([zero] + good)
+        with pytest.raises(ZeroRow):
+            solve_max_margin(good[:5] + [zero] + good[5:], 1.0)
 
     def test_conservative_with_one_dimensional_bounds_is_the_plain_call(self):
         terms = self.terms(np.random.default_rng(83))
-        plain = solve_min_power(terms)
-        conservative = solve_min_power(terms, conservative=True)
+        plain = solve_min_power([terms])[0]
+        conservative = solve_min_power([terms], conservative=True)[0]
         assert np.array_equal(conservative.x, plain.x)
         assert conservative.power == plain.power
         assert np.array_equal(conservative.achieved_margins, plain.achieved_margins)

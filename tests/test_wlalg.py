@@ -107,8 +107,18 @@ class TestWhitener:
             np.testing.assert_allclose(w @ g_arr @ w.T, np.eye(2), atol=1e-10)
 
     def test_rejects_semidefinite(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="strictly positive definite"):
             sqrt_inv_psd2(SymMat2(1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("g", [SymMat2(0.0, 0.0, 0.0), SymMat2(5e-324, 0.0, 0.0), SymMat2(0.0, 0.0, 1e-310)])
+    def test_underflowing_matrix_is_too_small_to_whiten(self, g):
+        # singular, with every entry zero or subnormal: a noise power below the float range
+        with pytest.raises(NotPositiveDefinite, match="too small to whiten"):
+            sqrt_inv_psd2(g)
+
+    def test_smallest_normal_matrix_is_whitened(self):
+        tiny = 2.2250738585072014e-308
+        np.testing.assert_allclose(sqrt_inv_psd2(SymMat2(tiny, 0.0, tiny)) * np.sqrt(tiny), np.eye(2))
 
 
 class TestSymMat2:
