@@ -196,6 +196,8 @@ class Scenario:
     n_div: int = 16
 
     def __post_init__(self):
+        if self.m < 1 or self.k < 1:
+            raise ValueError("m and k must be at least 1")
         if self.d not in _BIT_ERRORS:
             raise ValueError("PSK order must be one of 2, 4, 8, 16")
         if self.trials < 1 or self.block_len < 1:
@@ -813,7 +815,7 @@ def surface_mode(method: str) -> str:
     return "mse" if method in BLP_METHODS else "power"
 
 
-def sweep_q_grid(sc: Scenario, grid_n: int = 21, n_symbols: int = 50) -> SweepResult:
+def sweep_q_grid(sc: Scenario, grid_n: int, n_symbols: int) -> SweepResult:
     """Evaluate the worst-case metric surface over the feasible (q11, q12) disk.
 
     BLP methods sweep the closed-form MSE of the pre-whitened design; SLP
@@ -838,9 +840,7 @@ def _verify_lemma(sc, grid_n, n_draws, n_symbols, mode, passes, pass_fraction) -
     )
 
 
-def verify_lemma_blp(
-    sc: Scenario, grid_n: int = 21, n_draws: int = 100, pass_fraction: float = 0.95
-) -> LemmaReport:
+def verify_lemma_blp(sc: Scenario, grid_n: int, n_draws: int, pass_fraction: float) -> LemmaReport:
     """Check that the worst-case MSE sits at the circular center of the Q disk.
 
     A draw passes when the grid argmax lies within one grid cell of
@@ -855,11 +855,7 @@ def verify_lemma_blp(
 
 
 def verify_lemma_slp(
-    sc: Scenario,
-    grid_n: int = 21,
-    n_draws: int = 100,
-    n_symbols: int = 50,
-    pass_fraction: float = 0.95,
+    sc: Scenario, grid_n: int, n_draws: int, n_symbols: int, pass_fraction: float
 ) -> LemmaReport:
     """Check that the worst-case transmit power sits on the rank-one boundary.
 

@@ -153,16 +153,14 @@ def _per_vector(vectors, solve):
     return out
 
 
-def solve_min_power(vectors, conservative: bool = False) -> list:
+def solve_min_power(vectors) -> list:
     """Minimum-power transmit vector of each symbol vector's per-user (rows, bounds) terms.
 
     The stacked bounds of a vector are one orientation (1-D) or one per
     jammer-covariance orientation (leading axis). Each orientation is one QP
     on the vector's rows, and the solution needing the most power is
-    returned (the first on ties). With conservative=True the orientations are
-    first reduced to their elementwise maxima, a single QP; 1-D bounds are one
-    orientation either way. The bounds may be per-user constants built once
-    or per-symbol arrays: the stacking is the same. Every QP of every vector
+    returned (the first on ties). The bounds may be per-user constants built
+    once or per-symbol arrays: the stacking is the same. Every QP of every vector
     goes to one :func:`solve_min_norm_batch` call, and the first vector, in
     order, whose rows or QP fail raises that failure.
     """
@@ -171,8 +169,6 @@ def solve_min_power(vectors, conservative: bool = False) -> list:
         n_vec, m = a.shape[:2]
         b = np.array([np.concatenate([bounds for _, bounds in terms], axis=-1) for terms in vectors[:n_vec]])
         b = b.reshape(n_vec, -1, m)
-        if conservative:
-            b = np.max(b, axis=1, keepdims=True)
         n_or = b.shape[1]
         sols = solve_min_norm_batch(a, b.reshape(-1, m), np.arange(n_vec).repeat(n_or))
         for sol in sols:
@@ -363,13 +359,10 @@ def robust_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: f
         raise ValueError("n_div must be at least 1")
     h, h_j, s = _users(channels, h_j, s, delta0)
     omega = chi2_scale(p)
-    return solve_min_power([[
-        user_terms(
-            expand_row(h[u]), s[u], theta,
-            robust_bounds(h_j[u], jammer_power, awgn_var, s[u], delta0, omega, theta, n_div),
-        )
-        for u in range(len(s))
-    ]], conservative)[0]
+    bounds = [robust_bounds(h_j[u], jammer_power, awgn_var, s[u], delta0, omega, theta, n_div) for u in range(len(s))]
+    if conservative:   # each bound's maximum over the orientations: one QP
+        bounds = [np.max(b, axis=0, keepdims=True) for b in bounds]
+    return solve_min_power([[user_terms(expand_row(h[u]), s[u], theta, bounds[u]) for u in range(len(s))]])[0]
 
 
 def circular_bounds(sigma2: float, delta0: float, omega: float, theta: float) -> np.ndarray:

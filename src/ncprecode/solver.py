@@ -16,7 +16,13 @@ problem, exactly what :func:`solve_min_norm` returns for it, bit for bit, or
 the exception it raises. From BATCH_CROSSOVER distinct matrices on, the
 problems advance in lockstep through one kernel (:func:`_min_norm_batch`)
 whose stacked products are the same BLAS calls as the scalar kernel's; below
-it each problem goes through :func:`solve_min_norm`. The crossover was
+it each problem goes through :func:`solve_min_norm`. The lockstep kernel
+takes only the regular step. A problem that needs a rare path (a zero row
+under a positive bound, a singular active-set solve, inconsistent
+constraints, an overlong active list, the iteration cap) is solved again
+from the start by :func:`_min_norm_kernel`, which is deterministic and so
+gives it the same result or exception; every failure rule and message is
+defined there alone. The crossover was
 measured on the QPs of one 512-slot M = K = 4 QPSK trial (2-core host,
 numpy 2.4.6 with OpenBLAS on one thread, five different batches per size,
 median of 15 runs each): for the 8 x 8 problems of nc_slp, pw_slp and msm,
@@ -103,6 +109,22 @@ def _solve(a, b):
         return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
+def _or_error(solve, *args):
+    """solve(*args), or the PrecodingError or LinAlgError it raises."""
+    try:
+        return solve(*args)
+    except (PrecodingError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def _result(x, active, mu, m):
+    """(x, duals, active list) of a finished iteration; a negative multiplier's dual is 0."""
+    duals = np.zeros(m)
+    for idx, mu_i in zip(active, mu):
+        duals[idx] = max(mu_i, 0.0)
+    return x, duals, active
+
+
 def _min_norm_kernel(a, b, gram, row_norm2):
     """Dual active-set iteration on precomputed Gram data.
 
@@ -171,41 +193,38 @@ def _min_norm_kernel(a, b, gram, row_norm2):
                 break
             del active[k_drop]
             del mu[k_drop]
-
-    duals = np.zeros(m)
-    for idx, mu_i in zip(active, mu):
-        duals[idx] = max(mu_i, 0.0)
-    return x, duals, active
+    return _result(x, active, mu, m)
 
 
 def _min_norm_batch(a, gram, row_norm2, b, owner):
     """`_min_norm_kernel` on problems (a[owner[i]], b[i]), in lockstep.
 
-    Every problem takes its own sequence of steps, with the kernel's
-    operations on the same operands, so its x, duals and active list have
-    the kernel's bits; the steps of all problems are taken together. Each
-    round, the problems in the outer phase take one stacked slack and argmin,
-    and every problem in the inner phase takes one step: the active-set
-    solves are grouped by active-set size into one stacked ``_solve`` per
-    size, the products become stacked ``np.matmul`` calls (each item the
-    same BLAS call as the kernel's 2-D or 1-D product), and the ratio test and
-    the updates are elementwise, with the same first index on ties. Returns
-    one entry per problem: (x, duals, active_list), or the exception the
-    kernel raises for it.
+    Every problem takes its own sequence of the kernel's regular steps, with
+    the kernel's operations on the same operands, so its x, duals and active
+    list have the kernel's bits; the steps of all problems are taken
+    together. Each round, the problems in the outer phase take one stacked
+    slack and argmin, and every problem in the inner phase takes one step:
+    the active-set solves are grouped by active-set size into one stacked
+    ``_solve`` per size, the products become stacked ``np.matmul`` calls
+    (each item the same BLAS call as the kernel's 2-D or 1-D product), and
+    the ratio test and the updates are elementwise, with the same first index
+    on ties. A problem that needs one of the kernel's rare paths leaves the
+    lockstep: a zero row under a positive bound, a size group whose stacked
+    solve raises (the whole group), a step that can neither add nor drop, an
+    add to a list of m entries, or an iteration count past the cap. After
+    the loop the kernel solves each such problem again from the start, so
+    every failure rule lives in the kernel alone. Returns one entry per
+    problem: (x, duals, active_list), or the exception the kernel raises for
+    it.
     """
     n_prob, m = b.shape
     n = a.shape[2]
     cap = 50 * (m + n) + 200
     out = [None] * n_prob
-
-    def fail(problems, error, message):
-        for i in problems.tolist():
-            out[i] = error(message)
-
     bmax = np.abs(b).max(axis=1)
     eps_p = 1e-9 * np.where(bmax > 1.0, bmax, 1.0)
+    # A problem dropped from `outer` and `inner` keeps out[i] None: it is handed off.
     zero_bad = ((row_norm2[owner] <= _ZERO_ROW_NORM2) & (b > eps_p[:, None])).any(axis=1)
-    fail(np.flatnonzero(zero_bad), Infeasible, "zero constraint row with positive bound")
 
     x = np.zeros((n_prob, n))
     act = np.zeros((n_prob, m), dtype=np.intp)   # active list, first size[i] entries
@@ -214,73 +233,50 @@ def _min_norm_batch(a, gram, row_norm2, b, owner):
     p = np.zeros(n_prob, dtype=np.intp)
     mu_p = np.zeros(n_prob)
     iters = np.zeros(n_prob, dtype=np.intp)
+    cols = np.arange(m)
     outer = np.flatnonzero(~zero_bad)
     inner = outer[:0]
     while outer.size or inner.size:
         if outer.size:
             iters[outer] += 1
-            over = iters[outer] > cap
-            fail(outer[over], MaxIterations, f"active-set solver exceeded {cap} iterations")
-            outer = outer[~over]
+            outer = outer[iters[outer] <= cap]
             slack = np.matmul(a[owner[outer]], x[outer, :, None])[:, :, 0] - b[outer]
             pp = slack.argmin(axis=1)
             done = slack[np.arange(outer.size), pp] >= -eps_p[outer]
-            for i in outer[done]:
-                k = size[i]
-                duals = np.zeros(m)
-                active = act[i, :k].tolist()
-                for idx, mu_i in zip(active, mu[i, :k].tolist()):
-                    duals[idx] = max(mu_i, 0.0)
-                out[i] = (x[i].copy(), duals, active)
+            for i in outer[done].tolist():
+                out[i] = _result(x[i].copy(), act[i, :size[i]].tolist(), mu[i, :size[i]].tolist(), m)
             enter = outer[~done]
             p[enter] = pp[~done]
             mu_p[enter] = 0.0
             inner = np.concatenate([inner, enter])
+        iters[inner] += 1
+        inner = inner[iters[inner] <= cap]
         if not inner.size:
             break
-        iters[inner] += 1
-        over = iters[inner] > cap
-        fail(inner[over], MaxIterations, f"active-set solver exceeded {cap} iterations")
-        inner = inner[~over]
         own, ip, ks = owner[inner], p[inner], size[inner]
         ap = a[own, ip]
-        z = np.empty((inner.size, n))
-        width = act.shape[1]
-        r = np.zeros((inner.size, width))
-        ok = np.ones(inner.size, dtype=bool)
-        for k in np.unique(ks).tolist():
+        z = 0.5 * ap   # the step of an empty active set
+        r = np.zeros((inner.size, m))
+        live = np.ones(inner.size, dtype=bool)
+        for k in np.unique(ks[ks > 0]).tolist():
             sel = np.flatnonzero(ks == k)
-            if k == 0:
-                z[sel] = 0.5 * ap[sel]
-                continue
             s = act[inner[sel], :k]
             o = own[sel]
-            g = gram[o[:, None, None], s[:, :, None], s[:, None, :]]
-            rhs = gram[o[:, None], s, ip[sel, None]]
             try:
-                r_k = _solve(g, rhs)
+                r_k = _solve(gram[o[:, None, None], s[:, :, None], s[:, None, :]], gram[o[:, None], s, ip[sel, None]])
             except np.linalg.LinAlgError:
-                # one gesv call per problem finds the singular ones
-                r_k = np.zeros((sel.size, k))
-                for j in range(sel.size):
-                    try:
-                        r_k[j] = _solve(g[j], rhs[j])
-                    except np.linalg.LinAlgError as exc:
-                        out[inner[sel[j]]] = exc
-                        ok[sel[j]] = False
+                live[sel] = False   # the whole size group
+                continue
             a_s = a[o[:, None], s].transpose(0, 2, 1)
             z[sel] = 0.5 * (ap[sel] - np.matmul(a_s, r_k[:, :, None])[:, :, 0])
             r[sel, :k] = r_k
-        if not ok.all():
-            inner, ip, ap, z, r = inner[ok], ip[ok], ap[ok], z[ok], r[ok]
-            own = owner[inner]
         z2 = np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0]
         sp = b[inner, ip] - np.matmul(ap[:, None, :], x[inner, :, None])[:, 0, 0]
         rn = row_norm2[own, ip]
         full = z2 > 1e-20 * np.where(rn > 1.0, rn, 1.0)
         z2 = np.where(full, z2, 0.0)
         t_full = np.full(inner.size, math.inf)
-        ratio = np.full((inner.size, width), math.inf)
+        ratio = np.full((inner.size, m), math.inf)
         # The kernel takes these steps in Python floats, which overflow to
         # inf without a warning; it moves x in numpy, as done below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -290,32 +286,31 @@ def _min_norm_batch(a, gram, row_norm2, b, owner):
             ratio[~(ratio < math.inf)] = math.inf   # a NaN ratio never blocks
             k_drop = ratio.argmin(axis=1)
             t_drop = ratio[np.arange(inner.size), k_drop]
-            stuck = ~np.isfinite(t_full) & ~np.isfinite(t_drop)
-            fail(inner[stuck], Infeasible, "inconsistent constraints")
+            add = t_full <= t_drop
+            # stuck (neither an add nor a drop), or an add to a full list
+            live &= (np.isfinite(t_full) | np.isfinite(t_drop)) & ~(add & (ks == m))
             t_min = np.where(t_drop < t_full, t_drop, t_full)
             t = np.where(0.0 > t_min, 0.0, t_min)
-            pos = (t > 0.0) & ~stuck
+            pos = (t > 0.0) & live
             mu[inner[pos]] = mu[inner[pos]] - t[pos, None] * r[pos]
             mu_p[inner[pos]] += t[pos]
         move = pos & (z2 > 0.0)
         x[inner[move]] = x[inner[move]] + t[move, None] * z[move]
-        add = (t_full <= t_drop) & ~stuck
-        grow = inner[add]
-        if grow.size and size[grow].max() == width:
-            # a list that re-adds a constraint can outgrow m entries
-            act = np.pad(act, ((0, 0), (0, m)))
-            mu = np.pad(mu, ((0, 0), (0, m)))
-        act[grow, size[grow]] = ip[add]
+        grow = inner[add & live]
+        act[grow, size[grow]] = p[grow]
         mu[grow, size[grow]] = mu_p[grow]
         size[grow] += 1
-        drop = ~add & ~stuck
+        drop = ~add & live
         shrink = inner[drop]
-        cols = np.arange(act.shape[1])
-        src = np.minimum(cols + (cols >= k_drop[drop, None]), act.shape[1] - 1)
+        src = np.minimum(cols + (cols >= k_drop[drop, None]), m - 1)
         act[shrink] = np.take_along_axis(act[shrink], src, axis=1)
         mu[shrink] = np.take_along_axis(mu[shrink], src, axis=1)
         size[shrink] -= 1
         outer, inner = grow, shrink
+    for i, res in enumerate(out):
+        if res is None:   # left the lockstep for a rare path
+            o = owner[i]
+            out[i] = _or_error(_min_norm_kernel, a[o], b[i], gram[o], row_norm2[o])
     return out
 
 
@@ -324,8 +319,9 @@ def solve_min_norm(prob: QpProblem) -> QpSolution:
 
     The problem is strictly convex so the optimum is unique; the returned
     duals and active set certify it (see :func:`validate_solution`). Raises
-    Infeasible only when a zero row carries a positive bound, and
-    MaxIterations if the iteration cap is hit.
+    Infeasible when a zero row carries a positive bound or the constraints
+    are inconsistent, MaxIterations if the iteration cap is hit, and
+    LinAlgError if an active-set solve is singular.
     """
     a, b = prob.a, prob.b
     gram = a @ a.T
@@ -359,13 +355,7 @@ def solve_min_norm_batch(a, b, owner=None) -> list:
     if a.ndim != 3 or b.ndim != 2 or b.shape[1] != a.shape[1] or owner.shape != (len(b),):
         raise ValueError("constraint stack, bound rows and owners do not match")
     if len(a) < BATCH_CROSSOVER:
-        out = []
-        for i, o in enumerate(owner.tolist()):
-            try:
-                out.append(solve_min_norm(QpProblem(a[o], b[i])))
-            except (PrecodingError, np.linalg.LinAlgError) as exc:
-                out.append(exc)
-        return out
+        return [_or_error(solve_min_norm, QpProblem(a[o], b[i])) for i, o in enumerate(owner.tolist())]
     if a.shape[1] < 1 or a.shape[2] < 1:
         raise ValueError("problem must have at least one row and one column")
     gram = np.matmul(a, a.transpose(0, 2, 1))
@@ -405,24 +395,19 @@ def solve_maximin_batch(a, p_t: float) -> list:
     a = np.asarray(a, dtype=float)
     if p_t <= 0.0:
         raise ValueError("power budget must be positive")
-    zero = np.einsum("pij,pij->pi", a, a) <= _ZERO_ROW_NORM2
-    all_zero = np.flatnonzero(zero.all(axis=1))
-    count = all_zero[0] if all_zero.size else len(a)
-    qp = np.flatnonzero(~zero[:count].any(axis=1))
-    sols = dict(zip(qp.tolist(), solve_min_norm_batch(a[qp], np.ones((qp.size, a.shape[1])))))
+    all_zero = (np.einsum("pij,pij->pi", a, a) <= _ZERO_ROW_NORM2).all(axis=1).tolist()
     out = []
-    for i in range(count):
-        sol = sols.get(i)
-        if isinstance(sol, Exception) and not isinstance(sol, Infeasible):
-            raise sol
-        if sol is None or isinstance(sol, Infeasible):
+    for zero, sol in zip(all_zero, solve_min_norm_batch(a, np.ones(a.shape[:2]))):
+        if zero:
+            raise ZeroRow("all constraint rows are zero")
+        if isinstance(sol, Infeasible):
             # a zero row, or no direction makes every margin positive: x = 0 is optimal
             out.append((np.zeros(a.shape[2]), 0.0))
+        elif isinstance(sol, Exception):
+            raise sol
         else:
             delta = math.sqrt(p_t / sol.objective)
             out.append((delta * sol.x, delta))
-    if count < len(a):
-        raise ZeroRow("all constraint rows are zero")
     return out
 
 

@@ -333,6 +333,10 @@ class TestRun:
             (MINIMAL + "[grid]\nresolutoin = 3\n", "unknown key 'resolutoin' in [grid]"),
             ("[DEFAULT]\nseeed = 1\n" + MINIMAL, "unknown key 'seeed' in [scenario]"),
             (MINIMAL + "[grid]\n[sweeps]\np = 0.5\n", "unknown section [sweeps]"),
+            (MINIMAL.replace("\nm = 2", "\nm = 0"), "m and k must be at least 1"),
+            (MINIMAL.replace("\nk = 2", "\nk = 0"), "m and k must be at least 1"),
+            (MINIMAL.replace("\nm = 2", "\nm = -1"), "m and k must be at least 1"),
+            (MINIMAL.replace("\nk = 2", "\nk = -1"), "m and k must be at least 1"),
             (MINIMAL.replace("d = 4", "d = 3"), "PSK order must be one of 2, 4, 8, 16"),
             (MINIMAL.replace("trials = 3", "trials = 0"), "trials and block_len must be at least 1"),
             (MINIMAL.replace("block_len = 10", "block_len = 0"), "trials and block_len must be at least 1"),
@@ -345,7 +349,8 @@ class TestRun:
             "q-bogus", "q-rank_one-no-phi", "q-elements-one-value", "no-scenario", "sweep-p-not-a-number",
             "sweep-p-empty", "sweep-method-unknown", "sweep-method-empty", "sweep-p-out-of-range",
             "sweep-two-bad-axes", "scenario-unknown-key", "sweep-unknown-key", "grid-unknown-key",
-            "default-unknown-key", "unknown-section", "psk-order-3", "zero-trials", "zero-block-len",
+            "default-unknown-key", "unknown-section", "zero-antennas", "zero-users", "negative-antennas",
+            "negative-users", "psk-order-3", "zero-trials", "zero-block-len",
             "preset-margin-overflows",
         ],
     )

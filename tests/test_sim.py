@@ -364,7 +364,7 @@ class TestSweep:
             m=3, k=3, d=4, rho2_db=10.0, awgn_std=1.0, p=0.95, trials=1,
             block_len=1, seed=5, method="pw_blp", p_t_db=20.0,
         )
-        res = sweep_q_grid(sc, grid_n=21)
+        res = sweep_q_grid(sc, grid_n=21, n_symbols=50)
         assert res.mode == "mse"
         assert abs(res.argmax_q[0] - 0.5) <= 0.05 + 1e-9
         assert abs(res.argmax_q[1]) <= 0.05 + 1e-9
@@ -401,14 +401,14 @@ class TestSweep:
             block_len=1, seed=5, method="pw_blp", p_t_db=10.0,
         )
         with pytest.raises(ValueError, match="grid resolution must be at least 5"):
-            sweep_q_grid(sc, grid_n=4)
+            sweep_q_grid(sc, grid_n=4, n_symbols=50)
 
     def test_boundary_mask_consistency(self):
         sc = Scenario(
             m=2, k=2, d=4, rho2_db=10.0, awgn_std=1.0, p=0.9, trials=1,
             block_len=1, seed=5, method="pw_blp", p_t_db=10.0,
         )
-        res = sweep_q_grid(sc, grid_n=11)
+        res = sweep_q_grid(sc, grid_n=11, n_symbols=50)
         # every boundary cell is feasible and has an infeasible 4-neighbour
         idx = np.argwhere(res.boundary)
         assert len(idx) > 0
@@ -592,10 +592,19 @@ class TestBatchedSolves:
             batches.append((np.asarray(a), np.asarray(b), np.arange(len(a)) if owner is None else owner, out))
             return out
 
+        kernel_calls = []
+        kernel = solver._min_norm_kernel
+
+        def counting(*args):
+            kernel_calls.append(args)
+            return kernel(*args)
+
         monkeypatch.setattr(solver, "solve_min_norm_batch", recording)   # the maximin designs
         monkeypatch.setattr(slp, "solve_min_norm_batch", recording)      # the min-power designs
+        monkeypatch.setattr(solver, "_min_norm_kernel", counting)        # a handoff from the lockstep
         run_montecarlo(long_block_scenario(method))
         assert len(batches) == 1
+        assert kernel_calls == []   # every problem stayed in the lockstep
         a, b, owner, out = batches[0]
         assert len(a) >= solver.BATCH_CROSSOVER   # the lockstep kernel solved them
         assert len(out) == len(b) == len(a) * (16 if method == "robust_slp" else 1)

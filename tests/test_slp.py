@@ -475,7 +475,7 @@ class TestWorstCasePterms:
 
 
 class TestSolveMinPower:
-    """One QP per bound orientation; conservative=True first takes the elementwise maxima."""
+    """One QP per bound orientation, the solution needing the most power returned."""
 
     @staticmethod
     def terms(rng, orientations=None, k=3, m=3):
@@ -502,27 +502,38 @@ class TestSolveMinPower:
         assert np.array_equal(sol.achieved_margins, a @ ref.x - b)
 
     def test_conservative_is_one_qp_on_the_elementwise_maxima(self):
-        terms = self.terms(np.random.default_rng(82), orientations=5)
-        a, b = self.stacked(terms)
+        # robust_slp's conservative option reduces each user's orientations to
+        # their elementwise maxima, one QP; by default the orientation needing
+        # the most power wins
+        rng = np.random.default_rng(82)
+        h, h_j = sample_channels(rng, 3, 3)
+        s = rand_symbols(rng, 4, 3)
+        omega = chi2_scale(0.95)
+        rows, bounds = [], []
+        for u in range(3):
+            a_minus, a_plus = margin_rows_pair(*expand_row(h[u]), s[u], THETA4)
+            rows += [a_minus, a_minus, a_plus, a_plus]
+            bounds.append(robust_bounds(h_j[u], 10.0, 1.0, s[u], 0.5, omega, THETA4, 5))
+        a, b = np.array(rows), np.concatenate(bounds, axis=1)
         assert b.shape == (5, a.shape[0])
-        sol = solve_min_power([terms], conservative=True)[0]
+        sol = robust_slp(h, h_j, 10.0, 1.0, s, 0.5, 0.95, THETA4, n_div=5, conservative=True)
         ref = solve_min_norm(QpProblem(a, np.max(b, axis=0)))
         assert np.array_equal(sol.x, ref.x)
         assert sol.power == ref.objective
+        assert np.array_equal(sol.achieved_margins, a @ ref.x - np.max(b, axis=0))
         worst = max((solve_min_norm(QpProblem(a, row)) for row in b), key=lambda r: r.objective)
-        assert np.array_equal(solve_min_power([terms])[0].x, worst.x)
+        assert np.array_equal(robust_slp(h, h_j, 10.0, 1.0, s, 0.5, 0.95, THETA4, n_div=5).x, worst.x)
 
     def test_many_vectors_are_the_single_vector_calls(self):
         # enough vectors for the lockstep kernel; each still gets the bits of its own call
         rng = np.random.default_rng(84)
         for orientations in (None, 5):
             vectors = [self.terms(rng, orientations) for _ in range(BATCH_CROSSOVER + 3)]
-            for conservative in (False, True):
-                for terms, sol in zip(vectors, solve_min_power(vectors, conservative)):
-                    one = solve_min_power([terms], conservative)[0]
-                    assert np.array_equal(sol.x, one.x)
-                    assert sol.power == one.power
-                    assert np.array_equal(sol.achieved_margins, one.achieved_margins)
+            for terms, sol in zip(vectors, solve_min_power(vectors)):
+                one = solve_min_power([terms])[0]
+                assert np.array_equal(sol.x, one.x)
+                assert sol.power == one.power
+                assert np.array_equal(sol.achieved_margins, one.achieved_margins)
 
     def test_the_first_failing_vector_raises(self):
         # as a loop over the vectors would: an earlier vector's failure wins,
@@ -540,14 +551,6 @@ class TestSolveMinPower:
             solve_min_power([zero] + good)
         with pytest.raises(ZeroRow):
             solve_max_margin(good[:5] + [zero] + good[5:], 1.0)
-
-    def test_conservative_with_one_dimensional_bounds_is_the_plain_call(self):
-        terms = self.terms(np.random.default_rng(83))
-        plain = solve_min_power([terms])[0]
-        conservative = solve_min_power([terms], conservative=True)[0]
-        assert np.array_equal(conservative.x, plain.x)
-        assert conservative.power == plain.power
-        assert np.array_equal(conservative.achieved_margins, plain.achieved_margins)
 
 
 def orientation_bounds(h_j, jammer_power, awgn_var, s, delta, omega, theta, phi):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ncprecode import solver
-from ncprecode.errors import MaxIterations, PrecodingError
+from ncprecode.errors import Infeasible, MaxIterations, PrecodingError
 from ncprecode.solver import BATCH_CROSSOVER, _min_norm_batch, _min_norm_kernel, solve_min_norm_batch
 from test_kernel_reference import CASES
 
@@ -120,9 +120,10 @@ def test_bound_vectors_sharing_a_matrix():
 
 
 def test_singular_active_set_solves_fail_one_problem_each(monkeypatch):
-    # An active-set matrix gesv finds singular fails that problem only: the
-    # stacked solve is retried one problem at a time. Both kernels see the
-    # same patched solve, which fails for some active sets of 3 or more rows.
+    # An active-set matrix gesv finds singular fails that problem only: its
+    # whole size group leaves the lockstep, and the scalar kernel solves each
+    # problem of it again. Both kernels see the same patched solve, which
+    # fails for some active sets of 3 or more rows.
     solve = solver._solve
 
     def picky(g, rhs):
@@ -149,6 +150,115 @@ def test_iteration_cap_is_per_problem(monkeypatch):
     assert sum(not isinstance(ref, Exception) for ref in refs) >= 5
     for res, ref in zip(solve_min_norm_batch(a, b), refs):
         _assert_solution(res, ref)
+
+
+def _kernel_calls(monkeypatch, a, b):
+    """The lockstep entry point's results, and how many problems it gave the scalar kernel."""
+    assert len(a) >= BATCH_CROSSOVER
+    calls = []
+    kernel = solver._min_norm_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(solver, "_min_norm_kernel", counting)
+    out = solve_min_norm_batch(a, b)
+    monkeypatch.setattr(solver, "_min_norm_kernel", kernel)
+    return out, len(calls)
+
+
+class TestHandoff:
+    """Each of the kernel's rare paths sends exactly its problems to the scalar kernel."""
+
+    def test_zero_row_under_a_positive_bound(self, monkeypatch):
+        a, b = _margin_stack(51, BATCH_CROSSOVER + 4, m=6, n=6)   # all feasible
+        a[[2, 5, 9], 3] = 0.0
+        b[[2, 5], 3] = 0.5                    # handed off
+        b[9, 3] = -0.5                        # a zero row under a negative bound stays
+        out, calls = _kernel_calls(monkeypatch, a, b)
+        refs = [_kernel(*prob) for prob in zip(a, b)]
+        assert calls == 2
+        assert [i for i, ref in enumerate(refs) if isinstance(ref, Exception)] == [2, 5]
+        assert str(refs[2]) == "zero constraint row with positive bound"
+        for res, ref in zip(out, refs):
+            _assert_solution(res, ref)
+
+    def test_a_singular_size_group_goes_whole(self, monkeypatch):
+        # The stacked solve of every 2-row active set raises; the kernel's
+        # one-problem solves do not, so each problem that reaches two active
+        # rows is handed off and solved regularly.
+        a, b = _margin_stack(52, BATCH_CROSSOVER + 8, m=6, n=6)
+        solve = solver._solve
+        refs, reach_two = [], []
+        for prob in zip(a, b):
+            sizes = []
+            monkeypatch.setattr(solver, "_solve", lambda g, rhs: sizes.append(len(rhs)) or solve(g, rhs))
+            refs.append(_kernel(*prob))
+            reach_two.append(2 in sizes)
+
+        def stacked_pairs_fail(g, rhs):
+            if np.ndim(rhs) == 2 and np.shape(rhs)[1] == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(g, rhs)
+
+        monkeypatch.setattr(solver, "_solve", stacked_pairs_fail)
+        out, calls = _kernel_calls(monkeypatch, a, b)
+        assert 5 <= calls == sum(reach_two) < len(a)
+        for res, ref in zip(out, refs):
+            assert not isinstance(ref, Exception)
+            _assert_solution(res, ref)
+
+    def test_a_step_that_can_neither_add_nor_drop(self, monkeypatch):
+        # x1 >= 1 and -x1 >= 1: the second row's step is zero and no
+        # multiplier blocks, so the kernel finds the constraints inconsistent.
+        # A third, slack row gives the clash the shape of feasible problems
+        # that take two-row active-set solves in the same round as it would.
+        rng = np.random.default_rng(53)
+        a = rng.standard_normal((BATCH_CROSSOVER + 4, 3, 2))
+        a[:, :, 0] = rng.uniform(0.5, 1.5, (len(a), 3))   # x = (large, 0) is feasible
+        b = rng.uniform(0.1, 2.0, (len(a), 3))
+        clash = [1, 6, 7]
+        a[clash] = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]
+        b[clash] = [1.0, 1.0, 0.5]
+        out, calls = _kernel_calls(monkeypatch, a, b)
+        refs = [_kernel(*prob) for prob in zip(a, b)]
+        assert calls == len(clash)
+        for i, (res, ref) in enumerate(zip(out, refs)):
+            assert isinstance(ref, Infeasible) == (i in clash)
+            _assert_solution(res, ref)
+        assert str(out[1]) == "inconsistent constraints"
+
+    def test_an_add_to_a_full_active_list(self, monkeypatch):
+        # Only a broken solve fills a list: with every active-set solve
+        # returning 0 no constraint is ever dropped, so the list grows by one
+        # per violated constraint. A problem that would add to a list of m
+        # entries is handed off; the kernel solves some of them with longer
+        # lists and caps the others.
+        monkeypatch.setattr(solver, "_solve", lambda g, rhs: np.zeros(np.shape(rhs)))
+        a, b = _margin_stack(42, BATCH_CROSSOVER + 8, m=4, n=3)
+        refs = [_kernel(*prob) for prob in zip(a, b)]
+        long = sum(not isinstance(ref, Exception) and len(ref[2]) > 4 for ref in refs)
+        capped = sum(isinstance(ref, MaxIterations) for ref in refs)
+        assert long >= 3 and capped >= 3
+        out, calls = _kernel_calls(monkeypatch, a, b)
+        assert calls == long + capped < len(a)
+        for res, ref in zip(out, refs):
+            _assert_solution(res, ref)
+
+    def test_the_iteration_cap(self, monkeypatch):
+        # Every active-set solve returning 2 keeps the lists short but the
+        # steps from converging: the capped problems, and only they, are
+        # handed off.
+        monkeypatch.setattr(solver, "_solve", lambda g, rhs: np.full(np.shape(rhs), 2.0))
+        a, b = _margin_stack(43, 40, m=4, n=3)
+        refs = [_kernel(*prob) for prob in zip(a, b)]
+        capped = sum(isinstance(ref, MaxIterations) for ref in refs)
+        assert capped >= 10 and capped < len(a)
+        out, calls = _kernel_calls(monkeypatch, a, b)
+        assert calls == capped
+        for res, ref in zip(out, refs):
+            _assert_solution(res, ref)
 
 
 @pytest.mark.parametrize("a_shape, b_shape, owner", [
