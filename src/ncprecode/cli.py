@@ -192,7 +192,13 @@ def _write_rows(rows, out_path: str, fmt: str) -> None:
 
 def cmd_run(args) -> int:
     base, sweep, _ = load_config(args.config)
-    rows = [_row_dict(sc, run_montecarlo(sc, threads=args.threads)) for sc in expand_sweep(base, sweep)]
+    rows = []
+    for sc in expand_sweep(base, sweep):
+        try:
+            rows.append(_row_dict(sc, run_montecarlo(sc, threads=args.threads)))
+        except (PrecodingError, LinAlgError) as exc:   # name the failing scenario
+            where = ", ".join([sc.method] + [f"{key}={getattr(sc, key)!r}" for key in _SWEEP_AXES if key in sweep])
+            raise type(exc)(f"{exc} ({where})") from exc
     _write_rows(rows, args.out, args.format)
     return EXIT_OK
 

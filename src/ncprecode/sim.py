@@ -177,7 +177,8 @@ class Scenario:
     derived from the fields once, on first use. Every dB field must have a
     finite linear value; -inf is allowed for rho2_db (no jammer) and psi_db
     (zero preset margin), and p_t_db must give a positive budget whose square
-    is finite (the BLP designs' precoder power is of order p_t^2).
+    is finite (the BLP designs' precoder power is of order p_t^2). awgn_std
+    must be finite and nonnegative, with a finite square (the AWGN variance).
     """
 
     m: int
@@ -212,6 +213,8 @@ class Scenario:
             raise ValueError(f"method {self.method} requires an SNR threshold psi_db")
         if not (math.isfinite(self.awgn_std) and self.awgn_std >= 0.0):
             raise ValueError("awgn_std must be finite and nonnegative")
+        if not math.isfinite(self.awgn_std * self.awgn_std):
+            raise ValueError(f"awgn_std = {self.awgn_std!r} gives a noise variance that overflows")
         for key in ("rho2_db", "psi_db", "p_t_db"):
             db = getattr(self, key)
             if db is None:
@@ -409,7 +412,7 @@ class _TrialEngine:
         """Complex transmit vectors for distinct vectors of 1-based symbol indices, in order.
 
         The SLP designs solve every vector's QP in one batch. A vector whose
-        terms, rows or QP fail raises that failure, and an earlier vector's
+        terms or QP fail raises that failure, and an earlier vector's
         failure comes first, as one design call per vector would have it.
         """
         sc = self.sc
@@ -479,7 +482,8 @@ class _TrialEngine:
            order of first appearance; each gives its transmit vector x, its
            power and the noise-free received points rx = h x.
         3. Detect: each slot adds its stored noise to its vector's rx, detects
-           and counts errors.
+           and counts errors. With `integrate`, the stored slots and their
+           vectors' rx then give every slot's exit probabilities at once.
 
         The transmit vector depends only on the trial and the index vector,
         so every slot that draws a vector again reuses its values, exactly:
@@ -507,21 +511,19 @@ class _TrialEngine:
         sym_err = np.zeros(k, dtype=np.int64)
         bit_err = np.zeros(k, dtype=np.int64)
         power_sum = 0.0
-        rx_block = np.empty((sc.block_len, k), dtype=complex) if integrate else None
-        idx_block = np.empty((sc.block_len, k), dtype=np.int64) if integrate else None
-        for slot, (key, idx, z, w) in enumerate(slots):
+        for key, idx, z, w in slots:
             power, rx = memo[key]
             power_sum += power
             y = rx + h_j * z + w
-            if rx_block is not None:
-                rx_block[slot] = rx
-                idx_block[slot] = idx
             for u in range(k):
                 det = self.detect(y[u], u)
                 if det != idx[u]:
                     sym_err[u] += 1
                     bit_err[u] += bit_errors[idx[u] - 1][det - 1]
-        ser_integrated = self.exit_probability(rx_block, idx_block).mean(axis=0) if integrate else None
+        ser_integrated = None
+        if integrate:
+            rx_block = np.array([memo[key][1] for key, *_ in slots])
+            ser_integrated = self.exit_probability(rx_block, np.array([idx for _, idx, *_ in slots])).mean(axis=0)
         return sym_err, bit_err, power_sum, ser_integrated
 
 

@@ -18,7 +18,9 @@ design's own bound function, and solves the stacked terms with
 only on that user's channel, noise and symbol, so the Monte-Carlo engine
 caches them per (user, symbol) and stacks the cached terms through the same
 two functions; bounds that do not depend on the symbol (pw_slp, naive_slp)
-are per-user constants it builds once at trial set-up.
+are per-user constants it builds once at trial set-up. Neither function
+screens the rows: every failure rule, the zero-row one included, is the
+QP solver's.
 """
 
 import cmath
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blp import _per_user
-from .errors import DegenerateEllipse, ZeroRow
+from .errors import DegenerateEllipse
 from .noisegeom import (
     ConfidenceEllipse,
     boundary_normals,
@@ -62,9 +64,6 @@ __all__ = [
     "naive_slp",
     "solve_min_norm",   # re-exported: the benchmark's tracer wraps it at every binding
 ]
-
-_ROW_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class SlpSolution:
@@ -138,21 +137,6 @@ def _stack_rows(vectors) -> np.ndarray:
     return np.array([[row for rows, _ in terms for row in rows] for terms in vectors])
 
 
-def _per_vector(vectors, solve):
-    """solve(row stacks) for per-vector terms, failing where a loop over the vectors would.
-
-    A vector with a numerically zero row raises ZeroRow, after the vectors
-    before it are solved, so that an earlier vector's failure comes first.
-    """
-    a = _stack_rows(vectors)
-    zero = ((a * a).sum(axis=2).min(axis=1) <= _ROW_EPS ** 2 * max(1.0, a.shape[2])).tolist()
-    count = zero.index(True) if True in zero else len(a)
-    out = solve(a[:count]) if count else []
-    if count < len(a):
-        raise ZeroRow("degenerate (zero) margin constraint row")
-    return out
-
-
 def solve_min_power(vectors) -> list:
     """Minimum-power transmit vector of each symbol vector's per-user (rows, bounds) terms.
 
@@ -160,33 +144,38 @@ def solve_min_power(vectors) -> list:
     jammer-covariance orientation (leading axis). Each orientation is one QP
     on the vector's rows, and the solution needing the most power is
     returned (the first on ties). The bounds may be per-user constants built
-    once or per-symbol arrays: the stacking is the same. Every QP of every vector
-    goes to one :func:`solve_min_norm_batch` call, and the first vector, in
-    order, whose rows or QP fail raises that failure.
+    once or per-symbol arrays: the stacking is the same. Every QP of every
+    vector goes to one :func:`solve_min_norm_batch` call, and the first
+    failing QP, in vector order and then orientation order, raises its
+    failure. A zero margin row (from a zero channel row, say) meets the QP
+    kernel's rule: under a positive bound it raises
+    Infeasible("zero constraint row with positive bound").
     """
-
-    def solve(a):
-        n_vec, m = a.shape[:2]
-        b = np.array([np.concatenate([bounds for _, bounds in terms], axis=-1) for terms in vectors[:n_vec]])
-        b = b.reshape(n_vec, -1, m)
-        n_or = b.shape[1]
-        sols = solve_min_norm_batch(a, b.reshape(-1, m), np.arange(n_vec).repeat(n_or))
-        for sol in sols:
-            if isinstance(sol, Exception):
-                raise sol
-        # max keeps the first of equal objectives
-        pick = [max(range(v * n_or, (v + 1) * n_or), key=lambda i: sols[i].objective) for v in range(n_vec)]
-        x = np.array([sols[i].x for i in pick])
-        margins = np.matmul(a, x[:, :, None])[:, :, 0] - b.reshape(-1, m)[pick]
-        return [SlpSolution(x=x[v], power=sols[i].objective, achieved_margins=margins[v])
-                for v, i in enumerate(pick)]
-
-    return _per_vector(vectors, solve)
+    a = _stack_rows(vectors)
+    n_vec, m = a.shape[:2]
+    b = np.array([np.concatenate([bounds for _, bounds in terms], axis=-1) for terms in vectors])
+    b = b.reshape(n_vec, -1, m)
+    n_or = b.shape[1]
+    sols = solve_min_norm_batch(a, b.reshape(-1, m), np.arange(n_vec).repeat(n_or))
+    for sol in sols:
+        if isinstance(sol, Exception):
+            raise sol
+    # max keeps the first of equal objectives
+    pick = [max(range(v * n_or, (v + 1) * n_or), key=lambda i: sols[i].objective) for v in range(n_vec)]
+    x = np.array([sols[i].x for i in pick])
+    margins = np.matmul(a, x[:, :, None])[:, :, 0] - b.reshape(-1, m)[pick]
+    return [SlpSolution(x=x[v], power=sols[i].objective, achieved_margins=margins[v])
+            for v, i in enumerate(pick)]
 
 
 def solve_max_margin(vectors, p_t: float) -> list:
-    """(x, delta) of each symbol vector: the largest common margin of its rows under power p_t."""
-    return _per_vector(vectors, lambda a: solve_maximin_batch(a, p_t))
+    """(x, delta) of each symbol vector: the largest common margin of its rows under power p_t.
+
+    The rows follow :func:`solve_maximin_batch`'s rules: a zero row pins the
+    margin at zero, giving (0, 0.0), and a vector whose rows are all zero
+    raises ZeroRow, after the failures of the vectors before it.
+    """
+    return solve_maximin_batch(_stack_rows(vectors), p_t)
 
 
 def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:

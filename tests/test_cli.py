@@ -94,13 +94,17 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("awgn_std", ["-1.0", "nan", "inf"])
-    def test_bad_awgn_std_fails_at_load(self, tmp_path, awgn_std):
+    @pytest.mark.parametrize("awgn_std", ["-1.0", "nan", "inf", "1e200"])
+    def test_bad_awgn_std_fails_at_load(self, tmp_path, capsys, awgn_std):
         bad = MINIMAL.replace("awgn_std = 1.0", f"awgn_std = {awgn_std}")
-        cfg = write(tmp_path, "bad.cfg", bad)
-        out = tmp_path / "x.csv"
-        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert not out.exists()
+        # with psi_db the preset margin reads the AWGN variance at load; naive_blp has no psi_db
+        blp = bad.replace("psi_db = 5.0\n", "").replace("method = nc_slp", "method = naive_blp\np_t_db = 20.0")
+        for text in (bad, blp):
+            cfg = write(tmp_path, "bad.cfg", text)
+            out = tmp_path / "x.csv"
+            assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+            assert "config error: awgn_std" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("method", ["pw_slp", "pw_blp", "pw_msm"])
     @pytest.mark.parametrize("q", ["random_rank_one", "rank_one:0.3", "elements:0.5,0.5"])
@@ -294,7 +298,39 @@ class TestRun:
         out = tmp_path / "x.csv"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: inconsistent constraints\n")
+        assert (captured.out, captured.err) == ("", "error: inconsistent constraints (nc_slp)\n")
+        assert not out.exists()
+
+    def test_the_error_line_names_the_failing_scenario(self, tmp_path, capsys):
+        # the msm and naive_blp rows run; nc_slp at m < k stops the sweep
+        text = (
+            MINIMAL.replace("k = 2", "k = 4")
+            .replace("block_len = 10", "block_len = 64")
+            .replace("q = random_rank_one", "q = circular")
+            .replace("method = nc_slp", "method = nc_slp\np_t_db = 20.0")
+        ) + "\n[sweep]\nmethod = msm, naive_blp, nc_slp\nrho2_db = 10.0\n"
+        cfg = write(tmp_path, "sweep-m-below-k.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: inconsistent constraints (nc_slp, rho2_db=10.0)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["nc_slp", "naive_slp", "pw_slp", "robust_slp"])
+    def test_a_zero_channel_row_stops_a_min_power_design(self, tmp_path, monkeypatch, capsys, method):
+        sample_channels = sim.sample_channels
+
+        def zero_first_user(rng, m, k):
+            h, h_j = sample_channels(rng, m, k)
+            h[0] = 0.0
+            return h, h_j
+
+        monkeypatch.setattr(sim, "sample_channels", zero_first_user)
+        cfg = write(tmp_path, "zero-row.cfg", MINIMAL.replace("method = nc_slp", f"method = {method}"))
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: zero constraint row with positive bound ({method})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["naive_blp", "pw_blp", "robust_blp", "msm", "pw_msm"])

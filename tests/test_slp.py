@@ -537,20 +537,62 @@ class TestSolveMinPower:
 
     def test_the_first_failing_vector_raises(self):
         # as a loop over the vectors would: an earlier vector's failure wins,
-        # whether it is a zero row or an inconsistent QP
-        rng = np.random.default_rng(85)
-        good = [self.terms(rng) for _ in range(BATCH_CROSSOVER + 3)]
-        (rows, bounds), *rest = good[0]
-        zero = [(tuple(np.zeros_like(r) for r in rows), bounds), *rest]
-        clash = [((rows[0], -rows[0]), np.ones(2)), *rest]   # a x >= 1 and -a x >= 1
-        with pytest.raises(Infeasible, match="inconsistent constraints"):
-            solve_min_power(good[:3] + [clash] + good[3:6] + [zero] + good[6:])
-        with pytest.raises(ZeroRow):
-            solve_min_power(good[:3] + [zero] + [clash] + good[3:])
-        with pytest.raises(ZeroRow):
-            solve_min_power([zero] + good)
-        with pytest.raises(ZeroRow):
-            solve_max_margin(good[:5] + [zero] + good[5:], 1.0)
+        # whether it is a zero row or an inconsistent QP, on the scalar path
+        # and in the lockstep kernel
+        for count in (4, BATCH_CROSSOVER + 3):
+            rng = np.random.default_rng(85)
+            good = [self.terms(rng) for _ in range(count)]
+            (rows, bounds), *rest = good[0]
+            zero = [(tuple(np.zeros_like(r) for r in rows), bounds), *rest]
+            clash = [((rows[0], -rows[0]), np.ones(2)), *rest]   # a x >= 1 and -a x >= 1
+            with pytest.raises(Infeasible, match="inconsistent constraints"):
+                solve_min_power(good[:3] + [clash] + good[3:6] + [zero] + good[6:])
+            with pytest.raises(Infeasible, match="zero constraint row with positive bound"):
+                solve_min_power(good[:3] + [zero] + [clash] + good[3:])
+            with pytest.raises(Infeasible, match="zero constraint row with positive bound"):
+                solve_min_power([zero] + good)
+            # the maximin designs pin a zero row's margin at 0; only all-zero rows raise
+            all_zero = [(tuple(np.zeros_like(r) for r in rows_u), b) for rows_u, b in good[0]]
+            out = solve_max_margin(good[:3] + [zero] + good[3:], 1.0)
+            assert np.array_equal(out[3][0], np.zeros(6)) and out[3][1] == 0.0
+            for terms, (x, delta) in zip(good, out[:3] + out[4:]):
+                x_one, delta_one = solve_max_margin([terms], 1.0)[0]
+                assert np.array_equal(x, x_one) and delta == delta_one
+            with pytest.raises(ZeroRow, match="all constraint rows are zero"):
+                solve_max_margin(good[:3] + [zero, all_zero] + good[3:], 1.0)
+
+
+class TestZeroChannelRow:
+    """A zero channel row meets the QP solver's zero-row rules in every design."""
+
+    @staticmethod
+    def case(seed):
+        rng = np.random.default_rng(seed)
+        h, h_j, jam, covs = random_slp_case(rng, k=2)
+        h[0] = 0.0
+        return h, h_j, jam, covs, rand_symbols(rng, 4, 2)
+
+    @pytest.mark.parametrize("design", [
+        lambda h, h_j, jam, covs, s: nc_slp(h, h_j, jam, 1.0, s, 0.5, 0.9, THETA4),
+        lambda h, h_j, jam, covs, s: naive_slp(h, h_j, 10.0, 1.0, s, 0.5, 0.9, THETA4),
+        lambda h, h_j, jam, covs, s: pw_slp_minpower(eff_channels_from(h, covs), s, [1.0, 1.0], THETA4),
+        lambda h, h_j, jam, covs, s: robust_slp(h, h_j, 10.0, 1.0, s, 0.5, 0.9, THETA4),
+    ], ids=["nc_slp", "naive_slp", "pw_slp_minpower", "robust_slp"])
+    def test_min_power_designs_are_infeasible(self, design):
+        with pytest.raises(Infeasible, match="^zero constraint row with positive bound$"):
+            design(*self.case(91))
+
+    def test_max_min_design_pins_the_margin_at_zero(self):
+        h, h_j, jam, covs, s = self.case(92)
+        sol, delta = pw_slp_msm(eff_channels_from(h, covs), s, 10.0, THETA4)
+        assert delta == 0.0
+        assert np.array_equal(sol.x, np.zeros(6))
+        assert sol.power == 0.0
+
+    def test_all_zero_rows_raise(self):
+        h, h_j, jam, covs, s = self.case(93)
+        with pytest.raises(ZeroRow, match="all constraint rows are zero"):
+            pw_slp_msm(eff_channels_from(0.0 * h, covs), s, 10.0, THETA4)
 
 
 def orientation_bounds(h_j, jammer_power, awgn_var, s, delta, omega, theta, phi):

@@ -142,7 +142,10 @@ def test_singular_active_set_solves_fail_one_problem_each(monkeypatch):
 
 def test_iteration_cap_is_per_problem(monkeypatch):
     # With every active-set solve returning 0 the steps stop keeping the
-    # active constraints, and some problems run into the iteration cap.
+    # active constraints, and some problems run into the scalar kernel's
+    # iteration cap. In the lockstep kernel every such problem fills its
+    # active list first, so this covers the full-list handoff;
+    # TestHandoff::test_the_iteration_cap covers the lockstep cap.
     monkeypatch.setattr(solver, "_solve", lambda g, rhs: np.zeros(np.shape(rhs)))
     a, b = _margin_stack(42, 20, m=4, n=3)
     refs = [_kernel(*prob) for prob in zip(a, b)]
