@@ -179,6 +179,8 @@ class Scenario:
     (zero preset margin), and p_t_db must give a positive budget whose square
     is finite (the BLP designs' precoder power is of order p_t^2). awgn_std
     must be finite and nonnegative, with a finite square (the AWGN variance).
+    The master seed must lie in [0, 2^64): the random streams are keyed by
+    its 64 bits, so a seed outside that range would alias one inside it.
     """
 
     m: int
@@ -233,6 +235,8 @@ class Scenario:
             raise ValueError(f"psi_db = {self.psi_db!r} gives an infinite preset margin")
         if self.n_div < 1:
             raise ValueError("n_div must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed = {self.seed!r} is outside [0, 2^64)")
         if self.awgn_std == 0.0:
             # The BLP designs and the pw_* receivers whiten a noise covariance.
             if self.method in _WHITENED_RX and self.q_spec.rank_deficient:
@@ -432,7 +436,7 @@ class _TrialEngine:
         """Build and keep user u's (rows, bounds) for 0-based symbol index i."""
         s_k = self.const[i]
         bounds = self.bounds[u] if self.bound_fn is None else self.bound_fn(u, s_k)
-        entry = self.terms[u][i] = _slp.user_terms(self.pairs[u], s_k, self.sc.theta, bounds)
+        entry = self.terms[u][i] = (_slp.margin_rows_pair(*self.pairs[u], s_k, self.sc.theta), bounds)
         return entry
 
     def solve(self, terms) -> list:
@@ -720,7 +724,7 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
         rows = []
         coeffs = []
         for u in range(k):
-            rows += _slp.user_terms(expand_row(h[u]), s[u], theta)[0]
+            rows += _slp.margin_rows_pair(*expand_row(h[u]), s[u], theta)
             jv = symbol_rotation(s[u]).T @ expand_row([h_j[u]])
             for nvec in normals:
                 w = jv.T @ nvec

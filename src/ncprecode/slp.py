@@ -12,9 +12,12 @@ over a small grid of orientations.
 The transmit-only designs take the model's two scalars: one preset safety
 margin delta0, set by the SNR threshold and shared by every user and both
 boundaries, and one AWGN variance shared by every user. Every design builds
-its QP from per-user (rows, bounds) terms made by :func:`user_terms` with the
-design's own bound function, and solves the stacked terms with
-:func:`solve_min_power` or :func:`solve_max_margin`. A user's terms depend
+its QP from per-user (rows, bounds) terms: the rows are the user's two
+:func:`margin_rows_pair` rows, one per decision boundary, and the bounds
+(one per row) come from the design's own bound function; the robust design
+bounds each boundary by its worst case over the swept orientations' rank-one
+endpoints. The stacked terms are solved with :func:`solve_min_power` or
+:func:`solve_max_margin`, so every min-power QP is 2K x 2M. A user's terms depend
 only on that user's channel, noise and symbol, so the Monte-Carlo engine
 caches them per (user, symbol) and stacks the cached terms through the same
 two functions; bounds that do not depend on the symbol (pw_slp, naive_slp)
@@ -47,7 +50,6 @@ __all__ = [
     "whitened_effective_channel",
     "safety_margin",
     "margin_rows_pair",
-    "user_terms",
     "solve_min_power",
     "solve_max_margin",
     "pw_slp_minpower",
@@ -114,24 +116,6 @@ def margin_rows_pair(h_e1, h_e2, s_k: complex, theta: float):
     return h_minus * sin_t - h_plus * cos_t, h_minus * sin_t + h_plus * cos_t
 
 
-def user_terms(pair, s_k: complex, theta: float, bounds=None):
-    """One user's margin rows for symbol s_k, paired with their bounds.
-
-    `pair` is the user's (first row, second row) real effective channel.
-    The rows are a_minus (upper boundary), then a_plus (lower boundary), each
-    repeated once per bound on it. `bounds` has 2r entries along its last
-    axis, r per boundary (r = 2 for the robust design's two worst-case
-    terms), and may have a leading axis over jammer-covariance orientations.
-    With bounds=None only the rows are built, for the maximin designs.
-    Returns (rows, bounds) with rows a tuple of 1-D arrays;
-    :func:`solve_min_power` and :func:`solve_max_margin` stack these terms
-    in user order.
-    """
-    a_minus, a_plus = margin_rows_pair(*pair, s_k, theta)
-    r = 1 if bounds is None else np.shape(bounds)[-1] // 2
-    return (a_minus,) * r + (a_plus,) * r, bounds
-
-
 def _stack_rows(vectors) -> np.ndarray:
     """Each vector's per-user rows, stacked in user order: vectors x rows x columns."""
     return np.array([[row for rows, _ in terms for row in rows] for terms in vectors])
@@ -141,7 +125,8 @@ def solve_min_power(vectors) -> list:
     """Minimum-power transmit vector of each symbol vector's per-user (rows, bounds) terms.
 
     The stacked bounds of a vector are one orientation (1-D) or one per
-    jammer-covariance orientation (leading axis). Each orientation is one QP
+    jammer-covariance orientation (leading axis), one bound per stacked row:
+    any other count raises ValueError. Each orientation is one QP
     on the vector's rows, and the solution needing the most power is
     returned (the first on ties). The bounds may be per-user constants built
     once or per-symbol arrays: the stacking is the same. Every QP of every
@@ -152,18 +137,18 @@ def solve_min_power(vectors) -> list:
     Infeasible("zero constraint row with positive bound").
     """
     a = _stack_rows(vectors)
-    n_vec, m = a.shape[:2]
+    n_vec = len(a)
     b = np.array([np.concatenate([bounds for _, bounds in terms], axis=-1) for terms in vectors])
-    b = b.reshape(n_vec, -1, m)
+    b = b.reshape(n_vec, -1, b.shape[-1])
     n_or = b.shape[1]
-    sols = solve_min_norm_batch(a, b.reshape(-1, m), np.arange(n_vec).repeat(n_or))
+    sols = solve_min_norm_batch(a, b.reshape(-1, b.shape[-1]), np.arange(n_vec).repeat(n_or))
     for sol in sols:
         if isinstance(sol, Exception):
             raise sol
     # max keeps the first of equal objectives
     pick = [max(range(v * n_or, (v + 1) * n_or), key=lambda i: sols[i].objective) for v in range(n_vec)]
     x = np.array([sols[i].x for i in pick])
-    margins = np.matmul(a, x[:, :, None])[:, :, 0] - b.reshape(-1, m)[pick]
+    margins = np.matmul(a, x[:, :, None])[:, :, 0] - b.reshape(-1, b.shape[-1])[pick]
     return [SlpSolution(x=x[v], power=sols[i].objective, achieved_margins=margins[v])
             for v, i in enumerate(pick)]
 
@@ -187,7 +172,7 @@ def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:
     s = np.ravel(np.asarray(s, dtype=complex))
     t = _per_user(targets, len(s))
     return solve_min_power(
-        [[user_terms(pair, s_k, theta, np.full(2, t_k)) for pair, s_k, t_k in zip(eff_channels, s, t)]]
+        [[(margin_rows_pair(*pair, s_k, theta), np.full(2, t_k)) for pair, s_k, t_k in zip(eff_channels, s, t)]]
     )[0]
 
 
@@ -198,7 +183,7 @@ def pw_slp_msm(eff_channels, s, p_t: float, theta: float):
     the solution uses the full budget.
     """
     s = np.ravel(np.asarray(s, dtype=complex))
-    terms = [user_terms(pair, s_k, theta) for pair, s_k in zip(eff_channels, s)]
+    terms = [(margin_rows_pair(*pair, s_k, theta), None) for pair, s_k in zip(eff_channels, s)]
     x, delta = solve_max_margin([terms], p_t)[0]
     return (
         SlpSolution(
@@ -282,8 +267,8 @@ def nc_slp(channels, h_j, jam, awgn_var: float, s, delta0: float, p: float, thet
     """
     h, h_j, s = _users(channels, h_j, s, delta0)
     return solve_min_power([[
-        user_terms(
-            expand_row(h[u]), s[u], theta,
+        (
+            margin_rows_pair(*expand_row(h[u]), s[u], theta),
             nc_bounds(effective_cov(h_j[u], jam, awgn_var), s[u], delta0, p, theta),
         )
         for u in range(len(s))
@@ -312,18 +297,21 @@ def worst_case_pterms(alpha_check: float, theta: float, jam_power: float, awgn_v
 
 def robust_bounds(h_jk: complex, jammer_power: float, awgn_var: float, s_k: complex,
                   delta0: float, omega: float, theta: float, n_div: int) -> np.ndarray:
-    """One user's worst-case bounds, one row (u1, u2, l1, l2) per orientation.
+    """One user's worst-case bounds, one row (upper, lower) per orientation.
 
     Row n - 1 belongs to the rank-one covariance orientation phi = n pi / n_div.
+    Each boundary's bound is the larger of its two rank-one endpoint terms
+    (:func:`worst_case_pterms`), the binding one of the pair.
     """
     base = delta0 * math.cos(theta)
     hj = complex(h_jk)
     jp = jammer_power * abs(hj) ** 2
     root = math.sqrt(omega)
-    out = np.empty((n_div, 4))
+    out = np.empty((n_div, 2))
     for n in range(1, n_div + 1):
         alpha_check = n * math.pi / n_div + cmath.phase(hj) - cmath.phase(complex(s_k))
-        out[n - 1] = [base + root * math.sqrt(pt) for pt in worst_case_pterms(alpha_check, theta, jp, awgn_var)]
+        p_u1, p_u2, p_l1, p_l2 = worst_case_pterms(alpha_check, theta, jp, awgn_var)
+        out[n - 1] = base + root * math.sqrt(max(p_u1, p_u2)), base + root * math.sqrt(max(p_l1, p_l2))
     return out
 
 
@@ -334,7 +322,8 @@ def robust_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: f
     Each margin constraint's worst case is a rank-one covariance (its squared
     bound is affine in Q), so the eigenvector orientation phi of rank-one
     covariances is swept over n_div points in (0, pi]. Each orientation
-    yields four constraint bounds per user; by default the per-orientation QP
+    yields two constraint bounds per user, the binding one of each
+    boundary's two rank-one endpoint terms; by default the per-orientation QP
     with the largest optimal power is returned. That default is the worst
     case over covariances shared by all users' constraints restricted to the
     rank-one boundary; the coupled minimum-power surface can peak inside the
@@ -351,7 +340,9 @@ def robust_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: f
     bounds = [robust_bounds(h_j[u], jammer_power, awgn_var, s[u], delta0, omega, theta, n_div) for u in range(len(s))]
     if conservative:   # each bound's maximum over the orientations: one QP
         bounds = [np.max(b, axis=0, keepdims=True) for b in bounds]
-    return solve_min_power([[user_terms(expand_row(h[u]), s[u], theta, bounds[u]) for u in range(len(s))]])[0]
+    return solve_min_power(
+        [[(margin_rows_pair(*expand_row(h[u]), s[u], theta), bounds[u]) for u in range(len(s))]]
+    )[0]
 
 
 def circular_bounds(sigma2: float, delta0: float, omega: float, theta: float) -> np.ndarray:
@@ -382,8 +373,8 @@ def naive_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: fl
     h, h_j, s = _users(channels, h_j, s, delta0)
     omega = chi2_scale(p)
     return solve_min_power([[
-        user_terms(
-            expand_row(h[u]), s[u], theta,
+        (
+            margin_rows_pair(*expand_row(h[u]), s[u], theta),
             naive_bounds(h_j[u], jammer_power, awgn_var, delta0, omega, theta),
         )
         for u in range(len(s))

@@ -94,6 +94,18 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed, code", [
+        ("-1", 2), ("18446744073709551616", 2), ("18446744073709551621", 2), ("0", 0), ("18446744073709551615", 0),
+    ])
+    def test_seed_must_fit_in_64_bits(self, tmp_path, capsys, seed, code):
+        # the random streams are keyed by the seed's 64 bits, so -1 would
+        # alias 2^64 - 1 and 2^64 + 5 would alias 5
+        cfg = write(tmp_path, "seed.cfg", MINIMAL.replace("seed = 99", f"seed = {seed}"))
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        assert (f"config error: seed = {seed} is outside [0, 2^64)" in capsys.readouterr().err) == (code == 2)
+
     @pytest.mark.parametrize("awgn_std", ["-1.0", "nan", "inf", "1e200"])
     def test_bad_awgn_std_fails_at_load(self, tmp_path, capsys, awgn_std):
         bad = MINIMAL.replace("awgn_std = 1.0", f"awgn_std = {awgn_std}")

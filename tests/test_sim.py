@@ -535,7 +535,7 @@ class TestSlotReuse:
         monkeypatch.setattr(
             slp, "solve_min_norm_batch", counted("solve", slp.solve_min_norm_batch, lambda a, b, owner: len(b))
         )
-        monkeypatch.setattr(slp, "user_terms", counted("terms", slp.user_terms))
+        monkeypatch.setattr(slp, "margin_rows_pair", counted("terms", slp.margin_rows_pair))
         per_trial_metrics(sc)
         vectors = pairs = 0
         for trial in range(sc.trials):
@@ -606,6 +606,8 @@ class TestBatchedSolves:
         assert len(batches) == 1
         assert kernel_calls == []   # every problem stayed in the lockstep
         a, b, owner, out = batches[0]
+        sc = long_block_scenario(method)
+        assert a.shape[1:] == (2 * sc.k, 2 * sc.m)   # one margin row per decision boundary per user
         assert len(a) >= solver.BATCH_CROSSOVER   # the lockstep kernel solved them
         assert len(out) == len(b) == len(a) * (16 if method == "robust_slp" else 1)
         for sol, bounds, o in zip(out, b, owner):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -31,7 +32,6 @@ from ncprecode.slp import (
     solve_max_margin,
     solve_min_power,
     tangent_points,
-    user_terms,
     whitened_effective_channel,
     worst_case_pterms,
 )
@@ -481,9 +481,9 @@ class TestSolveMinPower:
     def terms(rng, orientations=None, k=3, m=3):
         h, _ = sample_channels(rng, m, k)
         s = rand_symbols(rng, 4, k)
-        shape = (2,) if orientations is None else (orientations, 4)
+        shape = (2,) if orientations is None else (orientations, 2)
         return [
-            user_terms(expand_row(h[u]), s[u], THETA4, rng.uniform(0.5, 2.0, size=shape))
+            (margin_rows_pair(*expand_row(h[u]), s[u], THETA4), rng.uniform(0.5, 2.0, size=shape))
             for u in range(k)
         ]
 
@@ -511,8 +511,7 @@ class TestSolveMinPower:
         omega = chi2_scale(0.95)
         rows, bounds = [], []
         for u in range(3):
-            a_minus, a_plus = margin_rows_pair(*expand_row(h[u]), s[u], THETA4)
-            rows += [a_minus, a_minus, a_plus, a_plus]
+            rows += margin_rows_pair(*expand_row(h[u]), s[u], THETA4)
             bounds.append(robust_bounds(h_j[u], 10.0, 1.0, s[u], 0.5, omega, THETA4, 5))
         a, b = np.array(rows), np.concatenate(bounds, axis=1)
         assert b.shape == (5, a.shape[0])
@@ -534,6 +533,16 @@ class TestSolveMinPower:
                 assert np.array_equal(sol.x, one.x)
                 assert sol.power == one.power
                 assert np.array_equal(sol.achieved_margins, one.achieved_margins)
+
+    def test_a_bound_count_that_differs_from_the_row_count_raises(self):
+        # four bounds per user on its two rows are rejected, not regrouped
+        # into twice as many orientations
+        rng = np.random.default_rng(86)
+        for orientations in (None, 5):
+            wide = [(rows, np.concatenate([b, b], axis=-1)) for rows, b in self.terms(rng, orientations)]
+            for count in (1, BATCH_CROSSOVER + 3):
+                with pytest.raises(ValueError, match="constraint stack, bound rows and owners do not match"):
+                    solve_min_power([wide] * count)
 
     def test_the_first_failing_vector_raises(self):
         # as a loop over the vectors would: an earlier vector's failure wins,
@@ -606,6 +615,69 @@ def orientation_bounds(h_j, jammer_power, awgn_var, s, delta, omega, theta, phi)
 
 
 class TestRobustSlp:
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except Exception as exc:
+            return exc
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_one_row_per_boundary_is_the_duplicated_qp(self, k):
+        # Listing each row once per endpoint bound gives the same QP as one
+        # row per boundary under the larger bound: the looser copy is never
+        # active. Equal to rounding only, as BLAS results can depend on the
+        # row count; a zero channel row fails both forms alike.
+        rng = np.random.default_rng(100 + k)
+        omega = chi2_scale(0.95)
+        for m in (k, k + 1):
+            for n_div in (1, 5, 16):
+                h, h_j = sample_channels(rng, m, k)
+                s = rand_symbols(rng, 4, k)
+                for zero_row in (False, True):
+                    if zero_row:
+                        h[0] = 0.0
+                    rows = []
+                    for u in range(k):
+                        a_minus, a_plus = margin_rows_pair(*expand_row(h[u]), s[u], THETA4)
+                        rows += [a_minus, a_minus, a_plus, a_plus]
+                    qps = [
+                        QpProblem(np.array(rows), orientation_bounds(h_j, 10.0, 1.0, s, 0.5, omega, THETA4,
+                                                                     n * math.pi / n_div))
+                        for n in range(1, n_div + 1)
+                    ]
+                    ref = self.outcome(lambda: max(map(solve_min_norm, qps), key=lambda r: r.objective))
+                    sol = self.outcome(lambda: robust_slp(h, h_j, 10.0, 1.0, s, 0.5, 0.95, THETA4, n_div=n_div))
+                    if isinstance(ref, Exception):
+                        assert type(sol) is type(ref) and str(sol) == str(ref)
+                        continue
+                    assert not isinstance(sol, Exception)
+                    assert sol.power == pytest.approx(ref.objective, rel=1e-12)
+                    assert np.linalg.norm(sol.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+
+    def test_bounds_are_the_larger_endpoint_bounds_bit_for_bit(self):
+        # one bound per boundary: the maximum of its two endpoint bounds,
+        # each built as before from base + sqrt(omega) sqrt(p)
+        rng = np.random.default_rng(72)
+        for _ in range(300):
+            theta = math.pi / int(rng.choice([2, 4, 8, 16]))
+            h_jk = complex(*rng.standard_normal(2))
+            s_k = rand_symbols(rng, 16, 1)[0]
+            jammer_power, awgn_var, delta0 = rng.exponential(5.0, 3)
+            omega = chi2_scale(rng.uniform(0.05, 0.99))
+            n_div = int(rng.integers(1, 17))
+            base, root = delta0 * math.cos(theta), math.sqrt(omega)
+            old = np.array([
+                [base + root * math.sqrt(pt) for pt in worst_case_pterms(
+                    n * math.pi / n_div + cmath.phase(h_jk) - cmath.phase(complex(s_k)), theta,
+                    jammer_power * abs(h_jk) ** 2, awgn_var,
+                )]
+                for n in range(1, n_div + 1)
+            ])   # (u1, u2, l1, l2) per orientation
+            got = robust_bounds(h_jk, jammer_power, awgn_var, s_k, delta0, omega, theta, n_div)
+            assert got.shape == (n_div, 2)
+            assert np.array_equal(got, np.maximum(old[:, [0, 2]], old[:, [1, 3]]))
+
     def test_n_div_one_is_single_orientation(self):
         rng = np.random.default_rng(73)
         h, h_j, jam, covs = random_slp_case(rng)

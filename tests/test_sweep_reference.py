@@ -42,7 +42,7 @@ def _reference_sweep_power(sc, h, h_j, q11, q12, symbols):
         rows = []
         coeffs = []
         for u in range(k):
-            rows += sim._slp.user_terms(expand_row(h[u]), s[u], theta)[0]
+            rows += sim._slp.margin_rows_pair(*expand_row(h[u]), s[u], theta)
             jv = symbol_rotation(s[u]).T @ expand_row([h_j[u]])
             for nvec in normals:
                 w = jv.T @ nvec
