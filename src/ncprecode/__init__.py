@@ -73,7 +73,6 @@ from .slp import (
 )
 from .solver import QpProblem, QpSolution, kkt_residuals, solve_maximin, solve_min_norm, validate_solution
 from .wlalg import (
-    SymMat2,
     collapse_vec,
     eig2_sym,
     expand_row,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PrecodingError
-from .wlalg import SymMat2, expand_row, sqrt_inv_psd2
+from .errors import NotPositiveDefinite, PrecodingError
+from .wlalg import expand_row, sqrt_inv_psd2
 
 __all__ = [
     "LinearPrecoder",
@@ -130,15 +130,20 @@ def mse_closed_form(channels, covs, p_t: float) -> float:
 
     Equals K - M + 0.5 tr{(I + (1/a) sum_k Hbar_k^T G_k^{-1} Hbar_k)^{-1}}
     with a = 2K/p_t. Depends on each covariance only through its inverse, so
-    it is invariant to the choice of whitening factor.
+    it is invariant to the choice of whitening factor. A singular or
+    indefinite covariance raises NotPositiveDefinite.
     """
     h = _as_channel_matrix(channels)
     k, m = h.shape
     a = 2.0 * k / p_t
     acc = np.zeros((2 * m, 2 * m))
     for hk, gk in zip(h, covs):
+        m11, m12, m22 = gk[0, 0], gk[0, 1], gk[1, 1]
+        det = m11 * m22 - m12 * m12
+        if det <= 0.0:
+            raise NotPositiveDefinite("2x2 matrix is singular or indefinite")
         hb = expand_row(hk)
-        acc += hb.T @ gk.inv().as_array() @ hb
+        acc += hb.T @ np.array([[m22 / det, -m12 / det], [-m12 / det, m11 / det]]) @ hb
     d = np.eye(2 * m) + acc / a
     return k - m + 0.5 * float(np.trace(np.linalg.solve(d, np.eye(2 * m))))
 
@@ -178,7 +183,7 @@ def robust_blp(channels, awgn_var: float, jammer_powers_per_user, p_t: float) ->
     """
     h = _as_channel_matrix(channels)
     jp = _per_user(jammer_powers_per_user, h.shape[0])
-    covs = [SymMat2.scaled_identity(0.5 * (j + awgn_var)) for j in jp]
+    covs = [np.array([[s, 0.0], [0.0, s]]) for s in 0.5 * (jp + awgn_var)]
     return mmse_blp(stack_whitened(h, covs), p_t)
 
 

@@ -4,6 +4,8 @@ Builds the per-user effective noise covariance (jamming plus AWGN), its
 symbol-rotated variant, confidence ellipses for a preset containment
 probability, the exact probability that the noise moves a point out of its
 PSK decision wedge, and draws noise samples consistent with those statistics.
+Every covariance is a float (2, 2) array, symmetric by construction: its
+builders write both off-diagonal entries from one value.
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEllipse, InfeasibleQ, InvalidConfidence
-from .wlalg import SymMat2, eig2_sym, expand_row, symbol_rotation
+from .wlalg import eig2_sym, expand_row, symbol_rotation
 
 __all__ = [
     "JammerModel",
@@ -31,7 +33,8 @@ __all__ = [
     "wedge_exit_probability",
 ]
 
-CIRCULAR_Q = SymMat2(0.5, 0.0, 0.5)
+CIRCULAR_Q = np.array([[0.5, 0.0], [0.0, 0.5]])
+CIRCULAR_Q.flags.writeable = False   # shared by every circular trial
 
 # Fixed Gauss-Legendre rule for Sheppard's bivariate-normal integral; 64
 # nodes keep the wedge-exit probability within 3e-7 relative of a
@@ -45,13 +48,13 @@ class JammerModel:
     """Single-antenna jammer: amplitude rho and unit-trace covariance Q = T T^T."""
 
     rho: float
-    q: SymMat2
+    q: np.ndarray
     t_factor: np.ndarray
 
     def __post_init__(self):
         if self.rho < 0.0:
             raise ValueError("jammer amplitude must be nonnegative")
-        if abs(self.q.trace() - 1.0) > 1e-12:
+        if abs(np.trace(self.q) - 1.0) > 1e-12:
             raise ValueError("jammer covariance must have unit trace")
 
 
@@ -70,7 +73,7 @@ class ConfidenceEllipse:
     omega: float
 
 
-def q_from_elements(q11: float, q12: float) -> SymMat2:
+def q_from_elements(q11: float, q12: float) -> np.ndarray:
     """Unit-trace covariance [[q11, q12], [q12, 1-q11]].
 
     The feasible region is the disk (q11 - 1/2)^2 + q12^2 <= 1/4 (PSD with
@@ -78,16 +81,17 @@ def q_from_elements(q11: float, q12: float) -> SymMat2:
     """
     if not ((q11 - 0.5) ** 2 + q12 ** 2 <= 0.25 + 1e-12):   # written so that NaN fails it
         raise InfeasibleQ(f"(q11, q12) = ({q11}, {q12}) is outside the feasible disk")
-    return SymMat2(float(q11), float(q12), 1.0 - float(q11))
+    q11, q12 = float(q11), float(q12)
+    return np.array([[q11, q12], [q12, 1.0 - q11]])
 
 
-def q_rank_one(phi: float) -> SymMat2:
+def q_rank_one(phi: float) -> np.ndarray:
     """Maximally non-circular covariance v v^T with v = (cos phi, sin phi)."""
     c, s = math.cos(phi), math.sin(phi)
-    return SymMat2(c * c, c * s, s * s)
+    return np.array([[c * c, c * s], [c * s, s * s]])
 
 
-def t_from_q(q: SymMat2) -> np.ndarray:
+def t_from_q(q: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root T with T T^T = Q (rank-one Q gives rank-one T)."""
     lam1, lam2, v = eig2_sym(q)
     if lam2 < -1e-12:
@@ -98,30 +102,32 @@ def t_from_q(q: SymMat2) -> np.ndarray:
     return math.sqrt(lam1) * np.outer(v, v) + math.sqrt(lam2) * np.outer(vp, vp)
 
 
-def jammer_model(rho: float, q: SymMat2) -> JammerModel:
+def jammer_model(rho: float, q: np.ndarray) -> JammerModel:
     """Build a JammerModel from amplitude and unit-trace covariance."""
     return JammerModel(rho=float(rho), q=q, t_factor=t_from_q(q))
 
 
-def effective_cov(h_jk: complex, jam: JammerModel, awgn_var: float) -> SymMat2:
+def effective_cov(h_jk: complex, jam: JammerModel, awgn_var: float) -> np.ndarray:
     """Effective noise covariance rho^2 Hj Q Hj^T + (awgn_var/2) I at one user.
 
     Its trace equals rho^2 |h_jk|^2 + awgn_var for every unit-trace Q.
     """
     hb = expand_row([h_jk])
-    g = jam.rho ** 2 * (hb @ jam.q.as_array() @ hb.T)
+    g = jam.rho ** 2 * (hb @ jam.q @ hb.T)
     half = 0.5 * awgn_var
-    return SymMat2(g[0, 0] + half, 0.5 * (g[0, 1] + g[1, 0]), g[1, 1] + half)
+    off = 0.5 * (g[0, 1] + g[1, 0])
+    return np.array([[g[0, 0] + half, off], [off, g[1, 1] + half]])
 
 
-def rotated_cov(g: SymMat2, s: complex) -> SymMat2:
+def rotated_cov(g: np.ndarray, s: complex) -> np.ndarray:
     """Covariance of the effective noise after de-rotating by the symbol phase.
 
     Conjugation by the orthogonal symbol rotation preserves eigenvalues.
     """
     sb = symbol_rotation(s)
-    m = sb.T @ g.as_array() @ sb
-    return SymMat2(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1])
+    m = sb.T @ g @ sb
+    off = 0.5 * (m[0, 1] + m[1, 0])
+    return np.array([[m[0, 0], off], [off, m[1, 1]]])
 
 
 def chi2_scale(p: float) -> float:
@@ -131,7 +137,7 @@ def chi2_scale(p: float) -> float:
     return -2.0 * math.log1p(-p)
 
 
-def ellipse_from_cov(g_check: SymMat2, p: float) -> ConfidenceEllipse:
+def ellipse_from_cov(g_check: np.ndarray, p: float) -> ConfidenceEllipse:
     """Confidence ellipse of a bivariate Gaussian with covariance g_check.
 
     The orientation alpha is the major-axis angle, normalized into [0, pi);

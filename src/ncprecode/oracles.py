@@ -125,17 +125,19 @@ def run_qp_suite() -> OracleOutcome:
     )
 
 
-def _sampled_margins(ellipse: ConfidenceEllipse, theta: float, samples: int):
-    """Support distances to the boundary-parallel lines via dense sampling."""
-    t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+def _sampled_margins(ellipse: ConfidenceEllipse, theta: float, cos_t: np.ndarray, sin_t: np.ndarray):
+    """Support distances to the boundary-parallel lines via dense sampling.
+
+    The boundary points are a v cos t + b vp sin t at the angles t whose
+    cosines and sines are given, with a and b the semi-axes and v, vp the
+    major and minor axis directions; each distance is the largest
+    projection of those points on the boundary's normal.
+    """
     v = np.array([math.cos(ellipse.alpha), math.sin(ellipse.alpha)])
     vp = np.array([-v[1], v[0]])
-    pts = (
-        math.sqrt(ellipse.omega * ellipse.lambda1) * np.outer(np.cos(t), v)
-        + math.sqrt(ellipse.omega * max(ellipse.lambda2, 0.0)) * np.outer(np.sin(t), vp)
-    )
-    n_u, n_l = boundary_normals(theta)
-    return float(np.max(pts @ n_u)), float(np.max(pts @ n_l))
+    a = math.sqrt(ellipse.omega * ellipse.lambda1)
+    b = math.sqrt(ellipse.omega * max(ellipse.lambda2, 0.0))
+    return tuple(float(np.max(a * (v @ n) * cos_t + b * (vp @ n) * sin_t)) for n in boundary_normals(theta))
 
 
 def _slope_residual(ellipse: ConfidenceEllipse, theta: float) -> float:
@@ -167,6 +169,8 @@ def run_ellipse_suite() -> OracleOutcome:
     rng = np.random.default_rng(20241)
     worst_margin = 0.0
     worst_slope = 0.0
+    t = np.linspace(0.0, 2.0 * math.pi, 1_000_000, endpoint=False)
+    cos_t, sin_t = np.cos(t), np.sin(t)
     for _ in range(count):
         lam1 = float(rng.uniform(0.5, 4.0))
         lam2 = float(rng.uniform(0.05, lam1))
@@ -175,7 +179,7 @@ def run_ellipse_suite() -> OracleOutcome:
         ell = ConfidenceEllipse(lambda1=lam1, lambda2=lam2, alpha=alpha, omega=chi2_scale(p))
         for theta in _ELLIPSE_THETAS:
             du, dl = ellipse_margins(ell, theta)
-            su, sl = _sampled_margins(ell, theta, 1_000_000)
+            su, sl = _sampled_margins(ell, theta, cos_t, sin_t)
             worst_margin = max(worst_margin, abs(du - su), abs(dl - sl))
             worst_slope = max(worst_slope, _slope_residual(ell, theta))
     passed = worst_margin <= 1e-4 and worst_slope <= 1e-8
@@ -200,14 +204,14 @@ def run_covariance_suite() -> OracleOutcome:
     g = effective_cov(h_jk, jam, awgn_var)
     c = sample_noise(rng, h_jk, jam, awgn_var, size=draws)
     emp = c.T @ c / draws
-    err_raw = float(np.max(np.abs(emp - g.as_array()))) / g.trace()
+    err_raw = float(np.max(np.abs(emp - g))) / np.trace(g)
 
     w = sqrt_inv_psd2(g)
     wc = c @ w.T
     emp_w = wc.T @ wc / draws
     err_white = float(np.max(np.abs(emp_w - np.eye(2)))) / 2.0
 
-    sigma2 = g.trace()
+    sigma2 = np.trace(g)
     gamma = math.sqrt(sigma2 / 2.0)
     sc = gamma * wc
     emp_s = sc.T @ sc / draws
@@ -251,11 +255,11 @@ def run_wedge_suite() -> OracleOutcome:
             g = effective_cov(h_jk, jam, awgn_var)
             noise = sample_noise(rng, h_jk, jam, awgn_var, size=samples)
             for beta in (rng.uniform(-0.5, 0.5) * theta, rng.uniform(1.05, 1.5) * theta):
-                radius = rng.uniform(1.0, 3.0) * math.sqrt(g.trace()) / math.sin(theta)
+                radius = rng.uniform(1.0, 3.0) * math.sqrt(np.trace(g)) / math.sin(theta)
                 mu = radius * np.array([math.cos(beta), math.sin(beta)])
                 y = mu + noise
                 frac = float(np.mean(np.abs(np.arctan2(y[:, 1], y[:, 0])) > theta))
-                prob = float(wedge_exit_probability(mu, g.as_array(), theta))
+                prob = float(wedge_exit_probability(mu, g, theta))
                 se = max(math.sqrt(prob * (1.0 - prob) / samples), 1e-300)
                 worst = max(worst, abs(frac - prob) / se)
                 cases += 1

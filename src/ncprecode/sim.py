@@ -49,7 +49,7 @@ from .noisegeom import (
     wedge_exit_probability,
 )
 from .solver import _min_norm_kernel, _solve
-from .wlalg import SymMat2, collapse_vec, expand_row, expand_vec, sqrt_inv_psd2, symbol_rotation
+from .wlalg import collapse_vec, expand_row, expand_vec, sqrt_inv_psd2, symbol_rotation
 
 __all__ = [
     "QSpec",
@@ -147,7 +147,7 @@ class QSpec:
         if self.kind == "elements":
             q_from_elements(*self.args)  # raises InfeasibleQ outside the PSD disk
 
-    def draw(self, rng) -> SymMat2:
+    def draw(self, rng) -> np.ndarray:
         if self.kind == "elements":
             return q_from_elements(*self.args)
         if self.kind == "rank_one":
@@ -160,7 +160,8 @@ class QSpec:
     def rank_deficient(self) -> bool:
         """Whether the covariance is singular (rank one) in every trial."""
         if self.kind == "elements":
-            return q_from_elements(*self.args).det() <= 0.0
+            q = q_from_elements(*self.args)
+            return bool(q[0, 0] * q[1, 1] - q[0, 1] * q[0, 1] <= 0.0)
         return self.kind in ("rank_one", "random_rank_one")
 
     def label(self) -> str:
@@ -400,7 +401,7 @@ class _TrialEngine:
             # the noise is circular with power sigma_k^2 = tr G_k; the
             # raw-domain designs apply the same preset with their own
             # (elliptical or circularized) confidence terms.
-            self.bounds = [_slp.circular_bounds(g.trace(), sc.delta0, omega, theta) for g in covs]
+            self.bounds = [_slp.circular_bounds(np.trace(g), sc.delta0, omega, theta) for g in covs]
         elif method == "naive_slp":
             self.bounds = [
                 _slp.naive_bounds(h_j[u], sc.rho2, sc.awgn_var, sc.delta0, omega, theta) for u in range(k)
@@ -466,7 +467,7 @@ class _TrialEngine:
             rx = zw[..., 0] + 1j * zw[..., 1]
             cov = np.eye(2)
         else:
-            table = np.array([[rotated_cov(g, c).as_array() for c in const] for g in self.covs])
+            table = np.array([[rotated_cov(g, c) for c in const] for g in self.covs])
             cov = table[np.arange(sc.k), idx - 1]
         mu = rx * np.conj(const[idx - 1])
         return wedge_exit_probability(np.stack([mu.real, mu.imag], axis=-1), cov, sc.theta)

@@ -84,7 +84,7 @@ def whitened_effective_channel(h_k, g_k):
     whitened noise has covariance (sigma_k^2 / 2) I2 and margin targets keep
     the same meaning as in the circular case.
     """
-    gamma = math.sqrt(g_k.trace()) / math.sqrt(2.0)
+    gamma = math.sqrt(np.trace(g_k)) / math.sqrt(2.0)
     he = gamma * (sqrt_inv_psd2(g_k) @ expand_row(h_k))
     return he[0], he[1]
 

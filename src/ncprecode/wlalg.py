@@ -2,20 +2,20 @@
 
 Complex <-> real-stacked conversions, planar rotations, and closed-form
 eigen/whitening decompositions for symmetric 2x2 matrices. Everything in this
-module is a pure function on small fixed-size arrays; the rest of the library
-is built on top of these primitives.
+module is a pure function on small fixed-size arrays: a symmetric 2x2 matrix
+(a noise or jammer covariance) is a plain float (2, 2) array whose builders
+write both off-diagonal entries from one value. The rest of the library is
+built on top of these primitives.
 """
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPositiveDefinite
 
 __all__ = [
-    "SymMat2",
     "expand_vec",
     "collapse_vec",
     "expand_row",
@@ -23,45 +23,6 @@ __all__ = [
     "eig2_sym",
     "sqrt_inv_psd2",
 ]
-
-
-@dataclass(frozen=True)
-class SymMat2:
-    """Symmetric 2x2 matrix stored by its three independent entries."""
-
-    m11: float
-    m12: float
-    m22: float
-
-    @classmethod
-    def from_array(cls, m) -> "SymMat2":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        scale = max(1.0, abs(m[0, 1]), abs(m[1, 0]))
-        if abs(m[0, 1] - m[1, 0]) > 1e-9 * scale:
-            raise ValueError("matrix is not symmetric")
-        off = 0.5 * (m[0, 1] + m[1, 0])
-        return cls(float(m[0, 0]), float(off), float(m[1, 1]))
-
-    @classmethod
-    def scaled_identity(cls, scale: float) -> "SymMat2":
-        return cls(float(scale), 0.0, float(scale))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m12, self.m22]])
-
-    def trace(self) -> float:
-        return self.m11 + self.m22
-
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m12
-
-    def inv(self) -> "SymMat2":
-        d = self.det()
-        if d <= 0.0:
-            raise NotPositiveDefinite("2x2 matrix is singular or indefinite")
-        return SymMat2(self.m22 / d, -self.m12 / d, self.m11 / d)
 
 
 def expand_vec(v) -> np.ndarray:
@@ -98,14 +59,15 @@ def symbol_rotation(s: complex) -> np.ndarray:
     return np.array([[s.real, -s.imag], [s.imag, s.real]])
 
 
-def eig2_sym(g: SymMat2):
+def eig2_sym(g: np.ndarray):
     """Closed-form eigendecomposition of a symmetric 2x2 matrix.
 
     Returns (lam1, lam2, v) with lam1 >= lam2 and v the unit eigenvector of
     lam1. Sign convention: the first nonzero component of v is positive. For
-    a multiple of the identity (circle) v = (1, 0).
+    a multiple of the identity (circle) v = (1, 0). Only the diagonal and
+    g[0, 1] are read.
     """
-    a, b, c = g.m11, g.m12, g.m22
+    a, b, c = float(g[0, 0]), float(g[0, 1]), float(g[1, 1])
     half_tr = 0.5 * (a + c)
     disc = math.hypot(0.5 * (a - c), b)
     lam1 = half_tr + disc
@@ -124,7 +86,7 @@ def eig2_sym(g: SymMat2):
     return lam1, lam2, v
 
 
-def sqrt_inv_psd2(g: SymMat2) -> np.ndarray:
+def sqrt_inv_psd2(g: np.ndarray) -> np.ndarray:
     """Symmetric principal inverse square root W of a positive definite g.
 
     Satisfies W @ g @ W.T == I. The symmetric root is one whitener among

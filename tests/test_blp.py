@@ -13,9 +13,10 @@ from ncprecode.blp import (
     stack_whitened,
     stationarity_residuals,
 )
+from ncprecode.errors import NotPositiveDefinite
 from ncprecode.noisegeom import CIRCULAR_Q, effective_cov, jammer_model, q_from_elements, sample_noise
 from ncprecode.sim import sample_channels
-from ncprecode.wlalg import SymMat2, expand_row, sqrt_inv_psd2
+from ncprecode.wlalg import expand_row, sqrt_inv_psd2
 
 
 def random_case(rng, m=3, k=3, rho=math.sqrt(10.0), q11=0.7, q12=0.2, awgn=1.0):
@@ -29,7 +30,7 @@ class TestStackWhitened:
     def test_identity_covs(self):
         rng = np.random.default_rng(31)
         h, _ = sample_channels(rng, 3, 2)
-        covs = [SymMat2(1, 0, 1)] * 2
+        covs = [np.eye(2)] * 2
         h_e = stack_whitened(h, covs)
         for k in range(2):
             hb = expand_row(h[k])
@@ -37,7 +38,7 @@ class TestStackWhitened:
             np.testing.assert_allclose(h_e[2 + k], hb[1])
 
     def test_single_user_diag(self):
-        h_e = stack_whitened([[1.0]], [SymMat2(4.0, 0.0, 1.0)])
+        h_e = stack_whitened([[1.0]], [np.diag([4.0, 1.0])])
         np.testing.assert_allclose(h_e, [[0.5, 0.0], [0.0, 1.0]])
 
     def test_whitened_noise_covariance(self):
@@ -100,6 +101,21 @@ class TestMmseBlp:
 
 
 class TestClosedFormMse:
+    def test_inv(self):
+        # one user with an identity channel row: the sum in the closed form is
+        # G^-1 itself, and [[2, 1], [1, 1]] has the exactly representable
+        # inverse [[1, -1], [-1, 2]]
+        g = np.array([[2.0, 1.0], [1.0, 1.0]])
+        exact = 0.5 * np.trace(np.linalg.solve(np.eye(2) + np.array([[1.0, -1.0], [-1.0, 2.0]]), np.eye(2)))
+        assert mse_closed_form([[1.0]], [g], 2.0) == exact
+        g = np.array([[2.0, 0.3], [0.3, 1.0]])
+        ref = 0.5 * np.trace(np.linalg.solve(np.eye(2) + np.linalg.inv(g), np.eye(2)))
+        assert mse_closed_form([[1.0]], [g], 2.0) == pytest.approx(ref, rel=1e-14)
+
+    def test_inv_rejects_indefinite(self):
+        with pytest.raises(NotPositiveDefinite, match="2x2 matrix is singular or indefinite"):
+            mse_closed_form([[1.0]], [np.array([[1.0, 2.0], [2.0, 1.0]])], 2.0)
+
     def test_vanishing_power_limit(self):
         rng = np.random.default_rng(36)
         h, _, _, covs = random_case(rng)
@@ -121,7 +137,7 @@ class TestClosedFormMse:
         p_t = 25.0
         rows_first, rows_second = [], []
         for hk, g in zip(h, covs):
-            lchol = np.linalg.cholesky(g.as_array())
+            lchol = np.linalg.cholesky(g)
             w = np.linalg.inv(lchol)
             he = w @ expand_row(hk)
             rows_first.append(he[0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ncprecode import blp
 from ncprecode.errors import InfeasibleQ, InvalidConfidence
 from ncprecode.noisegeom import (
     CIRCULAR_Q,
@@ -19,7 +20,8 @@ from ncprecode.noisegeom import (
     wedge_exit_probability,
 )
 from ncprecode.oracles import run_wedge_suite
-from ncprecode.wlalg import SymMat2, eig2_sym
+from ncprecode.sim import sample_channels
+from ncprecode.wlalg import eig2_sym
 
 
 def random_feasible_q(rng):
@@ -31,13 +33,13 @@ def random_feasible_q(rng):
 class TestQConstruction:
     def test_circular(self):
         q = q_from_elements(0.5, 0.0)
-        np.testing.assert_allclose(q.as_array(), 0.5 * np.eye(2))
+        np.testing.assert_allclose(q, 0.5 * np.eye(2))
 
     def test_rank_one_boundary(self):
         q = q_from_elements(1.0, 0.0)
-        np.testing.assert_allclose(q.as_array(), np.diag([1.0, 0.0]))
+        np.testing.assert_allclose(q, np.diag([1.0, 0.0]))
         q2 = q_from_elements(0.5, 0.5)
-        assert q2.det() == pytest.approx(0.0, abs=1e-15)
+        assert np.linalg.det(q2) == pytest.approx(0.0, abs=1e-15)
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleQ):
@@ -52,8 +54,8 @@ class TestQConstruction:
 
     def test_rank_one_by_angle(self):
         q = q_rank_one(0.3)
-        assert q.trace() == pytest.approx(1.0, abs=1e-15)
-        assert q.det() == pytest.approx(0.0, abs=1e-15)
+        assert np.trace(q) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.det(q) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestTFactor:
@@ -68,21 +70,21 @@ class TestTFactor:
         for _ in range(100):
             q = random_feasible_q(rng)
             t = t_from_q(q)
-            np.testing.assert_allclose(t @ t.T, q.as_array(), atol=1e-12)
+            np.testing.assert_allclose(t @ t.T, q, atol=1e-12)
 
 
 class TestEffectiveCov:
     def test_no_jammer(self):
         jam = jammer_model(0.0, CIRCULAR_Q)
         g = effective_cov(0.7 - 0.2j, jam, 2.0)
-        np.testing.assert_allclose(g.as_array(), np.eye(2))
+        np.testing.assert_allclose(g, np.eye(2))
 
     def test_circular_jamming(self):
         jam = jammer_model(2.0, CIRCULAR_Q)
         h = 0.6 + 0.8j
         g = effective_cov(h, jam, 1.0)
         expected = (0.5 * 4.0 * abs(h) ** 2 + 0.5) * np.eye(2)
-        np.testing.assert_allclose(g.as_array(), expected, atol=1e-12)
+        np.testing.assert_allclose(g, expected, atol=1e-12)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(12)
@@ -92,7 +94,7 @@ class TestEffectiveCov:
             h = complex(rng.standard_normal(), rng.standard_normal())
             av = rng.uniform(0.1, 3.0)
             g = effective_cov(h, jammer_model(rho, q), av)
-            assert g.trace() == pytest.approx(rho ** 2 * abs(h) ** 2 + av, rel=1e-12)
+            assert np.trace(g) == pytest.approx(rho ** 2 * abs(h) ** 2 + av, rel=1e-12)
 
     def test_rank_one_minor_eigenvalue(self):
         # rank-one jamming contributes along a single direction only
@@ -108,24 +110,24 @@ class TestEffectiveCov:
         g = effective_cov(h, jam, 1.0)
         c = sample_noise(rng, h, jam, 1.0, size=1_000_000)
         emp = c.T @ c / len(c)
-        assert np.max(np.abs(emp - g.as_array())) < 0.01 * g.trace()
+        assert np.max(np.abs(emp - g)) < 0.01 * np.trace(g)
 
 
 class TestRotatedCov:
     def test_unit_symbol(self):
-        g = SymMat2(2.0, 0.4, 1.0)
-        assert rotated_cov(g, 1.0) == g
+        g = np.array([[2.0, 0.4], [0.4, 1.0]])
+        assert np.array_equal(rotated_cov(g, 1.0), g)
 
     def test_circular_invariant(self):
-        g = SymMat2(0.5, 0.0, 0.5)
+        g = 0.5 * np.eye(2)
         out = rotated_cov(g, np.exp(1j * 0.7))
-        np.testing.assert_allclose(out.as_array(), g.as_array(), atol=1e-15)
+        np.testing.assert_allclose(out, g, atol=1e-15)
 
     def test_eigenvalues_preserved(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             m = rng.standard_normal((2, 2))
-            g = SymMat2.from_array(m @ m.T)
+            g = m @ m.T
             s = np.exp(1j * rng.uniform(0, 2 * math.pi))
             l1, l2, _ = eig2_sym(g)
             r1, r2, _ = eig2_sym(rotated_cov(g, s))
@@ -139,7 +141,7 @@ class TestEllipse:
         assert chi2_scale(0.8) == pytest.approx(3.218875824868201, rel=1e-12)
 
     def test_diagonal_orientation(self):
-        ell = ellipse_from_cov(SymMat2(2.0, 0.0, 1.0), 0.8)
+        ell = ellipse_from_cov(np.diag([2.0, 1.0]), 0.8)
         assert ell.alpha == 0.0
         assert (ell.lambda1, ell.lambda2) == (2.0, 1.0)
         assert ell.omega == pytest.approx(3.218875824868201, rel=1e-12)
@@ -148,13 +150,13 @@ class TestEllipse:
         rng = np.random.default_rng(15)
         for _ in range(50):
             m = rng.standard_normal((2, 2))
-            ell = ellipse_from_cov(SymMat2.from_array(m @ m.T), 0.9)
+            ell = ellipse_from_cov(m @ m.T, 0.9)
             assert 0.0 <= ell.alpha < math.pi
 
     def test_invalid_confidence(self):
         for p in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(InvalidConfidence):
-                ellipse_from_cov(SymMat2(1, 0, 1), p)
+                ellipse_from_cov(np.eye(2), p)
 
     @pytest.mark.parametrize("q11,q12,p", [(0.5, 0.0, 0.95), (1.0, 0.0, 0.9), (0.62, 0.31, 0.8)])
     def test_containment_probability(self, q11, q12, p):
@@ -184,8 +186,54 @@ class TestSampling:
         rng = np.random.default_rng(18)
         jam = jammer_model(1.0, q_from_elements(0.7, -0.3))
         c = sample_noise(rng, 1.2 + 0.1j, jam, 0.5, size=1_000_000)
-        sigma = math.sqrt(effective_cov(1.2 + 0.1j, jam, 0.5).trace())
+        sigma = math.sqrt(np.trace(effective_cov(1.2 + 0.1j, jam, 0.5)))
         assert np.max(np.abs(c.mean(axis=0))) < 4 * sigma / 1000
+
+
+def assert_symmetric_2x2(g):
+    assert isinstance(g, np.ndarray) and g.dtype == np.float64 and g.shape == (2, 2)
+    assert g[0, 1].tobytes() == g[1, 0].tobytes()
+
+
+class TestSymmetricArrays:
+    """Every covariance builder returns a float (2, 2) array, symmetric bit for bit."""
+
+    def test_jammer_covariances(self):
+        rng = np.random.default_rng(19)
+        assert_symmetric_2x2(CIRCULAR_Q)
+        for _ in range(50):
+            assert_symmetric_2x2(random_feasible_q(rng))
+            assert_symmetric_2x2(q_rank_one(rng.uniform(0.0, math.pi)))
+
+    def test_effective_and_rotated_covariances(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            jam = jammer_model(rng.uniform(0.1, 5.0), random_feasible_q(rng))
+            g = effective_cov(complex(rng.standard_normal(), rng.standard_normal()), jam, rng.uniform(0.1, 3.0))
+            assert_symmetric_2x2(g)
+            assert_symmetric_2x2(rotated_cov(g, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))))
+
+    def test_blp_design_covariances(self, monkeypatch):
+        seen = []
+        stack_whitened = blp.stack_whitened
+
+        def recording_stack_whitened(channels, covs):
+            seen.extend(covs)
+            return stack_whitened(channels, covs)
+
+        monkeypatch.setattr(blp, "stack_whitened", recording_stack_whitened)
+        rng = np.random.default_rng(21)
+        h, _ = sample_channels(rng, 3, 3)
+        blp.robust_blp(h, 1.3, rng.uniform(0.0, 10.0, size=3), 20.0)
+        blp.naive_blp(h, 0.7, 20.0)
+        assert len(seen) == 6
+        for g in seen:
+            assert_symmetric_2x2(g)
+
+    def test_circular_q_is_read_only(self):
+        with pytest.raises(ValueError):
+            CIRCULAR_Q[0, 1] = 0.1
+        np.testing.assert_array_equal(CIRCULAR_Q, 0.5 * np.eye(2))
 
 
 class TestBoundaryNormals:

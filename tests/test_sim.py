@@ -283,7 +283,7 @@ def reference_error_counts_nc(sc):
     errors = np.zeros(sc.k)
     for trial in range(sc.trials):
         h, h_j, q = _draws_for_trial(sc, trial)
-        t_fac = _sym_sqrt(q.as_array())
+        t_fac = _sym_sqrt(q)
         for slot in range(1, sc.block_len + 1):
             rng_s = _stream(sc.seed, trial, slot)
             idx = rng_s.integers(1, sc.d + 1, size=sc.k)
@@ -296,7 +296,7 @@ def reference_error_counts_nc(sc):
                 rows.append(h1 * math.sin(theta) - h2 * math.cos(theta))
                 rows.append(h1 * math.sin(theta) + h2 * math.cos(theta))
                 hb = expand_row([h_j[u]])
-                g = rho ** 2 * hb @ q.as_array() @ hb.T + 0.5 * awgn_var * np.eye(2)
+                g = rho ** 2 * hb @ q @ hb.T + 0.5 * awgn_var * np.eye(2)
                 gch = symbol_rotation(s[u]).T @ g @ symbol_rotation(s[u])
                 for nvec in (
                     np.array([math.sin(theta), -math.cos(theta)]),
@@ -322,7 +322,7 @@ def reference_error_counts_blp(sc):
     errors = np.zeros(sc.k)
     for trial in range(sc.trials):
         h, h_j, q = _draws_for_trial(sc, trial)
-        t_fac = _sym_sqrt(q.as_array())
+        t_fac = _sym_sqrt(q)
         # whiten by the AWGN-only covariance and build the MMSE precoder
         rows1, rows2 = [], []
         w = np.eye(2) / math.sqrt(awgn_var / 2)
@@ -451,7 +451,7 @@ def per_slot_reference(sc):
         h, h_j = sample_channels(rng, sc.m, k)
         jam = jammer_model(sc.rho, sc.q_spec.draw(rng))
         covs = [effective_cov(hj, jam, sc.awgn_var) for hj in h_j]
-        sigma2 = np.array([g.trace() for g in covs])
+        sigma2 = np.array([np.trace(g) for g in covs])
         eff = [slp.whitened_effective_channel(h[u], covs[u]) for u in range(k)]
         plain = [tuple(expand_row(h[u])) for u in range(k)]
         pw_targets = sc.delta0 * math.cos(theta) + np.sqrt(chi2_scale(sc.p) * sigma2 / 2.0)

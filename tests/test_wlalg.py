@@ -5,7 +5,6 @@ import pytest
 
 from ncprecode.errors import NotPositiveDefinite
 from ncprecode.wlalg import (
-    SymMat2,
     collapse_vec,
     eig2_sym,
     expand_row,
@@ -13,6 +12,11 @@ from ncprecode.wlalg import (
     sqrt_inv_psd2,
     symbol_rotation,
 )
+
+
+def sym(a, b, c):
+    """Symmetric 2x2 array [[a, b], [b, c]]."""
+    return np.array([[a, b], [b, c]], dtype=float)
 
 
 class TestExpand:
@@ -59,18 +63,18 @@ class TestRotations:
 
 class TestEig2:
     def test_diagonal(self):
-        lam1, lam2, v = eig2_sym(SymMat2(2.0, 0.0, 1.0))
+        lam1, lam2, v = eig2_sym(sym(2.0, 0.0, 1.0))
         assert (lam1, lam2) == (2.0, 1.0)
         np.testing.assert_allclose(v, [1.0, 0.0])
 
     def test_ones_matrix(self):
-        lam1, lam2, v = eig2_sym(SymMat2(1.0, 1.0, 1.0))
+        lam1, lam2, v = eig2_sym(sym(1.0, 1.0, 1.0))
         assert lam1 == pytest.approx(2.0)
         assert lam2 == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(v, [1 / math.sqrt(2)] * 2)
 
     def test_circle_convention(self):
-        lam1, lam2, v = eig2_sym(SymMat2(3.0, 0.0, 3.0))
+        lam1, lam2, v = eig2_sym(sym(3.0, 0.0, 3.0))
         assert lam1 == lam2 == 3.0
         np.testing.assert_allclose(v, [1.0, 0.0])
 
@@ -79,38 +83,37 @@ class TestEig2:
         rng = np.random.default_rng(4)
         for _ in range(200):
             a, b, c = rng.standard_normal(3) * 3
-            g = SymMat2(a, b, c)
+            g = sym(a, b, c)
             lam1, lam2, v = eig2_sym(g)
             assert lam1 >= lam2
-            assert lam1 + lam2 == pytest.approx(g.trace(), rel=1e-10, abs=1e-10)
-            assert lam1 * lam2 == pytest.approx(g.det(), rel=1e-10, abs=1e-10)
-            np.testing.assert_allclose(g.as_array() @ v, lam1 * v, atol=1e-10)
+            assert lam1 + lam2 == pytest.approx(np.trace(g), rel=1e-10, abs=1e-10)
+            assert lam1 * lam2 == pytest.approx(a * c - b * b, rel=1e-10, abs=1e-10)
+            np.testing.assert_allclose(g @ v, lam1 * v, atol=1e-10)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
             assert v[0] > 0 or (v[0] == 0 and v[1] > 0)
 
 
 class TestWhitener:
     def test_identity(self):
-        np.testing.assert_allclose(sqrt_inv_psd2(SymMat2(1, 0, 1)), np.eye(2))
+        np.testing.assert_allclose(sqrt_inv_psd2(sym(1, 0, 1)), np.eye(2))
 
     def test_diagonal(self):
-        np.testing.assert_allclose(sqrt_inv_psd2(SymMat2(4, 0, 1)), np.diag([0.5, 1.0]))
+        np.testing.assert_allclose(sqrt_inv_psd2(sym(4, 0, 1)), np.diag([0.5, 1.0]))
 
     def test_random_spd_multiply_back(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             m = rng.standard_normal((2, 2))
-            g_arr = m @ m.T + 0.05 * np.eye(2)
-            g = SymMat2.from_array(g_arr)
+            g = m @ m.T + 0.05 * np.eye(2)
             w = sqrt_inv_psd2(g)
             np.testing.assert_allclose(w, w.T, atol=1e-12)
-            np.testing.assert_allclose(w @ g_arr @ w.T, np.eye(2), atol=1e-10)
+            np.testing.assert_allclose(w @ g @ w.T, np.eye(2), atol=1e-10)
 
     def test_rejects_semidefinite(self):
         with pytest.raises(NotPositiveDefinite, match="strictly positive definite"):
-            sqrt_inv_psd2(SymMat2(1.0, 1.0, 1.0))
+            sqrt_inv_psd2(sym(1.0, 1.0, 1.0))
 
-    @pytest.mark.parametrize("g", [SymMat2(0.0, 0.0, 0.0), SymMat2(5e-324, 0.0, 0.0), SymMat2(0.0, 0.0, 1e-310)])
+    @pytest.mark.parametrize("g", [sym(0.0, 0.0, 0.0), sym(5e-324, 0.0, 0.0), sym(0.0, 0.0, 1e-310)])
     def test_underflowing_matrix_is_too_small_to_whiten(self, g):
         # singular, with every entry zero or subnormal: a noise power below the float range
         with pytest.raises(NotPositiveDefinite, match="too small to whiten"):
@@ -118,20 +121,5 @@ class TestWhitener:
 
     def test_smallest_normal_matrix_is_whitened(self):
         tiny = 2.2250738585072014e-308
-        np.testing.assert_allclose(sqrt_inv_psd2(SymMat2(tiny, 0.0, tiny)) * np.sqrt(tiny), np.eye(2))
+        np.testing.assert_allclose(sqrt_inv_psd2(sym(tiny, 0.0, tiny)) * np.sqrt(tiny), np.eye(2))
 
-
-class TestSymMat2:
-    def test_from_array_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            SymMat2.from_array([[1.0, 0.5], [0.2, 1.0]])
-
-    def test_inv(self):
-        g = SymMat2(2.0, 0.3, 1.0)
-        np.testing.assert_allclose(
-            g.inv().as_array() @ g.as_array(), np.eye(2), atol=1e-12
-        )
-
-    def test_inv_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            SymMat2(1.0, 2.0, 1.0).inv()

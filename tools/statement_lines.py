@@ -4,6 +4,8 @@ A module's statement lines are the lines of ``ast.unparse`` of its syntax
 tree after the module, class and function docstrings are removed: comments,
 blank lines, docstrings and the way an expression is wrapped over lines do
 not count; a body that was only a docstring counts as one ``pass`` line.
+``ast.unparse`` writes one empty line before every function or class
+definition that does not open the module, and that line counts.
 Prints one line per module, largest first, then the total.
 
 Usage: python3 tools/statement_lines.py [PACKAGE_DIR]   (default: src/ncprecode)
