@@ -182,7 +182,7 @@ def run_ellipse_suite() -> OracleOutcome:
             su, sl = _sampled_margins(ell, theta, cos_t, sin_t)
             worst_margin = max(worst_margin, abs(du - su), abs(dl - sl))
             worst_slope = max(worst_slope, _slope_residual(ell, theta))
-    passed = worst_margin <= 1e-4 and worst_slope <= 1e-8
+    passed = bool(worst_margin <= 1e-4 and worst_slope <= 1e-8)
     return OracleOutcome(
         name="ellipse-geometry",
         passed=passed,
@@ -217,7 +217,7 @@ def run_covariance_suite() -> OracleOutcome:
     emp_s = sc.T @ sc / draws
     err_slp = float(np.max(np.abs(emp_s - 0.5 * sigma2 * np.eye(2)))) / sigma2
 
-    passed = err_raw <= 0.01 and err_white <= 0.01 and err_slp <= 0.01
+    passed = bool(err_raw <= 0.01 and err_white <= 0.01 and err_slp <= 0.01)
     return OracleOutcome(
         name="covariance-montecarlo",
         passed=passed,

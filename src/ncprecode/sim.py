@@ -13,19 +13,31 @@ trial's channels and jammer covariance from the trial's set-up stream and
 builds every per-trial constant once (the noise covariances, the jammer
 mixing matrix, the BLP precoder, or each user's channel pair and, for
 designs whose bounds do not depend on the symbol, each user's bounds). Its
-``run`` method makes three passes over the slots: a draw pass stores each
-slot's symbol indices, jammer draw and AWGN draw; a solve pass designs the
-distinct symbol-index vectors, in order of first appearance, in one call,
-so that the SLP designs solve all of the trial's QPs in one batch
-(``solver.solve_min_norm_batch``); a detect pass adds each slot's noise and
-counts its errors. Within a trial only d^K symbol vectors and d K (user,
-symbol) pairs exist, so the transmit vector, its power and the noise-free
-received points are kept once per distinct symbol-index vector, and each
-user's margin rows with their bounds once per (user, symbol index), both
-dropped with the trial. The reused values are the ones a fresh computation
-would return, because they are deterministic functions of the same inputs,
-and the batched QPs have the bits of one solve each, so every output byte
-is the same as designing each slot in turn.
+``run`` method makes three passes over the slots: a draw pass fills arrays
+with each slot's symbol indices, jammer draw and AWGN draw; a solve pass
+designs the distinct symbol-index vectors, in order of first appearance, in
+one call, so that the SLP designs solve all of the trial's QPs in one batch
+(``solver.solve_min_norm_batch``); a detect pass adds the noise to every
+slot at once and counts the errors. Within a trial only d^K symbol vectors
+and d K (user, symbol) pairs exist, so the transmit vector, its power and
+the noise-free received points are kept once per distinct symbol-index
+vector, and each user's margin rows with their bounds once per (user,
+symbol index), both dropped with the trial. The reused values are the ones
+a fresh computation would return, because they are deterministic functions
+of the same inputs, and the batched QPs have the bits of one solve each, so
+every output byte is the same as designing each slot in turn.
+
+A block of ``BLOCK_CROSSOVER`` slots or more is drawn, detected and
+counted as arrays. Its symbol indices come from the raw Philox bits
+(``_raw_indices``), with the values and the stream position of
+``Generator.integers``. Its detection is one array pass
+(``_TrialEngine.detect_block``): np.arctan2 and ceil give every point's
+decision sector, and a point whose sector coordinate lies within
+``SECTOR_GUARD`` of an integer (a decision-boundary ray, the 0/2 pi wrap and
+y = 0 among them) or that is not finite goes through the scalar
+``_TrialEngine.detect``, so every decision and every exception is the
+scalar path's. A shorter block keeps the slot-by-slot loop
+(``_TrialEngine.run_slots``), which costs less than building the arrays.
 """
 
 import math
@@ -85,6 +97,16 @@ _BIT_ERRORS = {
     d: [[bin(i ^ (i >> 1) ^ j ^ (j >> 1)).count("1") for j in range(d)] for i in range(d)]
     for d in (2, 4, 8, 16)
 }
+
+# A block of at least this many slots is drawn, detected and counted as
+# arrays; a shorter one slot by slot, which costs less than building the
+# arrays (see docs/DECISIONS.md for how it was measured).
+BLOCK_CROSSOVER = 6
+
+# A point whose decision-sector coordinate phase * d / (2 pi) lies this close
+# to an integer is decided by the scalar detector: np.arctan2 may differ from
+# math.atan2 in the last bit, which moves the coordinate by about 1e-15.
+SECTOR_GUARD = 1e-9
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -315,14 +337,22 @@ def psk_constellation(d: int) -> np.ndarray:
     return np.exp(1j * np.pi * (2.0 * np.arange(1, d + 1) - 1.0) / d)
 
 
-def _draw_index(rng, d: int, k: int) -> np.ndarray:
-    """Uniform 1-based PSK symbol indices for k users."""
-    return rng.integers(1, d + 1, size=k)
-
-
 def sample_psk(rng, d: int, k: int) -> np.ndarray:
     """Uniform unit-magnitude PSK symbols for k users."""
-    return psk_constellation(d)[_draw_index(rng, d, k) - 1]
+    return psk_constellation(d)[rng.integers(1, d + 1, size=k) - 1]
+
+
+def _raw_indices(raw: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Per row of raw 64-bit Philox words, the k 1-based symbol indices ``integers`` would draw.
+
+    ``rng.integers(1, d + 1, size=k)`` takes k 32-bit halves of the stream,
+    low half first, and maps each u to (u d) >> 32 (Lemire's method). Its
+    rejection threshold (2^32 - d) mod d is 0 for a power-of-two d, so it
+    never rejects, and the first k halves of ``random_raw((k + 1) // 2)``
+    give its values and leave the 64-bit stream where it leaves it.
+    """
+    halves = np.stack([raw & _MASK32, raw >> 32], axis=-1).reshape(len(raw), -1)[:, :k]
+    return ((halves * d >> 32) + 1).astype(np.int64)
 
 
 def psk_detect(y: complex, d: int) -> int:
@@ -379,9 +409,9 @@ class _TrialEngine:
         self.mix = (sc.rho * jam.t_factor).T
         self.const = psk_constellation(sc.d)
         covs = self.covs = [effective_cov(h_j[i], jam, sc.awgn_var) for i in range(k)]
-        self.whiten = None
+        self.whiten = None   # users x 2 x 2
         if method in _WHITENED_RX:
-            self.whiten = [sqrt_inv_psd2(g) for g in covs]
+            self.whiten = np.array([sqrt_inv_psd2(g) for g in covs])
         self.terms = [[None] * sc.d for _ in range(k)]   # (user, symbol index) -> (rows, bounds)
         if method == "pw_blp":
             self.precoder = _blp.pw_blp(h, covs, sc.p_t)
@@ -448,10 +478,33 @@ class _TrialEngine:
 
     def detect(self, y_k: complex, user: int) -> int:
         if self.whiten is not None:
-            yb = np.array([y_k.real, y_k.imag])
-            z = self.whiten[user] @ yb
+            z = self.whiten[user] @ np.array([y_k.real, y_k.imag])
             return psk_detect(complex(z[0], z[1]), self.sc.d)
         return psk_detect(y_k, self.sc.d)
+
+    def detect_block(self, y: np.ndarray) -> np.ndarray:
+        """Decisions (slots x users) for received points y, each one ``detect(y[t, u], u)``.
+
+        Whitened receivers whiten every point with one stacked matmul, which
+        makes each point's vector product as ``detect`` does, bit for bit.
+        np.arctan2 and ceil then give each decision sector. A point whose
+        sector coordinate lies within SECTOR_GUARD of an integer, or that is
+        not finite, goes through ``detect`` in slot and user order: the
+        decision-boundary rays, the 0/2 pi wrap and y = 0 (whose phase is 0
+        or +-pi) all lie on integers, and NaN raises the scalar ValueError.
+        """
+        if self.whiten is None:
+            re, im = y.real, y.imag
+        else:
+            zw = np.matmul(self.whiten, np.stack([y.real, y.imag], axis=-1)[..., None])
+            re, im = zw[..., 0, 0], zw[..., 1, 0]
+        phase = np.arctan2(im, re)
+        coord = np.where(phase <= 0.0, phase + 2.0 * math.pi, phase) * self.sc.d / (2.0 * math.pi)
+        clear = np.isfinite(re) & np.isfinite(im) & (np.abs(coord - np.rint(coord)) > SECTOR_GUARD)
+        det = np.ceil(np.where(clear, coord, 1.0)).astype(np.int64)
+        for t, u in zip(*np.nonzero(~clear)):
+            det[t, u] = self.detect(y[t, u], u)
+        return det
 
     def exit_probability(self, rx: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Per-slot, per-user probability (slots x users) of a symbol error.
@@ -462,8 +515,7 @@ class _TrialEngine:
         """
         sc, const = self.sc, self.const
         if self.whiten is not None:
-            w = np.stack(self.whiten)
-            zw = np.einsum("kij,tkj->tki", w, np.stack([rx.real, rx.imag], axis=-1))
+            zw = np.einsum("kij,tkj->tki", self.whiten, np.stack([rx.real, rx.imag], axis=-1))
             rx = zw[..., 0] + 1j * zw[..., 1]
             cov = np.eye(2)
         else:
@@ -477,24 +529,68 @@ class _TrialEngine:
 
         The per-user error counts are int64 arrays; the noise-integrated
         per-user SER (see ``exit_probability``) is None unless `integrate`.
-        Three passes over the slots:
+        A block shorter than BLOCK_CROSSOVER slots runs :meth:`run_slots`,
+        which costs less there; a longer one makes three passes over its
+        slots, as arrays:
 
         1. Draw: each slot re-keys the trial's generator to its own (seed,
-           trial, slot) stream (:func:`_rekey`) and draws its symbol indices,
-           its jammer draw and its AWGN draw, in that order, and they are
-           stored.
+           trial, slot) stream (:func:`_rekey`), takes the raw bits of its
+           symbol indices (:func:`_raw_indices`) and draws its jammer and
+           AWGN normals in one call, into preallocated arrays. The jammer
+           mixing (one stacked vector-matrix product, which makes each
+           slot's product as a single one does) and the noise scaling then
+           act on every slot at once.
         2. Solve: one :meth:`design` call for the distinct index vectors, in
            order of first appearance; each gives its transmit vector x, its
            power and the noise-free received points rx = h x.
-        3. Detect: each slot adds its stored noise to its vector's rx, detects
-           and counts errors. With `integrate`, the stored slots and their
-           vectors' rx then give every slot's exit probabilities at once.
+        3. Detect: every slot's received points y = rx + h_j z + w at once,
+           decided by :meth:`detect_block` (np.arctan2 and ceil, with the
+           points near a sector boundary or not finite left to
+           :meth:`detect`). Errors and bit errors are counted per user from
+           the bit-error table, and the power is summed in slot order. With
+           `integrate`, the slots' rx then give every slot's exit
+           probabilities at once.
 
         The transmit vector depends only on the trial and the index vector,
         so every slot that draws a vector again reuses its values, exactly:
         a repeat would recompute the same deterministic function of the same
-        inputs. The stored draws are the ones a slot loop would draw, so every
-        output byte is the same as designing each slot in turn.
+        inputs. The draws, the received points, the decisions and the power
+        sum are the ones the slot loop makes, so every output byte is the
+        same as designing and detecting each slot in turn
+        (tests/test_detect_reference.py).
+        """
+        sc, rng, t_len, k = self.sc, self.rng, self.sc.block_len, self.sc.k
+        if t_len < BLOCK_CROSSOVER:
+            return self.run_slots(integrate)
+        raw = np.empty((t_len, (k + 1) // 2), dtype=np.uint64)
+        normal = np.empty((t_len, 2 + 2 * k))   # the jammer's 2 and the AWGN's k x 2, in draw order
+        for t in range(t_len):
+            _rekey(rng, sc.seed, self.trial, t + 1)
+            raw[t] = rng.bit_generator.random_raw(raw.shape[1])
+            rng.standard_normal(out=normal[t])
+        idx = _raw_indices(raw, sc.d, k)
+        z = np.matmul(normal[:, None, :2], self.mix).view(complex)[:, 0, 0]   # one vector product per slot
+        nv = math.sqrt(0.5 * sc.awgn_var) * normal[:, 2:].reshape(t_len, k, 2)
+        keys, row = idx.tobytes(), idx[0].nbytes
+        number = {}   # symbol-index vector -> its number, in order of first appearance
+        inverse = np.array([number.setdefault(keys[i:i + row], len(number)) for i in range(0, len(keys), row)])
+        xs = self.design([np.frombuffer(key, dtype=np.int64) for key in number])
+        power = np.array([float(np.real(x @ np.conj(x))) for x in xs])
+        rx = np.array([self.h @ x for x in xs])[inverse]
+        y = rx + self.h_j * z[:, None] + (nv[..., 0] + 1j * nv[..., 1])
+        det = self.detect_block(y)
+        sym_err = np.count_nonzero(det != idx, axis=0).astype(np.int64)
+        bit_err = np.array(_BIT_ERRORS[sc.d])[idx - 1, det - 1].sum(axis=0)
+        power_sum = float(np.cumsum(power[inverse])[-1])   # cumsum adds in slot order, as the slot loop does
+        ser_integrated = self.exit_probability(rx, idx).mean(axis=0) if integrate else None
+        return sym_err, bit_err, power_sum, ser_integrated
+
+    def run_slots(self, integrate: bool):
+        """``run`` slot by slot, for blocks shorter than BLOCK_CROSSOVER.
+
+        The same three passes: each slot's draws are kept as a tuple, its
+        distinct index vector's transmit power and rx once per vector, and
+        each point is detected by :meth:`detect`.
         """
         sc, trial, rng, h, h_j, mix = self.sc, self.trial, self.rng, self.h, self.h_j, self.mix
         k, d, bit_errors = sc.k, sc.d, _BIT_ERRORS[sc.d]
@@ -503,7 +599,7 @@ class _TrialEngine:
         first = {}   # symbol-index vector -> its indices, in order of first appearance
         for slot in range(1, sc.block_len + 1):
             _rekey(rng, sc.seed, trial, slot)
-            idx = _draw_index(rng, d, k)
+            idx = rng.integers(1, d + 1, size=k)
             zv = rng.standard_normal(2) @ mix
             nv = awgn_scale * rng.standard_normal((k, 2))
             key = idx.tobytes()
@@ -525,10 +621,9 @@ class _TrialEngine:
                 if det != idx[u]:
                     sym_err[u] += 1
                     bit_err[u] += bit_errors[idx[u] - 1][det - 1]
-        ser_integrated = None
-        if integrate:
-            rx_block = np.array([memo[key][1] for key, *_ in slots])
-            ser_integrated = self.exit_probability(rx_block, np.array([idx for _, idx, *_ in slots])).mean(axis=0)
+        ser_integrated = self.exit_probability(
+            np.array([memo[key][1] for key, *_ in slots]), np.array([idx for _, idx, *_ in slots])
+        ).mean(axis=0) if integrate else None
         return sym_err, bit_err, power_sum, ser_integrated
 
 

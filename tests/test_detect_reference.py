@@ -1,0 +1,181 @@
+"""The trial engine's array slot pass against its slot-by-slot reference, bit for bit.
+
+`_reference_run` is `_TrialEngine.run` as it was before a block of slots
+was drawn, detected and counted as arrays: each slot draws its symbol
+indices with `Generator.integers`, then its jammer and AWGN draws, and
+every received point is whitened (for the pw_* receivers) and detected on
+its own by `psk_detect`. The engine draws the same numbers from the raw
+Philox bits, forms every received point with the same arithmetic, decides
+the points away from a sector boundary with np.arctan2 and the rest with
+the scalar detector, and sums the power in slot order, so its symbol and
+bit errors, power bits and integrated SER must be equal on every scenario,
+on both sides of the block-length crossover.
+
+`TestGuard` puts points on the decision boundaries, at zero and at
+infinity or NaN, where only the scalar detector's decision counts.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from ncprecode.sim import (
+    _BIT_ERRORS,
+    BLOCK_CROSSOVER,
+    METHODS,
+    QSpec,
+    Scenario,
+    _TrialEngine,
+    _rekey,
+    psk_detect,
+)
+
+
+def _reference_run(engine, integrate):
+    """(symbol errors, bit errors, summed transmit power, noise-integrated SER), slot by slot."""
+    sc, trial, rng, h, h_j, mix = engine.sc, engine.trial, engine.rng, engine.h, engine.h_j, engine.mix
+    k, d, bit_errors = sc.k, sc.d, _BIT_ERRORS[sc.d]
+    awgn_scale = math.sqrt(0.5 * sc.awgn_var)
+    slots = []
+    first = {}
+    for slot in range(1, sc.block_len + 1):
+        _rekey(rng, sc.seed, trial, slot)
+        idx = rng.integers(1, d + 1, size=k)
+        zv = rng.standard_normal(2) @ mix
+        nv = awgn_scale * rng.standard_normal((k, 2))
+        key = idx.tobytes()
+        first.setdefault(key, idx)
+        slots.append((key, idx, complex(zv[0], zv[1]), nv[:, 0] + 1j * nv[:, 1]))
+    memo = {
+        key: (float(np.real(x @ np.conj(x))), h @ x)
+        for key, x in zip(first, engine.design(list(first.values())))
+    }
+    sym_err = np.zeros(k, dtype=np.int64)
+    bit_err = np.zeros(k, dtype=np.int64)
+    power_sum = 0.0
+    for key, idx, z, w in slots:
+        power, rx = memo[key]
+        power_sum += power
+        y = rx + h_j * z + w
+        for u in range(k):
+            y_k = y[u]
+            if engine.whiten is not None:
+                zw = engine.whiten[u] @ np.array([y_k.real, y_k.imag])
+                y_k = complex(zw[0], zw[1])
+            det = psk_detect(y_k, d)
+            if det != idx[u]:
+                sym_err[u] += 1
+                bit_err[u] += bit_errors[idx[u] - 1][det - 1]
+    ser_integrated = None
+    if integrate:
+        rx_block = np.array([memo[key][1] for key, *_ in slots])
+        ser_integrated = engine.exit_probability(rx_block, np.array([idx for _, idx, *_ in slots])).mean(axis=0)
+    return sym_err, bit_err, power_sum, ser_integrated
+
+
+Q_KINDS = {
+    "circular": QSpec(),
+    "elements": QSpec("elements", (0.3, 0.2)),
+    "random_rank_one": QSpec("random_rank_one"),
+}
+
+
+def scenario(method, d, q, block_len):
+    return Scenario(
+        m=3, k=2, d=d, rho2_db=10.0, awgn_std=1.0, p=0.8, trials=1, block_len=block_len,
+        seed=20240817 + d, method=method, q_spec=Q_KINDS[q], p_t_db=12.0, psi_db=0.0, n_div=4,
+    )
+
+
+@pytest.mark.parametrize("block_len", [1, BLOCK_CROSSOVER - 1, BLOCK_CROSSOVER, 300])
+@pytest.mark.parametrize("q", sorted(Q_KINDS))
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("method", METHODS)
+def test_run_matches_the_slot_loop(method, d, q, block_len):
+    engine = _TrialEngine(scenario(method, d, q, block_len), 1)
+    ref_sym, ref_bit, ref_power, ref_ser = _reference_run(engine, True)
+    for integrate in (True, False):
+        sym, bit, power, ser = engine.run(integrate)
+        assert sym.dtype == bit.dtype == np.int64
+        assert sym.tobytes() == ref_sym.tobytes() and bit.tobytes() == ref_bit.tobytes()
+        assert type(power) is float and np.float64(power).tobytes() == np.float64(ref_power).tobytes()
+        if integrate:
+            assert ser.tobytes() == ref_ser.tobytes()
+        else:
+            assert ser is None
+    if block_len == 300 and d == 8:
+        assert ref_sym.sum() > 0   # every method's comparison covers counted errors
+
+
+def _outcome(fn):
+    """(decision or exception type and message, warning messages) of fn()."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = int(fn())
+        except Exception as exc:
+            out = (type(exc), str(exc))
+    return out, {str(w.message) for w in caught}
+
+
+def _boundary_points(d, scale):
+    """Points on each decision-boundary ray (the 0/2 pi wrap among them) and one ULP either side."""
+    points = []
+    for j in range(d):
+        phi = 2.0 * math.pi * j / d
+        re, im = scale * math.cos(phi), scale * math.sin(phi)
+        for dr in (-math.inf, 0.0, math.inf):
+            for di in (-math.inf, 0.0, math.inf):
+                points.append((math.nextafter(re, dr) if dr else re, math.nextafter(im, di) if di else im))
+    return np.array(points)
+
+
+SPECIAL = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)] + [
+    complex(a, b)
+    for a, b in [(math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf), (1.0, -math.inf), (math.inf, math.inf),
+                 (-math.inf, -math.inf), (math.inf, -math.inf), (-math.inf, math.inf), (math.inf, 0.0),
+                 (0.0, -math.inf), (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.inf, math.nan)]
+]
+
+
+class TestGuard:
+    """Points the array pass must leave to the scalar detector get its decision or its exception."""
+
+    @pytest.mark.parametrize("method", ["naive_blp", "pw_blp"])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_boundary_rays(self, method, d):
+        engine = _TrialEngine(scenario(method, d, "random_rank_one", 1), 0)
+        k = engine.sc.k
+        columns = []
+        for u in range(k):
+            pts = np.vstack([_boundary_points(d, s) for s in (1.0, 1e-3, 1e3)])
+            if engine.whiten is not None:
+                # received points whose whitened images lie on the rays, to the last bits
+                pts = np.linalg.solve(engine.whiten[u], pts.T).T
+            columns.append(pts[:, 0] + 1j * pts[:, 1])
+        y = np.stack(columns, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            det = engine.detect_block(y)
+        assert det.dtype == np.int64 and det.shape == y.shape
+        for t in range(len(y)):
+            for u in range(k):
+                assert det[t, u] == engine.detect(y[t, u], u), (t, u, y[t, u])
+
+    @pytest.mark.parametrize("method", ["naive_blp", "pw_blp"])
+    @pytest.mark.parametrize("value", SPECIAL, ids=repr)
+    def test_zero_infinity_and_nan(self, method, value):
+        # A NaN part, or an infinite one that whitening turns into NaN, raises
+        # the ValueError of ceil(nan); the other points get their decision.
+        # The array pass adds no warning the scalar path does not give.
+        engine = _TrialEngine(scenario(method, 4, "random_rank_one", 1), 0)
+        y = np.full((3, engine.sc.k), 0.3 + 0.2j)
+        y[1, 1] = value
+        got, got_warnings = _outcome(lambda: engine.detect_block(y)[1, 1])
+        expected, expected_warnings = _outcome(lambda: engine.detect(y[1, 1], 1))
+        assert got == expected
+        if math.isnan(value.real) or math.isnan(value.imag):
+            assert expected == (ValueError, "cannot convert float NaN to integer")
+        assert got_warnings <= expected_warnings

@@ -11,6 +11,7 @@ from ncprecode.sim import (
     QSpec,
     Scenario,
     _TrialEngine,
+    _raw_indices,
     _rekey,
     _stream,
     energy_efficiency,
@@ -75,6 +76,29 @@ class TestSampling:
             lambda g: g.standard_normal((4, 2)),
         ):
             assert np.array_equal(draw(rng), draw(fresh))
+
+    @pytest.mark.parametrize("seed, trial, slot", [(12345, 0, 1), (2**64 - 1, 2**32 - 1, 2**32 - 1), (7, 3, 511)])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_raw_bits_draw_is_the_integers_draw(self, seed, trial, slot, d):
+        # The engine draws a slot's indices as raw bits, then its jammer and
+        # AWGN normals in one call; this binds both to Generator.integers and
+        # the two normal draws after it, for odd and even k (an odd k leaves
+        # half of a 64-bit word unused).
+        raw_rng, one_rng, int_rng = _stream(0, 0, 0), _stream(0, 0, 0), _stream(0, 0, 0)
+        for k in range(1, 7):
+            for s in range(slot, slot + 20):
+                for g in (raw_rng, one_rng, int_rng):
+                    _rekey(g, seed, trial, s & (2**32 - 1))
+                expected = int_rng.integers(1, d + 1, size=k)
+                for g in (raw_rng, one_rng):
+                    raw = g.bit_generator.random_raw((k + 1) // 2)
+                    assert np.array_equal(_raw_indices(raw[None], d, k)[0], expected)
+                normals = [int_rng.standard_normal(2), int_rng.standard_normal((k, 2))]
+                assert np.array_equal(raw_rng.standard_normal(2), normals[0])
+                assert np.array_equal(raw_rng.standard_normal((k, 2)), normals[1])
+                one = np.empty(2 + 2 * k)
+                one_rng.standard_normal(out=one)
+                assert np.array_equal(one, np.concatenate([normals[0], normals[1].ravel()]))
 
 
 class TestDetection:
