@@ -3,11 +3,10 @@
 Each suite re-derives a quantity by brute force (subset enumeration, dense
 boundary sampling, large-sample Monte Carlo) and compares it against the
 closed-form or solver path used in production. The CLI exposes the suites in
-SUITES through the `oracle` subcommand; the test suite asserts on the same
-outcomes. The wedge-exit suite (run_wedge_suite) is a test oracle only: it
-is not in SUITES, so `ncprecode oracle` does not offer it. Each suite draws
-a fixed number of instances from its own fixed seed (20240-20243), so every
-run checks the same instances.
+SUITES through the `oracle` subcommand (`oracle all` runs every one); the
+test suite asserts on the same outcomes. Each suite draws a fixed number of
+instances from its own fixed seed (20240-20243), so every run checks the
+same instances.
 """
 
 import itertools
@@ -238,7 +237,6 @@ def run_wedge_suite() -> OracleOutcome:
     |arg y| < pi/D must match wedge_exit_probability within four sampling
     standard errors.
     """
-    samples = 1_000_000
     rng = np.random.default_rng(20243)
     covariances = (
         (q_from_elements(0.5, 0.0), 1.0),
@@ -253,21 +251,21 @@ def run_wedge_suite() -> OracleOutcome:
             h_jk = complex(rng.standard_normal(), rng.standard_normal())
             jam = jammer_model(math.sqrt(10.0), q)
             g = effective_cov(h_jk, jam, awgn_var)
-            noise = sample_noise(rng, h_jk, jam, awgn_var, size=samples)
+            noise = sample_noise(rng, h_jk, jam, awgn_var, size=1_000_000)
             for beta in (rng.uniform(-0.5, 0.5) * theta, rng.uniform(1.05, 1.5) * theta):
                 radius = rng.uniform(1.0, 3.0) * math.sqrt(np.trace(g)) / math.sin(theta)
                 mu = radius * np.array([math.cos(beta), math.sin(beta)])
                 y = mu + noise
                 frac = float(np.mean(np.abs(np.arctan2(y[:, 1], y[:, 0])) > theta))
                 prob = float(wedge_exit_probability(mu, g, theta))
-                se = max(math.sqrt(prob * (1.0 - prob) / samples), 1e-300)
+                se = max(math.sqrt(prob * (1.0 - prob) / len(noise)), 1e-300)
                 worst = max(worst, abs(frac - prob) / se)
                 cases += 1
     return OracleOutcome(
         name="wedge-exit",
         passed=worst <= 4.0,
         detail=(
-            f"{cases} points x {samples} noise draws, "
+            f"{cases} points x {len(noise)} noise draws, "
             f"max |sampled - exact| = {worst:.2f} standard errors"
         ),
     )
@@ -277,4 +275,5 @@ SUITES = {
     "qp": run_qp_suite,
     "ellipse": run_ellipse_suite,
     "covariance": run_covariance_suite,
+    "wedge": run_wedge_suite,
 }

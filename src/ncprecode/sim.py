@@ -38,6 +38,14 @@ y = 0 among them) or that is not finite goes through the scalar
 ``_TrialEngine.detect``, so every decision and every exception is the
 scalar path's. A shorter block keeps the slot-by-slot loop
 (``_TrialEngine.run_slots``), which costs less than building the arrays.
+
+The covariance-grid sweeps (``sweep_q_grid`` and the two lemma checks)
+evaluate one channel draw's surface over the feasible (q11, q12) disk. The
+power sweep (``_sweep_power``) solves one min-power QP per symbol vector
+and cell; its symbol chains advance in rounds, each round's kernel calls in
+one lockstep ``solver._min_norm_batch`` call, and each chain certifies its
+kernel's active set on the cells after it. Every cell's power has the bits
+of a chain-by-chain sweep.
 """
 
 import math
@@ -60,7 +68,7 @@ from .noisegeom import (
     rotated_cov,
     wedge_exit_probability,
 )
-from .solver import _min_norm_kernel, _solve
+from .solver import BATCH_CROSSOVER, _min_norm_batch, _min_norm_kernel, _or_error, _solve
 from .wlalg import collapse_vec, expand_row, expand_vec, sqrt_inv_psd2, symbol_rotation
 
 __all__ = [
@@ -788,23 +796,69 @@ def _sweep_mse(sc: Scenario, h, h_j, q11, q12) -> np.ndarray:
     return np.array(values)
 
 
+def _certify_windows(a, gram, bounds, eps_p, active, ci, power):
+    """Certify one kernel call's active set on cells ci, ci + 1, ...; return the first cell it fails.
+
+    For a fixed active set S the optimum is affine in the bounds b:
+    mu = G_SS^-1 2 b_S and x = A_S^T mu / 2, and it is the cell's optimum
+    exactly when mu >= 0 and A x >= b - eps_p (the full KKT conditions).
+    The cells are certified against S in windows of 4, 8, 16, ... cells, one
+    stacked solve and two stacked matmuls per window, up to the first cell
+    that fails, and each certified cell's power is written into `power`. The
+    stacked gufunc forms (gesv per right-hand-side row, matmul per stacked
+    vector) compute each cell with the same operations as a solve and matmul
+    on that cell alone, so every cell's power has the bits of a per-cell
+    check, and the same cells fail.
+    """
+    n_cells = len(bounds)
+    s_arr = np.asarray(active)
+    g_ss = gram[s_arr[:, None], s_arr]
+    a_st = a[s_arr].T
+    width = 4
+    while ci < n_cells:
+        b_w = bounds[ci:ci + width]
+        try:
+            mu = _solve(g_ss, 2.0 * b_w[:, s_arr])
+        except np.linalg.LinAlgError:
+            # A singular G_SS fails every cell; anything else fails
+            # only some, so retry one cell at a time to find which.
+            if width == 1:
+                break
+            width = 1
+            continue
+        x_w = 0.5 * np.matmul(a_st, mu[:, :, None])[:, :, 0]
+        ok = (mu >= 0.0).all(1) & (np.matmul(a, x_w[:, :, None])[:, :, 0] - b_w >= -eps_p).all(1)
+        n_ok = len(ok) if ok.all() else int(ok.argmin())
+        x_ok = x_w[:n_ok]
+        power[ci:ci + n_ok] = np.matmul(x_ok[:, None, :], x_ok[:, :, None])[:, 0, 0]
+        ci += n_ok
+        if n_ok < len(ok):
+            break
+        width *= 2
+    return ci
+
+
 def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
     """Average minimum power of the transmit-only design at each cell (q11[c], q12[c]).
 
     The per-user squared margin terms are affine in (q11, q12), so for each
     symbol draw the constraint matrix and its Gram matrix are fixed and only
-    the QP bounds vary across the cells.
+    the QP bounds vary across the cells. Each symbol draw is one chain of
+    cells, and every chain's matrix, Gram matrix, row norms and bounds are
+    built up front. The kernel finds the active set at one cell of a chain,
+    ``_certify_windows`` certifies it on the cells after it, and the kernel
+    runs again at the first cell that fails.
 
-    For a fixed active set S the optimum is affine in the bounds b:
-    mu = G_SS^-1 2 b_S and x = A_S^T mu / 2, and it is the cell's optimum
-    exactly when mu >= 0 and A x >= b - eps_p (the full KKT conditions).
-    The kernel finds S at one cell; the cells after it are certified against
-    S in windows of 4, 8, 16, ... cells, one stacked solve and two stacked
-    matmuls per window, and the kernel runs again at the first cell that
-    fails. The stacked gufunc forms (gesv per right-hand-side row, matmul per
-    stacked vector) compute each cell with the same operations as a solve
-    and matmul on that cell alone, so every cell's power has the bits of the
-    per-cell check before it, and the kernel runs on the same cells.
+    The chains advance in rounds. Each round, every live chain's kernel call
+    at its next cell goes to one lockstep ``_min_norm_batch`` call, which
+    gives each problem the scalar kernel's bits or exception (below
+    ``BATCH_CROSSOVER`` live chains, the scalar kernel runs chain by chain);
+    then each chain, in chain order, certifies its windows. Each chain's
+    powers fill one row, and the rows are added in symbol order, so every
+    cell's sum adds the same values in the same order as a chain-by-chain
+    loop. A chain whose kernel call fails stops; the sweep raises the
+    failure of the lowest failed chain once every lower chain has finished,
+    which is the failure a chain-by-chain loop meets first.
     """
     k = h.shape[0]
     omega = chi2_scale(sc.p)
@@ -815,7 +869,7 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
     half_awgn = 0.5 * sc.awgn_var
     n_cells = len(q11)
 
-    totals = np.zeros(n_cells)
+    a_all, gram_all, rn_all, bounds, eps_all = [], [], [], [], []
     for s in symbols:
         rows = []
         coeffs = []
@@ -827,45 +881,45 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
                 # w^T Q w = w2^2 + q11 (w1^2 - w2^2) + 2 q12 w1 w2
                 coeffs.append((w[1] ** 2, w[0] ** 2 - w[1] ** 2, 2.0 * w[0] * w[1]))
         a = np.vstack(rows)
-        gram = a @ a.T
-        row_norm2 = np.einsum("ij,ij->i", a, a)
+        a_all.append(a)
+        gram_all.append(a @ a.T)
+        rn_all.append(np.einsum("ij,ij->i", a, a))
         const, lin11, lin12 = np.array(coeffs).T
         # bounds per cell: delta0 cos(theta) + sqrt(omega (rho^2 w^T Q w + awgn/2))
         qf = const[None, :] + q11[:, None] * lin11[None, :] + q12[:, None] * lin12[None, :]
         qf = np.maximum(qf, 0.0)
-        bounds_all = sc.delta0 * cos_t + np.sqrt(omega * (rho2 * qf + half_awgn))
-        eps_p = 1e-9 * max(1.0, float(np.max(bounds_all)))
-        ci = 0
-        while ci < n_cells:
-            x, _, active = _min_norm_kernel(a, bounds_all[ci], gram, row_norm2)
-            totals[ci] += float(x @ x)
-            ci += 1
-            if not active:
+        bounds.append(sc.delta0 * cos_t + np.sqrt(omega * (rho2 * qf + half_awgn)))
+        eps_all.append(1e-9 * max(1.0, float(np.max(bounds[-1]))))
+    a_all, gram_all, rn_all, bounds = (np.array(v) for v in (a_all, gram_all, rn_all, bounds))
+
+    power = np.empty((len(symbols), n_cells))
+    next_ci = np.zeros(len(symbols), dtype=np.intp)
+    failures = {}
+    live = np.arange(len(symbols))
+    while live.size:
+        if live.size < BATCH_CROSSOVER:
+            results = [
+                _or_error(_min_norm_kernel, a_all[c], bounds[c, next_ci[c]], gram_all[c], rn_all[c])
+                for c in live.tolist()
+            ]
+        else:
+            results = _min_norm_batch(a_all, gram_all, rn_all, bounds[live, next_ci[live]], live)
+        for c, res in zip(live.tolist(), results):
+            if isinstance(res, Exception):
+                failures[c] = res
                 continue
-            s_arr = np.asarray(active)
-            g_ss = gram[s_arr[:, None], s_arr]
-            a_st = a[s_arr].T
-            width = 4
-            while ci < n_cells:
-                b_w = bounds_all[ci:ci + width]
-                try:
-                    mu = _solve(g_ss, 2.0 * b_w[:, s_arr])
-                except np.linalg.LinAlgError:
-                    # A singular G_SS fails every cell; anything else fails
-                    # only some, so retry one cell at a time to find which.
-                    if width == 1:
-                        break
-                    width = 1
-                    continue
-                x_w = 0.5 * np.matmul(a_st, mu[:, :, None])[:, :, 0]
-                ok = (mu >= 0.0).all(1) & (np.matmul(a, x_w[:, :, None])[:, :, 0] - b_w >= -eps_p).all(1)
-                n_ok = len(ok) if ok.all() else int(ok.argmin())
-                x_ok = x_w[:n_ok]
-                totals[ci:ci + n_ok] += np.matmul(x_ok[:, None, :], x_ok[:, :, None])[:, 0, 0]
-                ci += n_ok
-                if n_ok < len(ok):
-                    break
-                width *= 2
+            x, _, active = res
+            ci = int(next_ci[c])
+            power[c, ci] = float(x @ x)
+            next_ci[c] = ci + 1
+            if active:
+                next_ci[c] = _certify_windows(a_all[c], gram_all[c], bounds[c], eps_all[c], active, ci + 1, power[c])
+        live = live[(next_ci[live] < n_cells) & (live < min(failures, default=len(symbols)))]
+    if failures:
+        raise failures[min(failures)]
+    totals = np.zeros(n_cells)
+    for row in power:   # in symbol order; power.sum(0) would add pairwise
+        totals += row
     return totals / len(symbols)
 
 

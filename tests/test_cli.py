@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ncprecode import cli, sim
+from ncprecode import cli, oracles, sim
 
 MINIMAL = """
 [scenario]
@@ -602,6 +602,16 @@ class TestOracleCommand:
         assert cli.main(["oracle", "qp"]) == 0
         out = capsys.readouterr().out
         assert "qp-enumeration" in out and "PASS" in out
+
+    def test_wedge_suite(self, monkeypatch, capsys):
+        # 10^4 noise draws per point, as in tests/test_oracles.py; TestWedgeExit runs 10^6
+        sample_noise = oracles.sample_noise
+        monkeypatch.setattr(
+            oracles, "sample_noise", lambda rng, h_jk, jam, awgn_var, size: sample_noise(rng, h_jk, jam, awgn_var, 10_000)
+        )
+        assert cli.main(["oracle", "wedge"]) == 0
+        out = capsys.readouterr().out
+        assert "wedge-exit" in out and "PASS" in out
 
 
 PINNED_RUN = MINIMAL + """p_t_db = 20.0

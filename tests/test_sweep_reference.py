@@ -3,19 +3,23 @@
 `_reference_sweep_power` is the sweep as it was before the cells after each
 kernel call were certified in stacked windows: every cell tries the last
 kernel call's active set on its own (one solve, two matrix-vector products)
-and calls the kernel when that fails. The stacked gufunc forms compute each
-cell with the same operations, and the kernel runs on the same cells, so
-`sim._sweep_power` must give the same surface bytes and the same sequence of
-kernel calls on every scenario.
+and calls the kernel when that fails, one symbol chain after the other. The
+stacked gufunc forms compute each cell with the same operations, the
+lockstep kernel gives each problem the scalar kernel's bits, and the kernel
+runs on the same cells, so `sim._sweep_power` must give the same surface
+bytes and, taken chain by chain, the same sequence of kernel problems on
+every scenario, and raise the same exception.
 """
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from ncprecode import cli, sim
+from ncprecode.errors import Infeasible, MaxIterations, PrecodingError
 from ncprecode.noisegeom import boundary_normals, chi2_scale
 from ncprecode.wlalg import expand_row, symbol_rotation
 
@@ -93,20 +97,56 @@ def _scenario(tmp_path, **changes):
     return dataclasses.replace(_lemma2_small(tmp_path)[0], **changes)
 
 
-def _surface_and_calls(monkeypatch, sweep, sc, draw, grid_n, n_symbols):
-    """Surface bytes of one draw and the (cell, bounds) of every kernel call."""
+def _chain_and_cell(b, bases):
+    """(chain, cell) of a scalar kernel call's bound row, from its place in its array.
+
+    `sim._sweep_power` stacks every chain's bounds in one (chain, cell, row)
+    array. The reference builds one (cell, row) array per chain, chain after
+    chain, so its chain is the number of arrays seen before.
+    """
+    if not bases or b.base is not bases[-1]:
+        bases.append(b.base)
+    index = np.unravel_index((b.ctypes.data - b.base.ctypes.data) // b.itemsize, b.base.shape)
+    if b.base.ndim == 3:
+        return int(index[0]), int(index[1])
+    return len(bases) - 1, int(index[0])
+
+
+def _surface_and_calls(monkeypatch, sweep, sc, draw, grid_n, n_symbols, fail_at=None):
+    """Surface bytes of one draw and the (chain, cell, bounds) of every kernel problem.
+
+    Problems are recorded at both kernel entries: the scalar kernel and the
+    lockstep batch. The calls are returned in chain order; the sort is stable,
+    so each chain's calls stay in the order it made them. A problem whose
+    (chain, cell) is a key of `fail_at` fails with that exception instead.
+    """
     calls = []
-    kernel = sim._min_norm_kernel
+    bases = []
+    fail_at = fail_at or {}
+    kernel, batch = sim._min_norm_kernel, sim._min_norm_batch
 
     def recording_kernel(a, b, gram, row_norm2):
-        cell = (b.ctypes.data - b.base.ctypes.data) // b.base.strides[0]
-        calls.append((cell, b.tobytes()))
+        chain, cell = _chain_and_cell(b, bases)
+        calls.append((chain, cell, b.tobytes()))
+        if (chain, cell) in fail_at:
+            raise fail_at[chain, cell]
         return kernel(a, b, gram, row_norm2)
+
+    def recording_batch(a, gram, row_norm2, b, owner):
+        # b is a gathered copy of the live chains' bound rows at their next
+        # cells, so the cells are read from the calling sweep
+        cells = sys._getframe(1).f_locals["next_ci"][owner].tolist()
+        problems = list(zip(owner.tolist(), cells))
+        calls.extend((chain, cell, row.tobytes()) for (chain, cell), row in zip(problems, b))
+        out = batch(a, gram, row_norm2, b, owner)
+        return [fail_at.get(problem, res) for problem, res in zip(problems, out)]
 
     with monkeypatch.context() as patch:
         patch.setattr(sim, "_min_norm_kernel", recording_kernel)
+        patch.setattr(sim, "_min_norm_batch", recording_batch)
         patch.setattr(sim, "_sweep_power", sweep)
         values = sim._draw_surface(sc, draw, grid_n, n_symbols, "power").values
+    calls.sort(key=lambda call: call[0])
     return values.tobytes(), calls
 
 
@@ -127,6 +167,11 @@ CASES = {
     "8psk": ({"d": 8}, 21, 10),
     "one-user": ({"k": 1}, 21, 10),
     "m-k-4": ({"m": 4, "k": 4}, 21, 10),
+    # the same with enough symbol chains to run the lockstep kernel
+    "bpsk-50": ({"d": 2}, 21, 50),
+    "8psk-50": ({"d": 8}, 21, 50),
+    "one-user-50": ({"k": 1}, 21, 50),
+    "m-k-4-50": ({"m": 4, "k": 4}, 21, 50),
 }
 
 
@@ -151,15 +196,20 @@ def test_zero_bounds_call_the_kernel_at_every_cell(tmp_path, monkeypatch):
     assert len(calls) == 3 * int(sim._feasible_mask(*sim._grid_axes(11)).sum())
 
 
+def _every_cell(g, rhs):
+    return g.shape[0] == 5   # a singular active Gram block: every cell fails
+
+
+def _some_cells(g, rhs):
+    return (np.atleast_2d(rhs)[:, 0].view(np.int64) % 5 == 0).any()
+
+
 @pytest.mark.parametrize(
-    "fails",
-    [
-        lambda g, rhs: g.shape[0] == 5,  # a singular active Gram block: every cell fails
-        lambda g, rhs: (np.atleast_2d(rhs)[:, 0].view(np.int64) % 5 == 0).any(),  # some cells fail
-    ],
-    ids=["every-cell", "some-cells"],
+    "fails, n_symbols",
+    [(_every_cell, 10), (_some_cells, 10), (_every_cell, 50), (_some_cells, 50)],
+    ids=["every-cell", "some-cells", "every-cell-50", "some-cells-50"],
 )
-def test_solve_failures_send_the_same_cells_to_the_kernel(tmp_path, monkeypatch, fails):
+def test_solve_failures_send_the_same_cells_to_the_kernel(tmp_path, monkeypatch, fails, n_symbols):
     solve = sim._solve
 
     def failing_solve(g, rhs):
@@ -168,4 +218,36 @@ def test_solve_failures_send_the_same_cells_to_the_kernel(tmp_path, monkeypatch,
         return solve(g, rhs)
 
     monkeypatch.setattr(sim, "_solve", failing_solve)
-    _assert_same_as_reference(monkeypatch, _scenario(tmp_path, seed=3), 0, 21, 10)
+    _assert_same_as_reference(monkeypatch, _scenario(tmp_path, seed=3), 0, 21, n_symbols)
+
+
+@pytest.mark.parametrize("lower_chain_fails", [True, False], ids=["lower-chain-late", "one-chain"])
+def test_the_lowest_failed_chain_raises(tmp_path, monkeypatch, lower_chain_fails):
+    # Chain 3 fails at its first cell, in the first round, when all 50 chains
+    # run in the lockstep kernel. Chain 1 fails at its last kernel call,
+    # which comes rounds later, on the scalar path once chain 3's failure
+    # has stopped chains 3-49. A chain-by-chain loop meets chain 1's failure
+    # first, and chain 3's when chain 1 does not fail.
+    sc = _scenario(tmp_path, seed=0)
+    ref_calls = _surface_and_calls(monkeypatch, _reference_sweep_power, sc, 0, 21, 50)[1]
+    late = max(cell for chain, cell, _ in ref_calls if chain == 1)
+    assert late > 0
+    fail_at = {(3, 0): MaxIterations("chain 3 fails early")}
+    if lower_chain_fails:
+        fail_at[1, late] = Infeasible("chain 1 fails late")
+    lockstep = []
+    batch = sim._min_norm_batch
+
+    def counting_batch(a, gram, row_norm2, b, owner):
+        lockstep.append(len(owner))
+        return batch(a, gram, row_norm2, b, owner)
+
+    monkeypatch.setattr(sim, "_min_norm_batch", counting_batch)
+    raised = []
+    for sweep in (sim._sweep_power, _reference_sweep_power):
+        with pytest.raises(PrecodingError) as info:
+            _surface_and_calls(monkeypatch, sweep, sc, 0, 21, 50, fail_at)
+        raised.append((type(info.value), str(info.value)))
+    expected = fail_at[1, late] if lower_chain_fails else fail_at[3, 0]
+    assert raised[0] == raised[1] == (type(expected), str(expected))
+    assert lockstep[0] == 50
