@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = add_command("run", "run the configured scenarios/sweeps", "output path ('-' for stdout)")
     run.add_argument("--threads", type=int, default=1,
-                     help="worker threads, at least 1; threads do not change results and "
-                          "are not faster (see README)")
+                     help="worker threads for chunks of trials, at least 1; threads do not "
+                          "change results and are not faster (see README)")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     add_command("sweep-q", "metric surface over the covariance disk")
     add_command("verify-lemma1", "worst-case MSE location check")

@@ -8,36 +8,37 @@ counter-based Philox streams keyed by (master seed, trial, slot), so results
 are bit-identical regardless of how trials are distributed over worker
 threads.
 
-Each trial is one ``_TrialEngine(sc, trial)``: its constructor draws the
-trial's channels and jammer covariance from the trial's set-up stream and
-builds every per-trial constant once (the noise covariances, the jammer
-mixing matrix, the BLP precoder, or each user's channel pair and, for
-designs whose bounds do not depend on the symbol, each user's bounds). Its
-``run`` method makes three passes over the slots: a draw pass fills arrays
-with each slot's symbol indices, jammer draw and AWGN draw; a solve pass
-designs the distinct symbol-index vectors, in order of first appearance, in
-one call, so that the SLP designs solve all of the trial's QPs in one batch
-(``solver.solve_min_norm_batch``); a detect pass adds the noise to every
-slot at once and counts the errors. Within a trial only d^K symbol vectors
-and d K (user, symbol) pairs exist, so the transmit vector, its power and
-the noise-free received points are kept once per distinct symbol-index
-vector, and each user's margin rows with their bounds once per (user,
-symbol index), both dropped with the trial. The reused values are the ones
-a fresh computation would return, because they are deterministic functions
-of the same inputs, and the batched QPs have the bits of one solve each, so
-every output byte is the same as designing each slot in turn.
+Each trial is set up by one ``_TrialEngine(sc, trial)``: its constructor
+draws the trial's channels and jammer covariance from the trial's set-up
+stream and builds every per-trial constant once (the noise covariances, the
+jammer mixing matrix, the BLP precoder, or each user's channel pair and, for
+designs whose bounds do not depend on the symbol, each user's bounds).
+Trials run in chunks of consecutive trials, ``max(1, CHUNK_SLOTS //
+block_len)`` at a time, and ``_run_chunk`` makes three passes over every
+(trial, slot) pair of a chunk, as arrays: a draw pass fills arrays with each
+slot's symbol indices, jammer draw and AWGN draw; a solve pass designs each
+trial's distinct symbol-index vectors, trial by trial and in order of first
+appearance, in one call, so that the SLP designs solve all of the chunk's
+QPs in one batch (``solver.solve_min_norm_batch``); a detect pass adds the
+noise to every point at once and counts the errors. Within a trial only d^K
+symbol vectors and d K (user, symbol) pairs exist, so the transmit vector,
+its power and the noise-free received points are kept once per distinct
+symbol-index vector, and each user's margin rows with their bounds once per
+(user, symbol index), both dropped with the chunk. The reused values are the
+ones a fresh computation would return, because they are deterministic
+functions of the same inputs, and the batched QPs have the bits of one solve
+each, so every output byte is the same as designing each slot in turn, for
+any chunk and any thread count.
 
-A block of ``BLOCK_CROSSOVER`` slots or more is drawn, detected and
-counted as arrays. Its symbol indices come from the raw Philox bits
-(``_raw_indices``), with the values and the stream position of
-``Generator.integers``. Its detection is one array pass
-(``_TrialEngine.detect_block``): np.arctan2 and ceil give every point's
-decision sector, and a point whose sector coordinate lies within
+A slot's symbol indices come from the raw Philox bits (``_raw_indices``),
+with the values and the stream position of ``Generator.integers``.
+Detection is one array pass (``_detect``): np.arctan2 and ceil give every
+point's decision sector, and a point whose sector coordinate lies within
 ``SECTOR_GUARD`` of an integer (a decision-boundary ray, the 0/2 pi wrap and
 y = 0 among them) or that is not finite goes through the scalar
 ``_TrialEngine.detect``, so every decision and every exception is the
-scalar path's. A shorter block keeps the slot-by-slot loop
-(``_TrialEngine.run_slots``), which costs less than building the arrays.
+scalar path's. A chunk that raises runs again trial by trial, so the
+earliest failing trial raises its own failure.
 
 The covariance-grid sweeps (``sweep_q_grid`` and the two lemma checks)
 evaluate one channel draw's surface over the feasible (q11, q12) disk. The
@@ -106,10 +107,11 @@ _BIT_ERRORS = {
     for d in (2, 4, 8, 16)
 }
 
-# A block of at least this many slots is drawn, detected and counted as
-# arrays; a shorter one slot by slot, which costs less than building the
-# arrays (see docs/DECISIONS.md for how it was measured).
-BLOCK_CROSSOVER = 6
+# Trials run in chunks of max(1, CHUNK_SLOTS // block_len), each chunk's
+# (trial, slot) pairs drawn, designed and detected as arrays. It bounds a
+# chunk's arrays; a trial of CHUNK_SLOTS slots or more is a chunk of its own
+# (see docs/DECISIONS.md for why this size).
+CHUNK_SLOTS = 512
 
 # A point whose decision-sector coordinate phase * d / (2 pi) lies this close
 # to an integer is decided by the scalar detector: np.arctan2 may differ from
@@ -393,7 +395,7 @@ def energy_efficiency(bler: float, c_bits: float, k: int, avg_power: float) -> f
 
 
 class _TrialEngine:
-    """One Monte-Carlo trial: its draws, its per-trial constants and its slot loop.
+    """One Monte-Carlo trial's set-up, its (user, symbol) term cache and its scalar detector.
 
     Set-up draws the trial's channels and jammer covariance from its slot-0
     stream and builds everything that depends on the trial only: the noise
@@ -405,13 +407,13 @@ class _TrialEngine:
     ``bound_fn``. Each user's (rows, bounds) term is built once per (user,
     symbol index) on first use and reused by every later symbol vector of
     the trial; a new symbol vector then costs one stacking and its share of
-    the trial's batched QP solve.
+    the chunk's batched QP solve (:func:`_run_chunk` runs the slots).
     """
 
     def __init__(self, sc: Scenario, trial: int):
         self.sc, self.trial = sc, trial
         k, method, theta = sc.k, sc.method, sc.theta
-        self.rng = _stream(sc.seed, trial, 0)   # re-keyed to each slot by run()
+        self.rng = _stream(sc.seed, trial, 0)   # re-keyed to each slot by _run_chunk
         h, h_j = self.h, self.h_j = sample_channels(self.rng, sc.m, k)
         jam = jammer_model(sc.rho, sc.q_spec.draw(self.rng))
         self.mix = (sc.rho * jam.t_factor).T
@@ -451,26 +453,6 @@ class _TrialEngine:
                 h_j[u], sc.rho2, sc.awgn_var, s_k, sc.delta0, omega, theta, sc.n_div
             )
 
-    def design(self, vectors) -> list:
-        """Complex transmit vectors for distinct vectors of 1-based symbol indices, in order.
-
-        The SLP designs solve every vector's QP in one batch. A vector whose
-        terms or QP fail raises that failure, and an earlier vector's
-        failure comes first, as one design call per vector would have it.
-        """
-        sc = self.sc
-        if sc.method in BLP_METHODS:
-            return [collapse_vec(self.precoder.p @ expand_vec(self.const[idx - 1])) for idx in vectors]
-        built, terms = [], self.terms
-        try:
-            for idx in vectors:
-                built.append([terms[u][i] or self.term(u, i) for u, i in enumerate((idx - 1).tolist())])
-        except Exception:
-            if built:
-                self.solve(built)   # raises an earlier vector's failure first
-            raise
-        return [collapse_vec(xb) for xb in self.solve(built)]
-
     def term(self, u: int, i: int):
         """Build and keep user u's (rows, bounds) for 0-based symbol index i."""
         s_k = self.const[i]
@@ -478,41 +460,11 @@ class _TrialEngine:
         entry = self.terms[u][i] = (_slp.margin_rows_pair(*self.pairs[u], s_k, self.sc.theta), bounds)
         return entry
 
-    def solve(self, terms) -> list:
-        """Real-stacked transmit vectors of per-vector terms."""
-        if self.sc.method in MSM_METHODS:
-            return [x for x, _ in _slp.solve_max_margin(terms, self.sc.p_t)]
-        return [sol.x for sol in _slp.solve_min_power(terms)]
-
     def detect(self, y_k: complex, user: int) -> int:
         if self.whiten is not None:
             z = self.whiten[user] @ np.array([y_k.real, y_k.imag])
             return psk_detect(complex(z[0], z[1]), self.sc.d)
         return psk_detect(y_k, self.sc.d)
-
-    def detect_block(self, y: np.ndarray) -> np.ndarray:
-        """Decisions (slots x users) for received points y, each one ``detect(y[t, u], u)``.
-
-        Whitened receivers whiten every point with one stacked matmul, which
-        makes each point's vector product as ``detect`` does, bit for bit.
-        np.arctan2 and ceil then give each decision sector. A point whose
-        sector coordinate lies within SECTOR_GUARD of an integer, or that is
-        not finite, goes through ``detect`` in slot and user order: the
-        decision-boundary rays, the 0/2 pi wrap and y = 0 (whose phase is 0
-        or +-pi) all lie on integers, and NaN raises the scalar ValueError.
-        """
-        if self.whiten is None:
-            re, im = y.real, y.imag
-        else:
-            zw = np.matmul(self.whiten, np.stack([y.real, y.imag], axis=-1)[..., None])
-            re, im = zw[..., 0, 0], zw[..., 1, 0]
-        phase = np.arctan2(im, re)
-        coord = np.where(phase <= 0.0, phase + 2.0 * math.pi, phase) * self.sc.d / (2.0 * math.pi)
-        clear = np.isfinite(re) & np.isfinite(im) & (np.abs(coord - np.rint(coord)) > SECTOR_GUARD)
-        det = np.ceil(np.where(clear, coord, 1.0)).astype(np.int64)
-        for t, u in zip(*np.nonzero(~clear)):
-            det[t, u] = self.detect(y[t, u], u)
-        return det
 
     def exit_probability(self, rx: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Per-slot, per-user probability (slots x users) of a symbol error.
@@ -532,113 +484,158 @@ class _TrialEngine:
         mu = rx * np.conj(const[idx - 1])
         return wedge_exit_probability(np.stack([mu.real, mu.imag], axis=-1), cov, sc.theta)
 
-    def run(self, integrate: bool):
-        """(symbol errors, bit errors, summed transmit power, noise-integrated SER) of the trial.
 
-        The per-user error counts are int64 arrays; the noise-integrated
-        per-user SER (see ``exit_probability``) is None unless `integrate`.
-        A block shorter than BLOCK_CROSSOVER slots runs :meth:`run_slots`,
-        which costs less there; a longer one makes three passes over its
-        slots, as arrays:
+def _design(pairs) -> list:
+    """Complex transmit vectors of (engine, 1-based symbol-index vector) pairs, in order.
 
-        1. Draw: each slot re-keys the trial's generator to its own (seed,
-           trial, slot) stream (:func:`_rekey`), takes the raw bits of its
-           symbol indices (:func:`_raw_indices`) and draws its jammer and
-           AWGN normals in one call, into preallocated arrays. The jammer
-           mixing (one stacked vector-matrix product, which makes each
-           slot's product as a single one does) and the noise scaling then
-           act on every slot at once.
-        2. Solve: one :meth:`design` call for the distinct index vectors, in
-           order of first appearance; each gives its transmit vector x, its
-           power and the noise-free received points rx = h x.
-        3. Detect: every slot's received points y = rx + h_j z + w at once,
-           decided by :meth:`detect_block` (np.arctan2 and ceil, with the
-           points near a sector boundary or not finite left to
-           :meth:`detect`). Errors and bit errors are counted per user from
-           the bit-error table, and the power is summed in slot order. With
-           `integrate`, the slots' rx then give every slot's exit
-           probabilities at once.
+    The SLP designs solve every pair's QP in one batch. A pair whose terms
+    or QP fail raises that failure, and an earlier pair's failure comes
+    first, as one design call per pair would have it.
+    """
+    sc = pairs[0][0].sc
+    if sc.method in BLP_METHODS:
+        return [collapse_vec(e.precoder.p @ expand_vec(e.const[idx - 1])) for e, idx in pairs]
+    built = []
+    try:
+        for e, idx in pairs:
+            built.append([e.terms[u][i] or e.term(u, i) for u, i in enumerate((idx - 1).tolist())])
+    except Exception:
+        if built:
+            _solve_terms(sc, built)   # raises an earlier pair's failure first
+        raise
+    return [collapse_vec(xb) for xb in _solve_terms(sc, built)]
 
-        The transmit vector depends only on the trial and the index vector,
-        so every slot that draws a vector again reuses its values, exactly:
-        a repeat would recompute the same deterministic function of the same
-        inputs. The draws, the received points, the decisions and the power
-        sum are the ones the slot loop makes, so every output byte is the
-        same as designing and detecting each slot in turn
-        (tests/test_detect_reference.py).
-        """
-        sc, rng, t_len, k = self.sc, self.rng, self.sc.block_len, self.sc.k
-        if t_len < BLOCK_CROSSOVER:
-            return self.run_slots(integrate)
-        raw = np.empty((t_len, (k + 1) // 2), dtype=np.uint64)
-        normal = np.empty((t_len, 2 + 2 * k))   # the jammer's 2 and the AWGN's k x 2, in draw order
+
+def _solve_terms(sc: Scenario, terms) -> list:
+    """Real-stacked transmit vectors of per-vector terms."""
+    if sc.method in MSM_METHODS:
+        return [x for x, _ in _slp.solve_max_margin(terms, sc.p_t)]
+    return [sol.x for sol in _slp.solve_min_power(terms)]
+
+
+def _detect(engines, y: np.ndarray) -> np.ndarray:
+    """Decisions (trials x slots x users) for received points y, each ``engines[i].detect(y[i, t, u], u)``.
+
+    Whitened receivers whiten every point with one stacked matmul, which
+    makes each point's vector product as ``detect`` does, bit for bit.
+    np.arctan2 and ceil then give each decision sector. A point whose
+    sector coordinate lies within SECTOR_GUARD of an integer, or that is
+    not finite, goes through ``detect`` in trial, slot and user order: the
+    decision-boundary rays, the 0/2 pi wrap and y = 0 (whose phase is 0 or
+    +-pi) all lie on integers, and NaN raises the scalar ValueError.
+    """
+    if engines[0].whiten is None:
+        re, im = y.real, y.imag
+    else:
+        whiten = np.array([e.whiten for e in engines])[:, None]
+        zw = np.matmul(whiten, np.stack([y.real, y.imag], axis=-1)[..., None])
+        re, im = zw[..., 0, 0], zw[..., 1, 0]
+    phase = np.arctan2(im, re)
+    coord = np.where(phase <= 0.0, phase + 2.0 * math.pi, phase) * engines[0].sc.d / (2.0 * math.pi)
+    clear = np.isfinite(re) & np.isfinite(im) & (np.abs(coord - np.rint(coord)) > SECTOR_GUARD)
+    det = np.ceil(np.where(clear, coord, 1.0)).astype(np.int64)
+    for i, t, u in zip(*np.nonzero(~clear)):
+        det[i, t, u] = engines[i].detect(y[i, t, u], u)
+    return det
+
+
+def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
+    """Per trial of a chunk: (symbol errors, bit errors, summed transmit power, noise-integrated SER).
+
+    The per-user error counts are int64 arrays; the noise-integrated
+    per-user SER (see ``_TrialEngine.exit_probability``) is None unless
+    `integrate`. Each trial is set up by its own :class:`_TrialEngine`, and
+    the chunk then makes three passes over all its (trial, slot) pairs, as
+    arrays:
+
+    1. Draw: each slot re-keys its trial's generator to its own (seed,
+       trial, slot) stream (:func:`_rekey`), takes the raw bits of its
+       symbol indices (:func:`_raw_indices`) and draws its jammer and AWGN
+       normals in one call, into preallocated arrays. The jammer mixing
+       (one stacked vector-matrix product, which makes each slot's product
+       as a single one does) and the noise scaling then act on every slot
+       at once.
+    2. Solve: one :func:`_design` call for each trial's distinct index
+       vectors, trial by trial and each trial's in order of first
+       appearance; each gives its transmit vector x, its power and the
+       noise-free received points rx = h x.
+    3. Detect: every received point y = rx + h_j z + w at once, decided by
+       :func:`_detect`. Errors and bit errors are counted per user from the
+       bit-error table, and each trial's power is summed in slot order. With
+       `integrate`, each trial's rx then give its slots' exit probabilities.
+
+    The transmit vector depends only on the trial and the index vector, so
+    every slot that draws a vector again reuses its values, exactly: a
+    repeat would recompute the same deterministic function of the same
+    inputs. The draws, the received points, the decisions and the power sums
+    are the ones a slot-by-slot loop over each trial makes, so every output
+    byte is the same for any chunk (tests/test_detect_reference.py).
+    """
+    engines = [_TrialEngine(sc, trial) for trial in trials]
+    n, t_len, k = len(engines), sc.block_len, sc.k
+    raw = np.empty((n, t_len, (k + 1) // 2), dtype=np.uint64)
+    normal = np.empty((n, t_len, 2 + 2 * k))   # the jammer's 2 and the AWGN's k x 2, in draw order
+    for e, raw_e, normal_e in zip(engines, raw, normal):
+        rng = e.rng
         for t in range(t_len):
-            _rekey(rng, sc.seed, self.trial, t + 1)
-            raw[t] = rng.bit_generator.random_raw(raw.shape[1])
-            rng.standard_normal(out=normal[t])
-        idx = _raw_indices(raw, sc.d, k)
-        z = np.matmul(normal[:, None, :2], self.mix).view(complex)[:, 0, 0]   # one vector product per slot
-        nv = math.sqrt(0.5 * sc.awgn_var) * normal[:, 2:].reshape(t_len, k, 2)
-        keys, row = idx.tobytes(), idx[0].nbytes
-        number = {}   # symbol-index vector -> its number, in order of first appearance
-        inverse = np.array([number.setdefault(keys[i:i + row], len(number)) for i in range(0, len(keys), row)])
-        xs = self.design([np.frombuffer(key, dtype=np.int64) for key in number])
-        power = np.array([float(np.real(x @ np.conj(x))) for x in xs])
-        rx = np.array([self.h @ x for x in xs])[inverse]
-        y = rx + self.h_j * z[:, None] + (nv[..., 0] + 1j * nv[..., 1])
-        det = self.detect_block(y)
-        sym_err = np.count_nonzero(det != idx, axis=0).astype(np.int64)
-        bit_err = np.array(_BIT_ERRORS[sc.d])[idx - 1, det - 1].sum(axis=0)
-        power_sum = float(np.cumsum(power[inverse])[-1])   # cumsum adds in slot order, as the slot loop does
-        ser_integrated = self.exit_probability(rx, idx).mean(axis=0) if integrate else None
-        return sym_err, bit_err, power_sum, ser_integrated
+            _rekey(rng, sc.seed, e.trial, t + 1)
+            raw_e[t] = rng.bit_generator.random_raw(raw.shape[2])
+            rng.standard_normal(out=normal_e[t])
+    idx = _raw_indices(raw.reshape(n * t_len, -1), sc.d, k).reshape(n, t_len, k)
+    mix = np.array([e.mix for e in engines])[:, None]
+    z = np.matmul(normal[:, :, None, :2], mix).view(complex)[..., 0, 0]   # one vector product per slot
+    nv = math.sqrt(0.5 * sc.awgn_var) * normal[..., 2:].reshape(n, t_len, k, 2)
+    keyed = np.concatenate([np.arange(n).repeat(t_len)[:, None], idx.reshape(n * t_len, k)], axis=1)
+    keys, row = keyed.tobytes(), keyed[0].nbytes
+    number = {}   # (trial's place, symbol indices) -> its number, by trial, then first appearance
+    inverse = np.array([number.setdefault(keys[j:j + row], len(number)) for j in range(0, len(keys), row)])
+    inverse = inverse.reshape(n, t_len)
+    pairs = [(engines[v[0]], v[1:]) for v in np.frombuffer(b"".join(number), dtype=np.int64).reshape(-1, k + 1)]
+    xs = _design(pairs)
+    power = np.array([float(np.real(x @ np.conj(x))) for x in xs])
+    rx = np.array([e.h @ x for (e, _), x in zip(pairs, xs)])[inverse]
+    h_j = np.array([e.h_j for e in engines])[:, None]
+    y = rx + h_j * z[..., None] + (nv[..., 0] + 1j * nv[..., 1])
+    det = _detect(engines, y)
+    sym_err = np.count_nonzero(det != idx, axis=1).astype(np.int64)
+    bit_err = np.array(_BIT_ERRORS[sc.d])[idx - 1, det - 1].sum(axis=1)
+    power_sum = np.cumsum(power[inverse], axis=1)[:, -1].tolist()   # cumsum adds in slot order
+    ser = [e.exit_probability(rx[i], idx[i]).mean(axis=0) if integrate else None for i, e in enumerate(engines)]
+    return list(zip(sym_err, bit_err, power_sum, ser))
 
-    def run_slots(self, integrate: bool):
-        """``run`` slot by slot, for blocks shorter than BLOCK_CROSSOVER.
 
-        The same three passes: each slot's draws are kept as a tuple, its
-        distinct index vector's transmit power and rx once per vector, and
-        each point is detected by :meth:`detect`.
-        """
-        sc, trial, rng, h, h_j, mix = self.sc, self.trial, self.rng, self.h, self.h_j, self.mix
-        k, d, bit_errors = sc.k, sc.d, _BIT_ERRORS[sc.d]
-        awgn_scale = math.sqrt(0.5 * sc.awgn_var)
-        slots = []
-        first = {}   # symbol-index vector -> its indices, in order of first appearance
-        for slot in range(1, sc.block_len + 1):
-            _rekey(rng, sc.seed, trial, slot)
-            idx = rng.integers(1, d + 1, size=k)
-            zv = rng.standard_normal(2) @ mix
-            nv = awgn_scale * rng.standard_normal((k, 2))
-            key = idx.tobytes()
-            first.setdefault(key, idx)
-            slots.append((key, idx, complex(zv[0], zv[1]), nv[:, 0] + 1j * nv[:, 1]))
-        memo = {   # symbol-index vector -> (transmit power, noise-free received points)
-            key: (float(np.real(x @ np.conj(x))), h @ x)
-            for key, x in zip(first, self.design(list(first.values())))
-        }
-        sym_err = np.zeros(k, dtype=np.int64)
-        bit_err = np.zeros(k, dtype=np.int64)
-        power_sum = 0.0
-        for key, idx, z, w in slots:
-            power, rx = memo[key]
-            power_sum += power
-            y = rx + h_j * z + w
-            for u in range(k):
-                det = self.detect(y[u], u)
-                if det != idx[u]:
-                    sym_err[u] += 1
-                    bit_err[u] += bit_errors[idx[u] - 1][det - 1]
-        ser_integrated = self.exit_probability(
-            np.array([memo[key][1] for key, *_ in slots]), np.array([idx for _, idx, *_ in slots])
-        ).mean(axis=0) if integrate else None
-        return sym_err, bit_err, power_sum, ser_integrated
+def _run_trials(sc: Scenario, integrate: bool, threads: int) -> list:
+    """``_run_chunk``'s tuple for every trial, in trial order, over chunks mapped on `threads` threads.
+
+    A chunk holds max(1, CHUNK_SLOTS // block_len) consecutive trials. A
+    chunk that raises runs again trial by trial, so the earliest failing
+    trial raises its own failure, as a trial-by-trial run would.
+    """
+    size = max(1, CHUNK_SLOTS // sc.block_len)
+
+    def run(first):
+        chunk = range(first, min(first + size, sc.trials))
+        try:
+            return _run_chunk(sc, chunk, integrate)
+        except Exception:
+            return [stats for t in chunk for stats in _run_chunk(sc, range(t, t + 1), integrate)]
+
+    if threads <= 1:
+        chunks = [run(first) for first in range(0, sc.trials, size)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(run, range(0, sc.trials, size)))
+    return [stats for chunk in chunks for stats in chunk]
 
 
 def _std_err(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
-    return float(np.std(values, ddof=1) / math.sqrt(values.size))
+    # np.std squares the deviations, which overflows above about 1e154. A
+    # series reaching 2^400 is scaled down by a power of two first and back
+    # after; the scaling is exact, so the bits are those of the plain form.
+    exp = max(0, math.frexp(float(np.max(np.abs(values))))[1] - 400)
+    return float(np.ldexp(np.std(np.ldexp(values, -exp), ddof=1) / math.sqrt(values.size), exp))
 
 
 @dataclass(frozen=True)
@@ -673,18 +670,8 @@ def per_trial_metrics(sc: Scenario, threads: int = 1, noise_integrated: bool = F
     sampled errors, so its variance comes from channels and symbols alone).
     The counted series do not change.
     """
-    trials = sc.trials
-
-    def run(t):
-        return _TrialEngine(sc, t).run(noise_integrated)
-
-    if threads <= 1:
-        stats = [run(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stats = list(pool.map(run, range(trials)))
     k, t_len, c_bits = sc.k, sc.block_len, sc.c_bits
-    sym_err, bit_err, power_sum, ser_integrated = zip(*stats)
+    sym_err, bit_err, power_sum, ser_integrated = zip(*_run_trials(sc, noise_integrated, threads))
     sym = np.vstack(sym_err)            # trials x K
     bits = np.vstack(bit_err)
     blk = (sym > 0).astype(float)       # a user's block is in error when any of its symbols is

@@ -1,15 +1,15 @@
-"""The trial engine's array slot pass against its slot-by-slot reference, bit for bit.
+"""The engine's array pass over a chunk of trials against a slot-by-slot reference, bit for bit.
 
-`_reference_run` is `_TrialEngine.run` as it was before a block of slots
-was drawn, detected and counted as arrays: each slot draws its symbol
-indices with `Generator.integers`, then its jammer and AWGN draws, and
-every received point is whitened (for the pw_* receivers) and detected on
-its own by `psk_detect`. The engine draws the same numbers from the raw
-Philox bits, forms every received point with the same arithmetic, decides
-the points away from a sector boundary with np.arctan2 and the rest with
-the scalar detector, and sums the power in slot order, so its symbol and
-bit errors, power bits and integrated SER must be equal on every scenario,
-on both sides of the block-length crossover.
+`_reference_run` is one trial's run as it was before its slots were drawn,
+detected and counted as arrays: each slot draws its symbol indices with
+`Generator.integers`, then its jammer and AWGN draws, and every received
+point is whitened (for the pw_* receivers) and detected on its own by
+`psk_detect`. The chunk pass draws the same numbers from the raw Philox
+bits, forms every received point with the same arithmetic, decides the
+points away from a sector boundary with np.arctan2 and the rest with the
+scalar detector, and sums each trial's power in slot order, so each trial's
+symbol and bit errors, power bits and integrated SER must be equal on every
+scenario, whatever chunk the trial runs in.
 
 `TestGuard` puts points on the decision boundaries, at zero and at
 infinity or NaN, where only the scalar detector's decision counts.
@@ -21,14 +21,18 @@ import warnings
 import numpy as np
 import pytest
 
+from ncprecode import sim
 from ncprecode.sim import (
     _BIT_ERRORS,
-    BLOCK_CROSSOVER,
     METHODS,
     QSpec,
     Scenario,
-    _TrialEngine,
+    _design,
+    _detect,
     _rekey,
+    _run_chunk,
+    _run_trials,
+    _TrialEngine,
     psk_detect,
 )
 
@@ -50,7 +54,7 @@ def _reference_run(engine, integrate):
         slots.append((key, idx, complex(zv[0], zv[1]), nv[:, 0] + 1j * nv[:, 1]))
     memo = {
         key: (float(np.real(x @ np.conj(x))), h @ x)
-        for key, x in zip(first, engine.design(list(first.values())))
+        for key, x in zip(first, _design([(engine, idx) for idx in first.values()]))
     }
     sym_err = np.zeros(k, dtype=np.int64)
     bit_err = np.zeros(k, dtype=np.int64)
@@ -82,31 +86,55 @@ Q_KINDS = {
 }
 
 
-def scenario(method, d, q, block_len):
+def scenario(method, d, q, block_len, trials=1):
     return Scenario(
-        m=3, k=2, d=d, rho2_db=10.0, awgn_std=1.0, p=0.8, trials=1, block_len=block_len,
+        m=3, k=2, d=d, rho2_db=10.0, awgn_std=1.0, p=0.8, trials=trials, block_len=block_len,
         seed=20240817 + d, method=method, q_spec=Q_KINDS[q], p_t_db=12.0, psi_db=0.0, n_div=4,
     )
 
 
-@pytest.mark.parametrize("block_len", [1, BLOCK_CROSSOVER - 1, BLOCK_CROSSOVER, 300])
+def assert_equal_stats(got, ref, integrate):
+    sym, bit, power, ser = got
+    ref_sym, ref_bit, ref_power, ref_ser = ref
+    assert sym.dtype == bit.dtype == np.int64
+    assert sym.tobytes() == ref_sym.tobytes() and bit.tobytes() == ref_bit.tobytes()
+    assert type(power) is float and np.float64(power).tobytes() == np.float64(ref_power).tobytes()
+    if integrate:
+        assert ser.tobytes() == ref_ser.tobytes()
+    else:
+        assert ser is None
+
+
+@pytest.mark.parametrize("block_len", [1, 5, 6, 300])
 @pytest.mark.parametrize("q", sorted(Q_KINDS))
 @pytest.mark.parametrize("d", [2, 4, 8])
 @pytest.mark.parametrize("method", METHODS)
 def test_run_matches_the_slot_loop(method, d, q, block_len):
-    engine = _TrialEngine(scenario(method, d, q, block_len), 1)
-    ref_sym, ref_bit, ref_power, ref_ser = _reference_run(engine, True)
+    sc = scenario(method, d, q, block_len)
+    ref = _reference_run(_TrialEngine(sc, 1), True)
     for integrate in (True, False):
-        sym, bit, power, ser = engine.run(integrate)
-        assert sym.dtype == bit.dtype == np.int64
-        assert sym.tobytes() == ref_sym.tobytes() and bit.tobytes() == ref_bit.tobytes()
-        assert type(power) is float and np.float64(power).tobytes() == np.float64(ref_power).tobytes()
-        if integrate:
-            assert ser.tobytes() == ref_ser.tobytes()
-        else:
-            assert ser is None
+        (got,) = _run_chunk(sc, range(1, 2), integrate)
+        assert_equal_stats(got, ref, integrate)
     if block_len == 300 and d == 8:
-        assert ref_sym.sum() > 0   # every method's comparison covers counted errors
+        assert ref[0].sum() > 0   # every method's comparison covers counted errors
+
+
+@pytest.mark.parametrize("trials, block_len, mid", [(40, 1, 7), (12, 5, 35), (3, 300, 600)])
+@pytest.mark.parametrize("method", METHODS)
+def test_every_chunking_matches_the_slot_loop(monkeypatch, method, trials, block_len, mid):
+    # Chunks of one trial, chunks that split the run mid-way (40 = 5 x 7 + 5,
+    # 12 = 7 + 5 and 3 = 2 + 1 trials) and the default chunk give every trial
+    # the bytes of its own slot loop, at one thread and at three.
+    sc = scenario(method, 8, "random_rank_one", block_len, trials)
+    refs = [_reference_run(_TrialEngine(sc, t), True) for t in range(trials)]
+    if block_len == 300:
+        assert sum(ref[0].sum() for ref in refs) > 0   # the comparison covers counted errors
+    for chunk_slots, threads in [(1, 1), (mid, 1), (mid, 3), (sim.CHUNK_SLOTS, 1)]:
+        monkeypatch.setattr(sim, "CHUNK_SLOTS", chunk_slots)
+        got = _run_trials(sc, True, threads)
+        assert len(got) == trials
+        for stats, ref in zip(got, refs):
+            assert_equal_stats(stats, ref, True)
 
 
 def _outcome(fn):
@@ -158,7 +186,7 @@ class TestGuard:
         y = np.stack(columns, axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            det = engine.detect_block(y)
+            det = _detect([engine], y[None])[0]
         assert det.dtype == np.int64 and det.shape == y.shape
         for t in range(len(y)):
             for u in range(k):
@@ -173,7 +201,7 @@ class TestGuard:
         engine = _TrialEngine(scenario(method, 4, "random_rank_one", 1), 0)
         y = np.full((3, engine.sc.k), 0.3 + 0.2j)
         y[1, 1] = value
-        got, got_warnings = _outcome(lambda: engine.detect_block(y)[1, 1])
+        got, got_warnings = _outcome(lambda: _detect([engine], y[None])[0, 1, 1])
         expected, expected_warnings = _outcome(lambda: engine.detect(y[1, 1], 1))
         assert got == expected
         if math.isnan(value.real) or math.isnan(value.imag):

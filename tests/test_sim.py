@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ncprecode import slp, solver
+from ncprecode import sim, slp, solver
 from ncprecode.errors import Infeasible
 from ncprecode.noisegeom import chi2_scale, effective_cov, jammer_model, q_from_elements
 from ncprecode.oracles import min_norm_by_enumeration
@@ -11,8 +12,10 @@ from ncprecode.sim import (
     QSpec,
     Scenario,
     _TrialEngine,
+    _design,
     _raw_indices,
     _rekey,
+    _std_err,
     _stream,
     energy_efficiency,
     margin_from_psi,
@@ -656,8 +659,64 @@ class TestBatchedSolves:
 
     def test_design_fails_at_the_first_failing_vector(self):
         same, clash, broken = np.array([1, 1]), np.array([1, 2]), np.array([3, 4])
-        assert len(self.clashing_engine().design([same, same + 1])) == 2
+
+        def design(*vectors):
+            engine = self.clashing_engine()
+            return _design([(engine, idx) for idx in vectors])
+
+        assert len(design(same, same + 1)) == 2
         with pytest.raises(Infeasible, match="inconsistent constraints"):
-            self.clashing_engine().design([same, clash, broken])
+            design(same, clash, broken)
         with pytest.raises(ValueError, match="no bounds"):
-            self.clashing_engine().design([same, broken, clash])
+            design(same, broken, clash)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_earliest_failing_trial_raises_across_a_chunk(self, monkeypatch, threads):
+        # Trial 1 fails in its QP (its users share a channel, as in
+        # clashing_engine) and trial 3 fails at set-up. The chunk sets up
+        # every trial before it solves any QP, so it meets trial 3's failure
+        # first; the run must still raise trial 1's, as trial by trial.
+        sc = dataclasses.replace(reuse_scenario("nc_slp"), trials=4)
+        assert sim.CHUNK_SLOTS // sc.block_len >= sc.trials   # one chunk
+        init = _TrialEngine.__init__
+
+        def failing(engine, sc, trial):
+            if trial == 3:
+                raise ValueError("set-up of trial 3")
+            init(engine, sc, trial)
+            if trial == 1:
+                engine.pairs[1] = engine.pairs[0]
+
+        monkeypatch.setattr(_TrialEngine, "__init__", failing)
+        with pytest.raises(ValueError, match="set-up of trial 3"):
+            sim._run_chunk(sc, range(sc.trials), False)
+        with pytest.raises(Infeasible, match="inconsistent constraints"):
+            per_trial_metrics(sc, threads=threads)
+
+
+class TestStdErr:
+    def test_large_values_do_not_overflow(self):
+        # np.std squares the deviations, which overflows above about 1e154
+        values = np.array([1e200, 3e200, 2e200, 5e300])
+        scaled = np.array([1.0, 3.0, 2.0, 5e100])
+        assert _std_err(values) == pytest.approx(_std_err(scaled) * 1e200, rel=1e-14)
+        assert _std_err(np.array([-1.7e308, 1.7e308])) == pytest.approx(1.7e308, rel=1e-15)
+
+    def test_bits_unchanged_where_the_plain_form_is_finite(self):
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            n = int(rng.integers(2, 40))
+            offset = rng.uniform(-1, 1) * 10.0 ** rng.uniform(-150, 150)
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150) + offset
+            plain = np.float64(np.std(values, ddof=1) / math.sqrt(n))
+            assert np.float64(_std_err(values)).tobytes() == plain.tobytes()
+        assert _std_err(np.array([2.5])) == 0.0
+
+    @pytest.mark.parametrize("method", ["pw_slp", "naive_slp", "robust_slp"])
+    def test_a_huge_awgn_std_gives_a_finite_power_error(self, method):
+        sc = Scenario(
+            m=2, k=2, d=4, rho2_db=10.0, awgn_std=1e100, p=0.8, trials=4, block_len=3,
+            seed=11, method=method, psi_db=0.0, n_div=4,
+        )
+        rec = run_montecarlo(sc)
+        assert rec.avg_tx_power > 1e190 and math.isfinite(rec.avg_tx_power_se) and rec.avg_tx_power_se > 0.0
