@@ -4,16 +4,18 @@ One linear precoder per channel block, acting on the real-stacked symbol
 vector. Variants differ only in the per-user noise covariance they assume:
 the pre-whitened design uses the true (generally non-circular) covariance,
 the robust design a circular covariance of the same total power, and the
-naive design the AWGN-only covariance.
+naive design the AWGN-only covariance. The designs broadcast over leading
+axes (a chunk's trials, a grid's cells), each item with the bits of its
+one-item call: stacked whitening and products, and stacked LAPACK
+Cholesky factorizations and solves.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, PrecodingError
-from .wlalg import expand_row, sqrt_inv_psd2
+from .wlalg import _sym2, expand_row, sqrt_inv_psd2
 
 __all__ = [
     "LinearPrecoder",
@@ -33,7 +35,7 @@ class LinearPrecoder:
     """Real 2M x 2K precoder with its MMSE scaling and power budget.
 
     The transmit-power constraint holds with equality: 0.5 tr(P P^T) equals
-    the budget.
+    the budget. A stack of designs has p (..., 2M, 2K) and beta (...).
     """
 
     p: np.ndarray
@@ -42,39 +44,24 @@ class LinearPrecoder:
 
 
 def _as_channel_matrix(channels) -> np.ndarray:
-    h = np.atleast_2d(np.asarray(channels, dtype=complex))
-    if h.ndim != 2:
-        raise ValueError("channels must be a K x M complex matrix")
-    return h
-
-
-def _per_user(values, k: int) -> np.ndarray:
-    """Broadcast a scalar or length-K sequence to a length-K float array."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 1:
-        return np.full(k, arr[0])
-    if arr.size != k:
-        raise ValueError(f"expected {k} per-user values, got {arr.size}")
-    return arr
+    """K x M complex channel rows, or a stack of them (..., K, M)."""
+    return np.atleast_2d(np.asarray(channels, dtype=complex))
 
 
 def stack_whitened(channels, covs) -> np.ndarray:
-    """Stacked whitened channel: rows G_k^{-1/2} Hbar_k, first rows then seconds.
+    """Stacked whitened channels (..., 2K, 2M): rows G_k^{-1/2} Hbar_k, first rows then seconds.
 
-    Row k (k = 0..K-1) is the first whitened row of user k, row K + k the
-    second, matching the ordering of the stacked whitened observations.
+    channels (..., K, M) and covs (..., K, 2, 2) are the users' channel rows
+    and noise covariances. Row k (k = 0..K-1) is the first whitened row of
+    user k, row K + k the second, matching the ordering of the stacked
+    whitened observations.
     """
-    h = _as_channel_matrix(channels)
-    first, second = [], []
-    for hk, gk in zip(h, covs):
-        he = sqrt_inv_psd2(gk) @ expand_row(hk)
-        first.append(he[0])
-        second.append(he[1])
-    return np.vstack(first + second)
+    he = sqrt_inv_psd2(np.asarray(covs, dtype=float)) @ expand_row(_as_channel_matrix(channels))
+    return np.concatenate([he[..., 0, :], he[..., 1, :]], axis=-2)
 
 
 def mmse_blp(h_e: np.ndarray, p_t: float) -> LinearPrecoder:
-    """MMSE block precoder for a stacked whitened channel.
+    """MMSE block precoders for stacked whitened channels h_e (..., 2K, 2M).
 
     P = beta * Delta @ H_E^T with Delta = (H_E^T H_E + a I)^{-1}, a = 2K/p_t,
     and beta chosen so the power constraint is tight. Delta is inverted via
@@ -82,11 +69,11 @@ def mmse_blp(h_e: np.ndarray, p_t: float) -> LinearPrecoder:
     """
     if p_t <= 0.0:
         raise ValueError("transmit power budget must be positive")
-    two_k, two_m = h_e.shape
+    two_k, two_m = h_e.shape[-2:]
     k = two_k // 2
     a = 2.0 * k / p_t
     with np.errstate(over="ignore"):
-        gram = h_e.T @ h_e + a * np.eye(two_m)
+        gram = h_e.swapaxes(-1, -2) @ h_e + a * np.eye(two_m)
     if not np.isfinite(gram).all():
         # whitening scales the channel by the inverse square root of its noise
         # covariance, so a vanishing covariance takes H_E^T H_E out of range
@@ -95,13 +82,13 @@ def mmse_blp(h_e: np.ndarray, p_t: float) -> LinearPrecoder:
         )
     chol = np.linalg.cholesky(gram)
     eye = np.eye(two_m)
-    delta = np.linalg.solve(chol.T, np.linalg.solve(chol, eye))
+    delta = np.linalg.solve(chol.swapaxes(-1, -2), np.linalg.solve(chol, eye))
     hd = h_e @ delta  # = (Delta @ H_E^T)^T by symmetry of Delta
-    power = float(np.sum(hd * hd))
-    if power == 0.0:
+    power = (hd * hd).reshape(hd.shape[:-2] + (-1,)).sum(axis=-1)
+    if np.any(power == 0.0):
         raise PrecodingError(f"power budget {p_t!r} is too small: the precoder's power underflows")
-    beta = math.sqrt(2.0 * p_t / power)
-    return LinearPrecoder(p=beta * hd.T, beta=beta, power_budget=float(p_t))
+    beta = np.sqrt(2.0 * p_t / power)
+    return LinearPrecoder(p=beta[..., None, None] * hd.swapaxes(-1, -2), beta=beta[()], power_budget=float(p_t))
 
 
 def stationarity_residuals(pre: LinearPrecoder, h_e: np.ndarray):
@@ -125,27 +112,31 @@ def stationarity_residuals(pre: LinearPrecoder, h_e: np.ndarray):
     return float(np.max(np.abs(res_p))), abs(res_beta)
 
 
-def mse_closed_form(channels, covs, p_t: float) -> float:
+def mse_closed_form(channels, covs, p_t: float):
     """Optimal MSE of the pre-whitened MMSE design for given noise covariances.
 
     Equals K - M + 0.5 tr{(I + (1/a) sum_k Hbar_k^T G_k^{-1} Hbar_k)^{-1}}
-    with a = 2K/p_t. Depends on each covariance only through its inverse, so
-    it is invariant to the choice of whitening factor. A singular or
-    indefinite covariance raises NotPositiveDefinite.
+    with a = 2K/p_t, for the K x M channels and covs (..., K, 2, 2): one
+    value per leading index, the users summed in user order. Depends on
+    each covariance only through its inverse, so it is invariant to the
+    choice of whitening factor. A singular or indefinite covariance raises
+    NotPositiveDefinite.
     """
     h = _as_channel_matrix(channels)
     k, m = h.shape
     a = 2.0 * k / p_t
-    acc = np.zeros((2 * m, 2 * m))
-    for hk, gk in zip(h, covs):
-        m11, m12, m22 = gk[0, 0], gk[0, 1], gk[1, 1]
-        det = m11 * m22 - m12 * m12
-        if det <= 0.0:
-            raise NotPositiveDefinite("2x2 matrix is singular or indefinite")
-        hb = expand_row(hk)
-        acc += hb.T @ np.array([[m22 / det, -m12 / det], [-m12 / det, m11 / det]]) @ hb
+    covs = np.asarray(covs, dtype=float)
+    m11, m12, m22 = covs[..., 0, 0], covs[..., 0, 1], covs[..., 1, 1]
+    det = m11 * m22 - m12 * m12
+    if np.any(det <= 0.0):
+        raise NotPositiveDefinite("2x2 matrix is singular or indefinite")
+    inv = _sym2(m22 / det, -m12 / det, m11 / det)
+    hb = expand_row(h)
+    acc = np.zeros(covs.shape[:-3] + (2 * m, 2 * m))
+    for u in range(k):
+        acc += hb[u].T @ inv[..., u, :, :] @ hb[u]
     d = np.eye(2 * m) + acc / a
-    return k - m + 0.5 * float(np.trace(np.linalg.solve(d, np.eye(2 * m))))
+    return (k - m + 0.5 * np.trace(np.linalg.solve(d, np.eye(2 * m)), axis1=-2, axis2=-1))[()]
 
 
 def mse_of_precoder(pre: LinearPrecoder, channels, covs) -> float:
@@ -182,9 +173,8 @@ def robust_blp(channels, awgn_var: float, jammer_powers_per_user, p_t: float) ->
     robust design uses G_k = ((rho^2 |h_jk|^2 + awgn_var) / 2) I.
     """
     h = _as_channel_matrix(channels)
-    jp = _per_user(jammer_powers_per_user, h.shape[0])
-    covs = [np.array([[s, 0.0], [0.0, s]]) for s in 0.5 * (jp + awgn_var)]
-    return mmse_blp(stack_whitened(h, covs), p_t)
+    s = 0.5 * (np.broadcast_to(np.asarray(jammer_powers_per_user, dtype=float), h.shape[:-1]) + awgn_var)
+    return mmse_blp(stack_whitened(h, _sym2(s, 0.0, s)), p_t)
 
 
 def naive_blp(channels, awgn_var: float, p_t: float) -> LinearPrecoder:

@@ -4,8 +4,10 @@ Builds the per-user effective noise covariance (jamming plus AWGN), its
 symbol-rotated variant, confidence ellipses for a preset containment
 probability, the exact probability that the noise moves a point out of its
 PSK decision wedge, and draws noise samples consistent with those statistics.
-Every covariance is a float (2, 2) array, symmetric by construction: its
-builders write both off-diagonal entries from one value.
+Every covariance is a float (..., 2, 2) array, symmetric by construction: its
+builders write both off-diagonal entries from one value. The covariance
+builders broadcast over leading axes (a chunk's trials and users, a grid's
+cells), with the bits of their one-item calls (see ``wlalg``).
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEllipse, InfeasibleQ, InvalidConfidence
-from .wlalg import eig2_sym, expand_row, symbol_rotation
+from .wlalg import _each, _outer, _perp, _sym2, eig2_sym, expand_row, symbol_rotation
 
 __all__ = [
     "JammerModel",
@@ -45,7 +47,7 @@ _ERFC = np.vectorize(math.erfc, otypes=[float])
 
 @dataclass(frozen=True)
 class JammerModel:
-    """Single-antenna jammer: amplitude rho and unit-trace covariance Q = T T^T."""
+    """Single-antenna jammer: amplitude rho and unit-trace covariances Q = T T^T (..., 2, 2)."""
 
     rho: float
     q: np.ndarray
@@ -54,7 +56,7 @@ class JammerModel:
     def __post_init__(self):
         if self.rho < 0.0:
             raise ValueError("jammer amplitude must be nonnegative")
-        if abs(np.trace(self.q) - 1.0) > 1e-12:
+        if (np.abs(self.q[..., 0, 0] + self.q[..., 1, 1] - 1.0) > 1e-12).any():
             raise ValueError("jammer covariance must have unit trace")
 
 
@@ -73,16 +75,20 @@ class ConfidenceEllipse:
     omega: float
 
 
-def q_from_elements(q11: float, q12: float) -> np.ndarray:
-    """Unit-trace covariance [[q11, q12], [q12, 1-q11]].
+def _in_disk(q11: float, q12: float) -> bool:
+    return (q11 - 0.5) ** 2 + q12 ** 2 <= 0.25 + 1e-12   # written so that NaN fails it
+
+
+def q_from_elements(q11, q12) -> np.ndarray:
+    """Unit-trace covariances [[q11, q12], [q12, 1-q11]] of same-shaped q11, q12.
 
     The feasible region is the disk (q11 - 1/2)^2 + q12^2 <= 1/4 (PSD with
     trace one); the boundary circle holds the rank-one covariances.
     """
-    if not ((q11 - 0.5) ** 2 + q12 ** 2 <= 0.25 + 1e-12):   # written so that NaN fails it
+    if not _each(_in_disk, q11, q12).all():
         raise InfeasibleQ(f"(q11, q12) = ({q11}, {q12}) is outside the feasible disk")
-    q11, q12 = float(q11), float(q12)
-    return np.array([[q11, q12], [q12, 1.0 - q11]])
+    q11 = np.asarray(q11, dtype=float)
+    return _sym2(q11, q12, 1.0 - q11)
 
 
 def q_rank_one(phi: float) -> np.ndarray:
@@ -91,43 +97,46 @@ def q_rank_one(phi: float) -> np.ndarray:
     return np.array([[c * c, c * s], [c * s, s * s]])
 
 
-def t_from_q(q: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root T with T T^T = Q (rank-one Q gives rank-one T)."""
+def _clip0(x):
+    """max(x, 0.0) elementwise, as Python's max gives it: x unless 0.0 > x (a -0.0 or NaN stays)."""
+    return np.where(0.0 > x, 0.0, x)
+
+
+def t_from_q(q) -> np.ndarray:
+    """Symmetric PSD square roots T with T T^T = Q, for Q (..., 2, 2) (rank-one Q gives rank-one T)."""
     lam1, lam2, v = eig2_sym(q)
-    if lam2 < -1e-12:
+    if (lam2 < -1e-12).any():
         raise InfeasibleQ("covariance is not positive semidefinite")
-    lam1 = max(lam1, 0.0)
-    lam2 = max(lam2, 0.0)
-    vp = np.array([-v[1], v[0]])
-    return math.sqrt(lam1) * np.outer(v, v) + math.sqrt(lam2) * np.outer(vp, vp)
+    vp = _perp(v)
+    root1, root2 = np.sqrt(_clip0(lam1))[..., None, None], np.sqrt(_clip0(lam2))[..., None, None]
+    return root1 * _outer(v, v) + root2 * _outer(vp, vp)
 
 
-def jammer_model(rho: float, q: np.ndarray) -> JammerModel:
-    """Build a JammerModel from amplitude and unit-trace covariance."""
+def jammer_model(rho: float, q) -> JammerModel:
+    """Build a JammerModel from amplitude and unit-trace covariances (..., 2, 2)."""
     return JammerModel(rho=float(rho), q=q, t_factor=t_from_q(q))
 
 
-def effective_cov(h_jk: complex, jam: JammerModel, awgn_var: float) -> np.ndarray:
-    """Effective noise covariance rho^2 Hj Q Hj^T + (awgn_var/2) I at one user.
+def effective_cov(h_jk, jam: JammerModel, awgn_var: float) -> np.ndarray:
+    """Effective noise covariances rho^2 Hj Q Hj^T + (awgn_var/2) I at users with jammer gains h_jk.
 
-    Its trace equals rho^2 |h_jk|^2 + awgn_var for every unit-trace Q.
+    h_jk (...) broadcasts against the leading axes of ``jam.q`` (..., 2, 2).
+    Each trace equals rho^2 |h_jk|^2 + awgn_var for every unit-trace Q.
     """
-    hb = expand_row([h_jk])
-    g = jam.rho ** 2 * (hb @ jam.q @ hb.T)
+    hb = expand_row(np.asarray(h_jk, dtype=complex)[..., None])
+    g = jam.rho ** 2 * (hb @ jam.q @ hb.swapaxes(-1, -2))
     half = 0.5 * awgn_var
-    off = 0.5 * (g[0, 1] + g[1, 0])
-    return np.array([[g[0, 0] + half, off], [off, g[1, 1] + half]])
+    return _sym2(g[..., 0, 0] + half, 0.5 * (g[..., 0, 1] + g[..., 1, 0]), g[..., 1, 1] + half)
 
 
-def rotated_cov(g: np.ndarray, s: complex) -> np.ndarray:
-    """Covariance of the effective noise after de-rotating by the symbol phase.
+def rotated_cov(g, s) -> np.ndarray:
+    """Covariances of the effective noise g (..., 2, 2) after de-rotating by the symbol phases s.
 
     Conjugation by the orthogonal symbol rotation preserves eigenvalues.
     """
     sb = symbol_rotation(s)
-    m = sb.T @ g @ sb
-    off = 0.5 * (m[0, 1] + m[1, 0])
-    return np.array([[m[0, 0], off], [off, m[1, 1]]])
+    m = sb.swapaxes(-1, -2) @ g @ sb
+    return _sym2(m[..., 0, 0], 0.5 * (m[..., 0, 1] + m[..., 1, 0]), m[..., 1, 1])
 
 
 def chi2_scale(p: float) -> float:
@@ -137,23 +146,30 @@ def chi2_scale(p: float) -> float:
     return -2.0 * math.log1p(-p)
 
 
-def ellipse_from_cov(g_check: np.ndarray, p: float) -> ConfidenceEllipse:
-    """Confidence ellipse of a bivariate Gaussian with covariance g_check.
-
-    The orientation alpha is the major-axis angle, normalized into [0, pi);
-    for a circular covariance alpha = 0 by convention.
-    """
-    omega = chi2_scale(p)
-    lam1, lam2, v = eig2_sym(g_check)
-    if lam2 < -1e-12:
-        raise DegenerateEllipse("covariance has a negative principal variance")
-    lam2 = max(lam2, 0.0)
-    alpha = math.atan2(v[1], v[0])
+def _axis_angle(y: float, x: float) -> float:
+    """The angle of the axis through (x, y), in [0, pi)."""
+    alpha = math.atan2(y, x)
     if alpha < 0.0:
         alpha += math.pi
     if alpha >= math.pi:
         alpha -= math.pi
-    return ConfidenceEllipse(lambda1=lam1, lambda2=lam2, alpha=alpha, omega=omega)
+    return alpha
+
+
+def ellipse_from_cov(g_check, p: float) -> ConfidenceEllipse:
+    """Confidence ellipses of bivariate Gaussians with covariances g_check (..., 2, 2).
+
+    The orientation alpha is the major-axis angle, normalized into [0, pi);
+    for a circular covariance alpha = 0 by convention. A stack gives one
+    ellipse whose lambda1, lambda2 and alpha are arrays.
+    """
+    omega = chi2_scale(p)
+    lam1, lam2, v = eig2_sym(g_check)
+    if (lam2 < -1e-12).any():
+        raise DegenerateEllipse("covariance has a negative principal variance")
+    return ConfidenceEllipse(
+        lambda1=lam1, lambda2=_clip0(lam2)[()], alpha=_each(_axis_angle, v[..., 1], v[..., 0])[()], omega=omega
+    )
 
 
 def sample_noise(rng, h_jk: complex, jam: JammerModel, awgn_var: float, size: int):

@@ -8,27 +8,31 @@ counter-based Philox streams keyed by (master seed, trial, slot), so results
 are bit-identical regardless of how trials are distributed over worker
 threads.
 
-Each trial is set up by one ``_TrialEngine(sc, trial)``: its constructor
-draws the trial's channels and jammer covariance from the trial's set-up
-stream and builds every per-trial constant once (the noise covariances, the
-jammer mixing matrix, the BLP precoder, or each user's channel pair and, for
-designs whose bounds do not depend on the symbol, each user's bounds).
 Trials run in chunks of consecutive trials, ``max(1, CHUNK_SLOTS //
-block_len)`` at a time, and ``_run_chunk`` makes three passes over every
-(trial, slot) pair of a chunk, as arrays: a draw pass fills arrays with each
-slot's symbol indices, jammer draw and AWGN draw; a solve pass designs each
-trial's distinct symbol-index vectors, trial by trial and in order of first
-appearance, in one call, so that the SLP designs solve all of the chunk's
-QPs in one batch (``solver.solve_min_norm_batch``); a detect pass adds the
-noise to every point at once and counts the errors. Within a trial only d^K
-symbol vectors and d K (user, symbol) pairs exist, so the transmit vector,
-its power and the noise-free received points are kept once per distinct
-symbol-index vector, and each user's margin rows with their bounds once per
-(user, symbol index), both dropped with the chunk. The reused values are the
-ones a fresh computation would return, because they are deterministic
-functions of the same inputs, and the batched QPs have the bits of one solve
-each, so every output byte is the same as designing each slot in turn, for
-any chunk and any thread count.
+block_len)`` at a time. A chunk is set up in one pass over its trials by a
+``_Chunk``: each trial's channels and jammer covariance come from the
+trial's own set-up stream, and every per-trial constant (the noise
+covariances, the jammer mixing matrices, the BLP precoders, or each user's
+channel pair and, for designs whose bounds do not depend on the symbol, each
+user's bounds) is built for all of the chunk's trials and users at once, by
+the broadcasting 2x2 primitives of ``wlalg``, ``noisegeom``, ``blp`` and
+``slp``: one per-method builder from ``_BUILDERS`` over (trial, user)
+stacks. ``_run_chunk`` then makes three passes over every (trial, slot) pair
+of the chunk, as arrays: a draw pass fills arrays with each slot's symbol
+indices, jammer draw and AWGN draw; a solve pass designs each trial's
+distinct symbol-index vectors, trial by trial and in order of first
+appearance, in one call, which builds each distinct (trial, user, symbol)
+term once, in one stacked call, and solves all of the chunk's QPs in one
+batch (``solver.solve_min_norm_batch``); a detect pass adds the noise to
+every point at once and counts the errors. Within a trial only d^K symbol
+vectors and d K (user, symbol) pairs exist, so the transmit vector, its
+power and the noise-free received points are kept once per distinct
+symbol-index vector. The reused values are the ones a fresh computation
+would return, because they are deterministic functions of the same inputs;
+the stacked set-up gives every item the bits of its one-trial scalar call
+(tests/test_setup_reference.py); and the batched QPs have the bits of one
+solve each, so every output byte is the same as setting up each trial and
+designing each slot in turn, for any chunk and any thread count.
 
 A slot's symbol indices come from the raw Philox bits (``_raw_indices``),
 with the values and the stream position of ``Generator.integers``.
@@ -69,8 +73,8 @@ from .noisegeom import (
     rotated_cov,
     wedge_exit_probability,
 )
-from .solver import BATCH_CROSSOVER, _min_norm_batch, _min_norm_kernel, _or_error, _solve
-from .wlalg import collapse_vec, expand_row, expand_vec, sqrt_inv_psd2, symbol_rotation
+from .solver import BATCH_CROSSOVER, _min_norm_batch, _min_norm_kernel, _or_error, _solve, solve_maximin_batch
+from .wlalg import expand_row, sqrt_inv_psd2, symbol_rotation
 
 __all__ = [
     "QSpec",
@@ -337,8 +341,9 @@ class MetricsRecord:
 def sample_channels(rng, m: int, k: int):
     """K unit-variance complex Gaussian channel rows plus K jammer scalars."""
     scale = 1.0 / math.sqrt(2.0)
-    h = scale * (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m)))
-    h_j = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    z = rng.standard_normal(2 * k * (m + 1))   # one call draws what four consecutive ones would
+    h = scale * (z[:k * m].reshape(k, m) + 1j * z[k * m:2 * k * m].reshape(k, m))
+    h_j = scale * (z[2 * k * m:-k] + 1j * z[-k:])
     return h, h_j
 
 
@@ -394,71 +399,103 @@ def energy_efficiency(bler: float, c_bits: float, k: int, avg_power: float) -> f
     return (1.0 - bler) * c_bits * k / avg_power
 
 
-class _TrialEngine:
-    """One Monte-Carlo trial's set-up, its (user, symbol) term cache and its scalar detector.
+class _Chunk:
+    """The set-up of a chunk of consecutive trials, as (trial, user) stacks.
 
-    Set-up draws the trial's channels and jammer covariance from its slot-0
-    stream and builds everything that depends on the trial only: the noise
-    covariances, the jammer mixing matrix, the BLP precoder, or each user's
-    channel pair and, where the bounds do not depend on the symbol, that
-    user's bounds (pw_slp's matched-reliability targets, naive_slp's
-    circularised bounds; None, rows only, for the maximin designs). nc_slp
-    and robust_slp bound a user per symbol, so their bounds come from
-    ``bound_fn``. Each user's (rows, bounds) term is built once per (user,
-    symbol index) on first use and reused by every later symbol vector of
-    the trial; a new symbol vector then costs one stacking and its share of
-    the chunk's batched QP solve (:func:`_run_chunk` runs the slots).
+    One Philox generator, re-keyed to each trial's set-up stream (seed,
+    trial, 0), draws the trials' channels and jammer covariances in trial
+    order; the slot draws re-key it again (:func:`_run_chunk`). Everything
+    that depends on a trial only is then built once for all of the chunk's
+    trials: the jammer mixing matrices (trials x 2 x 2), the effective-noise
+    covariances and, for the whitening receivers, their whiteners (trials x
+    users x 2 x 2), and the method's own constants from ``_BUILDERS``: the
+    BLP precoders, or each user's channel pair (trials x users x 2 x 2M)
+    and either the bounds that do not depend on the symbol (pw_slp's
+    matched-reliability targets, naive_slp's circularised bounds; trials x
+    users x 2) or ``bound_fn``, which bounds (trial place, user, symbol)
+    triples for nc_slp and robust_slp; the maximin designs have rows only.
+    Each stacked step gives every item the bits of its one-trial call; a
+    step that raises is met again by :func:`_run_trials`, trial by trial.
+    """
+
+    precoder = pairs = bounds = bound_fn = None
+
+    def __init__(self, sc: Scenario, trials: range):
+        self.sc, self.trials = sc, trials
+        self.rng = _stream(sc.seed, trials[0], 0)
+        draws = []
+        for trial in trials:
+            _rekey(self.rng, sc.seed, trial, 0)
+            draws.append((*sample_channels(self.rng, sc.m, sc.k), sc.q_spec.draw(self.rng)))
+        self.h, self.h_j, q = (np.array(v) for v in zip(*draws))
+        jam = jammer_model(sc.rho, q[:, None])
+        self.mix = np.ascontiguousarray((sc.rho * jam.t_factor[:, 0]).swapaxes(-1, -2))
+        self.covs = effective_cov(self.h_j, jam, sc.awgn_var)
+        self.whiten = sqrt_inv_psd2(self.covs) if sc.method in _WHITENED_RX else None
+        self.const = psk_constellation(sc.d)
+        self.omega = chi2_scale(sc.p)
+        vars(self).update(_BUILDERS[sc.method](self))
+
+    def terms(self, t, u, i):
+        """Margin rows (n x 2 x 2M) and bounds (n x 2 or n x n_div x 2) of (trial place, user, symbol index) triples."""
+        s = self.const[i]
+        if self.bound_fn is not None:
+            bounds = self.bound_fn(t, u, s)
+        else:
+            bounds = None if self.bounds is None else self.bounds[t, u]
+        return _slp.margin_rows(self.pairs[t, u][:, None], s[:, None], self.sc.theta), bounds
+
+
+# Per method: the chunk's precoders, channel pairs, symbol-free bounds or bound function.
+_BUILDERS = {
+    "naive_blp": lambda c: {"precoder": _blp.naive_blp(c.h, c.sc.awgn_var, c.sc.p_t)},
+    "pw_blp": lambda c: {"precoder": _blp.pw_blp(c.h, c.covs, c.sc.p_t)},
+    "robust_blp": lambda c: {
+        "precoder": _blp.robust_blp(c.h, c.sc.awgn_var, c.sc.rho2 * np.abs(c.h_j) ** 2, c.sc.p_t),
+    },
+    "msm": lambda c: {"pairs": expand_row(c.h)},
+    "pw_msm": lambda c: {"pairs": _slp.whitened_effective_channel(c.h, c.covs)},
+    # Matched-reliability whitened-domain targets: after whitening the noise
+    # is circular with power sigma_k^2 = tr G_k; the raw-domain designs apply
+    # the same preset with their own (elliptical or circularized) terms.
+    "pw_slp": lambda c: {
+        "pairs": _slp.whitened_effective_channel(c.h, c.covs),
+        "bounds": _slp.circular_bounds(np.trace(c.covs, axis1=-2, axis2=-1), c.sc.delta0, c.omega, c.sc.theta),
+    },
+    "naive_slp": lambda c: {
+        "pairs": expand_row(c.h),
+        "bounds": _slp.naive_bounds(c.h_j, c.sc.rho2, c.sc.awgn_var, c.sc.delta0, c.omega, c.sc.theta),
+    },
+    "nc_slp": lambda c: {
+        "pairs": expand_row(c.h),
+        "bound_fn": lambda t, u, s: _slp.nc_bounds(c.covs[t, u], s, c.sc.delta0, c.sc.p, c.sc.theta),
+    },
+    "robust_slp": lambda c: {
+        "pairs": expand_row(c.h),
+        "bound_fn": lambda t, u, s: _slp.robust_bounds(
+            c.h_j[t, u], c.sc.rho2, c.sc.awgn_var, s, c.sc.delta0, c.omega, c.sc.theta, c.sc.n_div
+        ),
+    },
+}
+
+
+class _TrialEngine:
+    """One trial of a chunk: its draws, whitener and scalar detector, as views of the chunk's stacks.
+
+    ``_TrialEngine(sc, trial)`` sets up a chunk of that one trial; a larger
+    chunk's engines are bound to it by :meth:`bind`.
     """
 
     def __init__(self, sc: Scenario, trial: int):
-        self.sc, self.trial = sc, trial
-        k, method, theta = sc.k, sc.method, sc.theta
-        self.rng = _stream(sc.seed, trial, 0)   # re-keyed to each slot by _run_chunk
-        h, h_j = self.h, self.h_j = sample_channels(self.rng, sc.m, k)
-        jam = jammer_model(sc.rho, sc.q_spec.draw(self.rng))
-        self.mix = (sc.rho * jam.t_factor).T
-        self.const = psk_constellation(sc.d)
-        covs = self.covs = [effective_cov(h_j[i], jam, sc.awgn_var) for i in range(k)]
-        self.whiten = None   # users x 2 x 2
-        if method in _WHITENED_RX:
-            self.whiten = np.array([sqrt_inv_psd2(g) for g in covs])
-        self.terms = [[None] * sc.d for _ in range(k)]   # (user, symbol index) -> (rows, bounds)
-        if method == "pw_blp":
-            self.precoder = _blp.pw_blp(h, covs, sc.p_t)
-        elif method == "robust_blp":
-            self.precoder = _blp.robust_blp(h, sc.awgn_var, sc.rho2 * np.abs(h_j) ** 2, sc.p_t)
-        elif method == "naive_blp":
-            self.precoder = _blp.naive_blp(h, sc.awgn_var, sc.p_t)
-        elif method in ("pw_msm", "pw_slp"):
-            self.pairs = [_slp.whitened_effective_channel(h[i], covs[i]) for i in range(k)]
-        else:
-            self.pairs = [expand_row(h[i]) for i in range(k)]
-        omega = chi2_scale(sc.p)
-        self.bounds = [None] * k   # per-user symbol-free bounds
-        self.bound_fn = None       # (user, symbol) -> bounds, for symbol-dependent designs
-        if method == "pw_slp":
-            # Matched-reliability whitened-domain targets: after whitening
-            # the noise is circular with power sigma_k^2 = tr G_k; the
-            # raw-domain designs apply the same preset with their own
-            # (elliptical or circularized) confidence terms.
-            self.bounds = [_slp.circular_bounds(np.trace(g), sc.delta0, omega, theta) for g in covs]
-        elif method == "naive_slp":
-            self.bounds = [
-                _slp.naive_bounds(h_j[u], sc.rho2, sc.awgn_var, sc.delta0, omega, theta) for u in range(k)
-            ]
-        elif method == "nc_slp":
-            self.bound_fn = lambda u, s_k: _slp.nc_bounds(covs[u], s_k, sc.delta0, sc.p, theta)
-        elif method == "robust_slp":
-            self.bound_fn = lambda u, s_k: _slp.robust_bounds(
-                h_j[u], sc.rho2, sc.awgn_var, s_k, sc.delta0, omega, theta, sc.n_div
-            )
+        self.bind(_Chunk(sc, range(trial, trial + 1)), 0)
 
-    def term(self, u: int, i: int):
-        """Build and keep user u's (rows, bounds) for 0-based symbol index i."""
-        s_k = self.const[i]
-        bounds = self.bounds[u] if self.bound_fn is None else self.bound_fn(u, s_k)
-        entry = self.terms[u][i] = (_slp.margin_rows_pair(*self.pairs[u], s_k, self.sc.theta), bounds)
-        return entry
+    def bind(self, chunk: _Chunk, pos: int) -> "_TrialEngine":
+        """View trial place pos of the chunk."""
+        self.chunk, self.pos, self.sc, self.trial = chunk, pos, chunk.sc, chunk.trials[pos]
+        self.rng, self.const = chunk.rng, chunk.const
+        self.h, self.h_j, self.mix, self.covs = chunk.h[pos], chunk.h_j[pos], chunk.mix[pos], chunk.covs[pos]
+        self.whiten = None if chunk.whiten is None else chunk.whiten[pos]   # users x 2 x 2
+        return self
 
     def detect(self, y_k: complex, user: int) -> int:
         if self.whiten is not None:
@@ -479,38 +516,70 @@ class _TrialEngine:
             rx = zw[..., 0] + 1j * zw[..., 1]
             cov = np.eye(2)
         else:
-            table = np.array([[rotated_cov(g, c) for c in const] for g in self.covs])
+            table = rotated_cov(self.covs[:, None], const)   # users x symbols x 2 x 2
             cov = table[np.arange(sc.k), idx - 1]
         mu = rx * np.conj(const[idx - 1])
         return wedge_exit_probability(np.stack([mu.real, mu.imag], axis=-1), cov, sc.theta)
 
 
-def _design(pairs) -> list:
-    """Complex transmit vectors of (engine, 1-based symbol-index vector) pairs, in order.
+def _design(pairs) -> np.ndarray:
+    """Complex transmit vectors (pairs x M) of (engine, 1-based symbol-index vector) pairs of one chunk, in order.
 
-    The SLP designs solve every pair's QP in one batch. A pair whose terms
-    or QP fail raises that failure, and an earlier pair's failure comes
-    first, as one design call per pair would have it.
+    The SLP designs build the (trial, user, symbol) terms the vectors need,
+    each once, in one stacked call, and solve every pair's QP in one batch.
+    A pair whose terms or QP fail raises that failure, and an earlier pair's
+    failure comes first, as one design call per pair would have it: when
+    the stacked call raises, the terms are built again pair by pair and
+    user by user.
     """
-    sc = pairs[0][0].sc
+    chunk = pairs[0][0].chunk
+    sc = chunk.sc
+    pos = np.array([e.pos for e, _ in pairs])
+    idx = np.array([idx for _, idx in pairs]) - 1
     if sc.method in BLP_METHODS:
-        return [collapse_vec(e.precoder.p @ expand_vec(e.const[idx - 1])) for e, idx in pairs]
-    built = []
+        s = chunk.const[idx]
+        xb = np.matmul(chunk.precoder.p[pos], np.concatenate([s.real, s.imag], axis=1)[:, :, None])[..., 0]
+        return xb[:, :sc.m] + 1j * xb[:, sc.m:]   # the precoder's product, one per vector
     try:
-        for e, idx in pairs:
-            built.append([e.terms[u][i] or e.term(u, i) for u, i in enumerate((idx - 1).tolist())])
+        a, b = _stack_terms(chunk, pos, idx)
     except Exception:
-        if built:
-            _solve_terms(sc, built)   # raises an earlier pair's failure first
+        for j in range(len(pairs)):
+            for u in range(sc.k):
+                try:
+                    chunk.terms(pos[j:j + 1], np.array([u]), idx[j, u:u + 1])
+                except Exception:
+                    if j:
+                        _solve_terms(sc, *_stack_terms(chunk, pos[:j], idx[:j]))   # an earlier pair's failure first
+                    raise
         raise
-    return [collapse_vec(xb) for xb in _solve_terms(sc, built)]
+    xb = _solve_terms(sc, a, b)
+    return xb[:, :sc.m] + 1j * xb[:, sc.m:]
 
 
-def _solve_terms(sc: Scenario, terms) -> list:
-    """Real-stacked transmit vectors of per-vector terms."""
+def _stack_terms(chunk: _Chunk, pos: np.ndarray, idx: np.ndarray):
+    """Each vector's stacked rows (vectors x 2K x 2M) and bounds (vectors x orientations x 2K).
+
+    pos holds the vectors' trial places and idx their 0-based symbol
+    indices (vectors x K); each distinct (trial, user, symbol) term is built
+    once, in one :meth:`_Chunk.terms` call.
+    """
+    k, d = chunk.sc.k, chunk.sc.d
+    key = (pos[:, None] * k + np.arange(k)) * d + idx
+    uniq, inverse = np.unique(key, return_inverse=True)
+    rows, bounds = chunk.terms(uniq // (k * d), uniq // d % k, uniq % d)
+    n = len(pos)
+    a = rows[inverse.ravel()].reshape(n, 2 * k, -1)
+    if bounds is None:
+        return a, None
+    b = bounds[inverse.ravel()].reshape(n, k, -1, 2).transpose(0, 2, 1, 3)
+    return a, b.reshape(n, b.shape[1], 2 * k)
+
+
+def _solve_terms(sc: Scenario, a, b) -> np.ndarray:
+    """Real-stacked transmit vectors (vectors x 2M) of stacked rows and bounds."""
     if sc.method in MSM_METHODS:
-        return [x for x, _ in _slp.solve_max_margin(terms, sc.p_t)]
-    return [sol.x for sol in _slp.solve_min_power(terms)]
+        return np.array([x for x, _ in solve_maximin_batch(a, sc.p_t)])
+    return np.array([sol.x for sol in _slp.solve_min_power(a, b)])
 
 
 def _detect(engines, y: np.ndarray) -> np.ndarray:
@@ -544,9 +613,9 @@ def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
 
     The per-user error counts are int64 arrays; the noise-integrated
     per-user SER (see ``_TrialEngine.exit_probability``) is None unless
-    `integrate`. Each trial is set up by its own :class:`_TrialEngine`, and
-    the chunk then makes three passes over all its (trial, slot) pairs, as
-    arrays:
+    `integrate`. The trials are set up together by one :class:`_Chunk`,
+    each seen through its :class:`_TrialEngine`, and the chunk then makes
+    three passes over all its (trial, slot) pairs, as arrays:
 
     1. Draw: each slot re-keys its trial's generator to its own (seed,
        trial, slot) stream (:func:`_rekey`), takes the raw bits of its
@@ -571,31 +640,29 @@ def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
     are the ones a slot-by-slot loop over each trial makes, so every output
     byte is the same for any chunk (tests/test_detect_reference.py).
     """
-    engines = [_TrialEngine(sc, trial) for trial in trials]
-    n, t_len, k = len(engines), sc.block_len, sc.k
+    chunk = _Chunk(sc, trials)
+    engines = [object.__new__(_TrialEngine).bind(chunk, pos) for pos in range(len(trials))]
+    n, t_len, k, rng = len(engines), sc.block_len, sc.k, chunk.rng
     raw = np.empty((n, t_len, (k + 1) // 2), dtype=np.uint64)
     normal = np.empty((n, t_len, 2 + 2 * k))   # the jammer's 2 and the AWGN's k x 2, in draw order
-    for e, raw_e, normal_e in zip(engines, raw, normal):
-        rng = e.rng
+    for trial, raw_e, normal_e in zip(trials, raw, normal):
         for t in range(t_len):
-            _rekey(rng, sc.seed, e.trial, t + 1)
+            _rekey(rng, sc.seed, trial, t + 1)
             raw_e[t] = rng.bit_generator.random_raw(raw.shape[2])
             rng.standard_normal(out=normal_e[t])
     idx = _raw_indices(raw.reshape(n * t_len, -1), sc.d, k).reshape(n, t_len, k)
-    mix = np.array([e.mix for e in engines])[:, None]
-    z = np.matmul(normal[:, :, None, :2], mix).view(complex)[..., 0, 0]   # one vector product per slot
+    z = np.matmul(normal[:, :, None, :2], chunk.mix[:, None]).view(complex)[..., 0, 0]   # one vector product per slot
     nv = math.sqrt(0.5 * sc.awgn_var) * normal[..., 2:].reshape(n, t_len, k, 2)
     keyed = np.concatenate([np.arange(n).repeat(t_len)[:, None], idx.reshape(n * t_len, k)], axis=1)
     keys, row = keyed.tobytes(), keyed[0].nbytes
     number = {}   # (trial's place, symbol indices) -> its number, by trial, then first appearance
     inverse = np.array([number.setdefault(keys[j:j + row], len(number)) for j in range(0, len(keys), row)])
     inverse = inverse.reshape(n, t_len)
-    pairs = [(engines[v[0]], v[1:]) for v in np.frombuffer(b"".join(number), dtype=np.int64).reshape(-1, k + 1)]
-    xs = _design(pairs)
-    power = np.array([float(np.real(x @ np.conj(x))) for x in xs])
-    rx = np.array([e.h @ x for (e, _), x in zip(pairs, xs)])[inverse]
-    h_j = np.array([e.h_j for e in engines])[:, None]
-    y = rx + h_j * z[..., None] + (nv[..., 0] + 1j * nv[..., 1])
+    vectors = np.frombuffer(b"".join(number), dtype=np.int64).reshape(-1, k + 1)   # trial place, indices
+    xs = _design([(engines[v[0]], v[1:]) for v in vectors])
+    power = np.matmul(xs[:, None, :], np.conj(xs)[:, :, None])[:, 0, 0].real   # one BLAS dot per vector
+    rx = np.matmul(chunk.h[vectors[:, 0]], xs[:, :, None])[..., 0][inverse]
+    y = rx + chunk.h_j[:, None] * z[..., None] + (nv[..., 0] + 1j * nv[..., 1])
     det = _detect(engines, y)
     sym_err = np.count_nonzero(det != idx, axis=1).astype(np.int64)
     bit_err = np.array(_BIT_ERRORS[sc.d])[idx - 1, det - 1].sum(axis=1)
@@ -774,13 +841,9 @@ def _boundary_mask(feasible):
 
 
 def _sweep_mse(sc: Scenario, h, h_j, q11, q12) -> np.ndarray:
-    """Closed-form MSE of the pre-whitened BLP design at each cell (q11[c], q12[c])."""
-    values = []
-    for q1, q2 in zip(q11, q12):
-        jam = jammer_model(sc.rho, q_from_elements(q1, q2))
-        covs = [effective_cov(hj, jam, sc.awgn_var) for hj in h_j]
-        values.append(_blp.mse_closed_form(h, covs, sc.p_t))
-    return np.array(values)
+    """Closed-form MSE of the pre-whitened BLP design at each cell (q11[c], q12[c]), all cells at once."""
+    jam = jammer_model(sc.rho, q_from_elements(q11, q12)[:, None])   # cells x 1 x 2 x 2
+    return _blp.mse_closed_form(h, effective_cov(h_j, jam, sc.awgn_var), sc.p_t)
 
 
 def _certify_windows(a, gram, bounds, eps_p, active, ci, power):

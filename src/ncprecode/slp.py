@@ -12,27 +12,32 @@ over a small grid of orientations.
 The transmit-only designs take the model's two scalars: one preset safety
 margin delta0, set by the SNR threshold and shared by every user and both
 boundaries, and one AWGN variance shared by every user. Every design builds
-its QP from per-user (rows, bounds) terms: the rows are the user's two
-:func:`margin_rows_pair` rows, one per decision boundary, and the bounds
-(one per row) come from the design's own bound function; the robust design
-bounds each boundary by its worst case over the swept orientations' rank-one
-endpoints. The stacked terms are solved with :func:`solve_min_power` or
-:func:`solve_max_margin`, so every min-power QP is 2K x 2M. A user's terms depend
-only on that user's channel, noise and symbol, so the Monte-Carlo engine
-caches them per (user, symbol) and stacks the cached terms through the same
-two functions; bounds that do not depend on the symbol (pw_slp, naive_slp)
-are per-user constants it builds once at trial set-up. Neither function
-screens the rows: every failure rule, the zero-row one included, is the
-QP solver's.
+its QP from per-user terms: the user's two :func:`margin_rows_pair` rows,
+one per decision boundary (:func:`margin_rows` stacks them), and one bound
+per row from the design's own bound function; the robust design bounds each
+boundary by its worst case over the swept orientations' rank-one endpoints.
+The stacked rows and bounds are solved with :func:`solve_min_power` or
+``solver.solve_maximin_batch``, so every min-power QP is 2K x 2M. A user's
+terms depend only on that user's channel, noise and symbol, so the
+Monte-Carlo engine builds them once per (trial, user, symbol) and stacks
+them for the same solvers; bounds that do not depend on the symbol (pw_slp,
+naive_slp) are per-user constants it builds once at set-up. Neither solver
+screens the rows: every failure rule, the zero-row one included, is the QP
+kernel's.
+
+The row and bound builders broadcast over leading axes (users, a chunk's
+(trial, user, symbol) terms), each item with the bits of its one-item call
+(see ``wlalg``); a public design such as :func:`nc_slp` stacks its users
+through the same calls.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .blp import _per_user
 from .errors import DegenerateEllipse
 from .noisegeom import (
     ConfidenceEllipse,
@@ -43,15 +48,15 @@ from .noisegeom import (
     rotated_cov,
 )
 from .solver import solve_maximin_batch, solve_min_norm, solve_min_norm_batch
-from .wlalg import expand_row, sqrt_inv_psd2
+from .wlalg import _each, expand_row, sqrt_inv_psd2
 
 __all__ = [
     "SlpSolution",
     "whitened_effective_channel",
     "safety_margin",
     "margin_rows_pair",
+    "margin_rows",
     "solve_min_power",
-    "solve_max_margin",
     "pw_slp_minpower",
     "pw_slp_msm",
     "ellipse_margins",
@@ -76,17 +81,17 @@ class SlpSolution:
     achieved_margins: np.ndarray
 
 
-def whitened_effective_channel(h_k, g_k):
-    """Rows of gamma_k G_k^{-1/2} Hbar_k with gamma_k = sigma_k / sqrt(2).
+def whitened_effective_channel(h_k, g_k) -> np.ndarray:
+    """The two rows of gamma_k G_k^{-1/2} Hbar_k with gamma_k = sigma_k / sqrt(2), shape (..., 2, 2M).
 
-    sigma_k^2 = tr G_k is the user's total effective-noise power. The scaling
-    keeps the total whitened noise power equal to sigma_k^2, so the implied
-    whitened noise has covariance (sigma_k^2 / 2) I2 and margin targets keep
-    the same meaning as in the circular case.
+    h_k (..., M) are channel rows and g_k (..., 2, 2) their noise
+    covariances. sigma_k^2 = tr G_k is the user's total effective-noise
+    power. The scaling keeps the total whitened noise power equal to
+    sigma_k^2, so the implied whitened noise has covariance (sigma_k^2 / 2)
+    I2 and margin targets keep the same meaning as in the circular case.
     """
-    gamma = math.sqrt(np.trace(g_k)) / math.sqrt(2.0)
-    he = gamma * (sqrt_inv_psd2(g_k) @ expand_row(h_k))
-    return he[0], he[1]
+    gamma = np.sqrt(np.trace(g_k, axis1=-2, axis2=-1)) / math.sqrt(2.0)
+    return gamma[..., None, None] * (sqrt_inv_psd2(g_k) @ expand_row(h_k))
 
 
 def safety_margin(s_k: complex, h_e, x, theta: float) -> float:
@@ -99,48 +104,58 @@ def safety_margin(s_k: complex, h_e, x, theta: float) -> float:
     return z.real * math.sin(theta) - abs(z.imag) * math.cos(theta)
 
 
-def margin_rows_pair(h_e1, h_e2, s_k: complex, theta: float):
-    """(a_minus, a_plus): one user's margin rows for the two decision boundaries.
+def margin_rows_pair(h_e1, h_e2, s_k, theta: float):
+    """(a_minus, a_plus): margin rows (..., 2M) for the two decision boundaries.
 
-    (h_e1, h_e2) is the user's real effective-channel pair, for a complex
-    row h the two rows of ``expand_row(h)``. a_minus bounds the distance to
+    (h_e1, h_e2) (..., 2M) are users' real effective-channel pairs, for a
+    complex row h the two rows of ``expand_row(h)``, and s_k (...) their
+    symbols. a_minus bounds the distance to
     the upper boundary (positive imaginary side after de-rotation by the
     symbol phase), a_plus the lower one: with sh = s* h the rows are
     [Re sh, -Im sh] sin(theta) -/+ [Im sh, Re sh] cos(theta), so
     a_minus @ xbar is exactly Re{s* h x} sin(theta) - Im{s* h x} cos(theta).
     """
-    s = complex(s_k)
+    s = np.asarray(s_k, dtype=complex)[..., None]
     h_minus = s.real * np.asarray(h_e1) + s.imag * np.asarray(h_e2)
     h_plus = -s.imag * np.asarray(h_e1) + s.real * np.asarray(h_e2)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     return h_minus * sin_t - h_plus * cos_t, h_minus * sin_t + h_plus * cos_t
 
 
-def _stack_rows(vectors) -> np.ndarray:
-    """Each vector's per-user rows, stacked in user order: vectors x rows x columns."""
-    return np.array([[row for rows, _ in terms for row in rows] for terms in vectors])
+def margin_rows(pairs, s, theta: float) -> np.ndarray:
+    """Stacked margin rows (..., 2K, 2M) of users' channel pairs (..., K, 2, 2M) and symbols (..., K).
+
+    User k's rows are 2k (a_minus) and 2k + 1 (a_plus), from one
+    :func:`margin_rows_pair` call for every user.
+    """
+    rows = np.stack(margin_rows_pair(pairs[..., 0, :], pairs[..., 1, :], s, theta), axis=-2)
+    return rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
 
 
-def solve_min_power(vectors) -> list:
-    """Minimum-power transmit vector of each symbol vector's per-user (rows, bounds) terms.
+def _per_user(values, k: int) -> np.ndarray:
+    """Broadcast a scalar or length-K sequence to a length-K float array."""
+    arr = np.asarray(values, dtype=float).ravel()
+    if arr.size == 1:
+        return np.full(k, arr[0])
+    if arr.size != k:
+        raise ValueError(f"expected {k} per-user values, got {arr.size}")
+    return arr
 
-    The stacked bounds of a vector are one orientation (1-D) or one per
-    jammer-covariance orientation (leading axis), one bound per stacked row:
-    any other count raises ValueError. Each orientation is one QP
-    on the vector's rows, and the solution needing the most power is
-    returned (the first on ties). The bounds may be per-user constants built
-    once or per-symbol arrays: the stacking is the same. Every QP of every
-    vector goes to one :func:`solve_min_norm_batch` call, and the first
-    failing QP, in vector order and then orientation order, raises its
-    failure. A zero margin row (from a zero channel row, say) meets the QP
-    kernel's rule: under a positive bound it raises
+
+def solve_min_power(a, b) -> list:
+    """Minimum-power transmit vector of each symbol vector: rows a (vectors x R x 2M), bounds b (vectors x O x R).
+
+    A vector's bounds are one row per jammer-covariance orientation (O = 1
+    for a single orientation), one bound per stacked row: any other count
+    raises ValueError. Each orientation is one QP on the vector's rows, and
+    the solution needing the most power is returned (the first on ties).
+    Every QP of every vector goes to one :func:`solve_min_norm_batch` call,
+    and the first failing QP, in vector order and then orientation order,
+    raises its failure. A zero margin row (from a zero channel row, say)
+    meets the QP kernel's rule: under a positive bound it raises
     Infeasible("zero constraint row with positive bound").
     """
-    a = _stack_rows(vectors)
-    n_vec = len(a)
-    b = np.array([np.concatenate([bounds for _, bounds in terms], axis=-1) for terms in vectors])
-    b = b.reshape(n_vec, -1, b.shape[-1])
-    n_or = b.shape[1]
+    n_vec, n_or = b.shape[:2]
     sols = solve_min_norm_batch(a, b.reshape(-1, b.shape[-1]), np.arange(n_vec).repeat(n_or))
     for sol in sols:
         if isinstance(sol, Exception):
@@ -153,16 +168,6 @@ def solve_min_power(vectors) -> list:
             for v, i in enumerate(pick)]
 
 
-def solve_max_margin(vectors, p_t: float) -> list:
-    """(x, delta) of each symbol vector: the largest common margin of its rows under power p_t.
-
-    The rows follow :func:`solve_maximin_batch`'s rules: a zero row pins the
-    margin at zero, giving (0, 0.0), and a vector whose rows are all zero
-    raises ZeroRow, after the failures of the vectors before it.
-    """
-    return solve_maximin_batch(_stack_rows(vectors), p_t)
-
-
 def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:
     """Minimum-power transmit vector meeting per-user margin targets.
 
@@ -171,9 +176,8 @@ def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:
     """
     s = np.ravel(np.asarray(s, dtype=complex))
     t = _per_user(targets, len(s))
-    return solve_min_power(
-        [[(margin_rows_pair(*pair, s_k, theta), np.full(2, t_k)) for pair, s_k, t_k in zip(eff_channels, s, t)]]
-    )[0]
+    a = margin_rows(np.asarray(eff_channels, dtype=float), s, theta)
+    return solve_min_power(a[None], np.repeat(t, 2)[None, None])[0]
 
 
 def pw_slp_msm(eff_channels, s, p_t: float, theta: float):
@@ -182,17 +186,14 @@ def pw_slp_msm(eff_channels, s, p_t: float, theta: float):
     Returns (solution, delta) where delta is the achieved common margin and
     the solution uses the full budget.
     """
-    s = np.ravel(np.asarray(s, dtype=complex))
-    terms = [(margin_rows_pair(*pair, s_k, theta), None) for pair, s_k in zip(eff_channels, s)]
-    x, delta = solve_max_margin([terms], p_t)[0]
-    return (
-        SlpSolution(
-            x=x,
-            power=float(x @ x),
-            achieved_margins=_stack_rows([terms])[0] @ x - delta,
-        ),
-        delta,
-    )
+    a = margin_rows(np.asarray(eff_channels, dtype=float), np.ravel(np.asarray(s, dtype=complex)), theta)
+    x, delta = solve_maximin_batch(a[None], p_t)[0]
+    return SlpSolution(x=x, power=float(x @ x), achieved_margins=a @ x - delta), delta
+
+
+def _squares(fn, x) -> np.ndarray:
+    """fn(t) ** 2 for each element t of x, as Python floats: libm's fn and pow, not numpy's square."""
+    return np.array(list(map(pow, map(fn, np.ravel(x).tolist()), repeat(2))), dtype=float).reshape(np.shape(x))
 
 
 def ellipse_margins(ellipse: ConfidenceEllipse, theta: float):
@@ -201,12 +202,14 @@ def ellipse_margins(ellipse: ConfidenceEllipse, theta: float):
     |delta_u| = sqrt(omega (lam1 sin^2(alpha - theta) + lam2 cos^2(alpha - theta)))
     and the lower analogue with alpha + theta. These are how far the noise
     can push the received point toward either decision boundary while staying
-    inside the confidence ellipse.
+    inside the confidence ellipse. Array fields (of one shape) give arrays.
     """
     lam1, lam2, alpha, omega = ellipse.lambda1, ellipse.lambda2, ellipse.alpha, ellipse.omega
-    du = math.sqrt(omega * (lam1 * math.sin(alpha - theta) ** 2 + lam2 * math.cos(alpha - theta) ** 2))
-    dl = math.sqrt(omega * (lam1 * math.sin(alpha + theta) ** 2 + lam2 * math.cos(alpha + theta) ** 2))
-    return du, dl
+
+    def margin(l1: float, l2: float, t: float) -> float:
+        return math.sqrt(omega * (l1 * math.sin(t) ** 2 + l2 * math.cos(t) ** 2))
+
+    return _each(margin, lam1, lam2, alpha - theta)[()], _each(margin, lam1, lam2, alpha + theta)[()]
 
 
 def tangent_points(ellipse: ConfidenceEllipse, theta: float):
@@ -245,16 +248,16 @@ def _users(channels, h_j, s, delta0: float):
     return h, np.ravel(h_j), np.ravel(np.asarray(s, dtype=complex))
 
 
-def nc_bounds(cov, s_k: complex, delta0: float, p: float, theta: float) -> np.ndarray:
-    """Upper and lower bounds of one user's transmit-only constraints.
+def nc_bounds(cov, s_k, delta0: float, p: float, theta: float) -> np.ndarray:
+    """Upper and lower bounds (..., 2) of users' transmit-only constraints.
 
-    The effective-noise covariance is rotated by the symbol phase, and its
-    confidence ellipse at level p adds the upper/lower margin terms to the
-    preset margin delta0.
+    Each effective-noise covariance cov (..., 2, 2) is rotated by its symbol
+    phase s_k (...), and its confidence ellipse at level p adds the
+    upper/lower margin terms to the preset margin delta0.
     """
     cos_t = math.cos(theta)
     du, dl = ellipse_margins(ellipse_from_cov(rotated_cov(cov, s_k), p), theta)
-    return np.array([delta0 * cos_t + du, delta0 * cos_t + dl])
+    return np.stack([delta0 * cos_t + du, delta0 * cos_t + dl], axis=-1)
 
 
 def nc_slp(channels, h_j, jam, awgn_var: float, s, delta0: float, p: float, theta: float) -> SlpSolution:
@@ -266,17 +269,12 @@ def nc_slp(channels, h_j, jam, awgn_var: float, s, delta0: float, p: float, thet
     receiver processing is assumed.
     """
     h, h_j, s = _users(channels, h_j, s, delta0)
-    return solve_min_power([[
-        (
-            margin_rows_pair(*expand_row(h[u]), s[u], theta),
-            nc_bounds(effective_cov(h_j[u], jam, awgn_var), s[u], delta0, p, theta),
-        )
-        for u in range(len(s))
-    ]])[0]
+    bounds = nc_bounds(effective_cov(h_j, jam, awgn_var), s, delta0, p, theta)
+    return solve_min_power(margin_rows(expand_row(h), s, theta)[None], bounds.reshape(1, 1, -1))[0]
 
 
-def worst_case_pterms(alpha_check: float, theta: float, jam_power: float, awgn_var: float):
-    """Endpoint maxima of the squared margin terms over rank-one covariances.
+def worst_case_pterms(alpha_check, theta: float, jam_power, awgn_var: float):
+    """Endpoint maxima of the squared margin terms over rank-one covariances, elementwise.
 
     With the jammer power split lam1 + lam2 = 1 the squared upper margin term
     is linear in lam1, so its maximum sits at lam1 in {1, 0}:
@@ -288,31 +286,29 @@ def worst_case_pterms(alpha_check: float, theta: float, jam_power: float, awgn_v
     received jammer power rho^2 |h_jk|^2, awgn_var the AWGN variance.
     """
     half = 0.5 * awgn_var
-    p_u1 = jam_power * math.sin(alpha_check - theta) ** 2 + half
-    p_u2 = jam_power * math.cos(alpha_check - theta) ** 2 + half
-    p_l1 = jam_power * math.sin(alpha_check + theta) ** 2 + half
-    p_l2 = jam_power * math.cos(alpha_check + theta) ** 2 + half
-    return p_u1, p_u2, p_l1, p_l2
+    up, lo = np.asarray(alpha_check - theta), np.asarray(alpha_check + theta)
+    return tuple(jam_power * _squares(fn, t) + half for t in (up, lo) for fn in (math.sin, math.cos))
 
 
-def robust_bounds(h_jk: complex, jammer_power: float, awgn_var: float, s_k: complex,
+def robust_bounds(h_jk, jammer_power: float, awgn_var: float, s_k,
                   delta0: float, omega: float, theta: float, n_div: int) -> np.ndarray:
-    """One user's worst-case bounds, one row (upper, lower) per orientation.
+    """Users' worst-case bounds (..., n_div, 2), one row (upper, lower) per orientation.
 
-    Row n - 1 belongs to the rank-one covariance orientation phi = n pi / n_div.
-    Each boundary's bound is the larger of its two rank-one endpoint terms
+    h_jk and s_k (...) are the users' jammer gains and symbols. Row n - 1
+    belongs to the rank-one covariance orientation phi = n pi / n_div. Each
+    boundary's bound is the larger of its two rank-one endpoint terms
     (:func:`worst_case_pterms`), the binding one of the pair.
     """
     base = delta0 * math.cos(theta)
-    hj = complex(h_jk)
-    jp = jammer_power * abs(hj) ** 2
+    jp = (jammer_power * _squares(abs, h_jk))[..., None]
     root = math.sqrt(omega)
-    out = np.empty((n_div, 2))
-    for n in range(1, n_div + 1):
-        alpha_check = n * math.pi / n_div + cmath.phase(hj) - cmath.phase(complex(s_k))
-        p_u1, p_u2, p_l1, p_l2 = worst_case_pterms(alpha_check, theta, jp, awgn_var)
-        out[n - 1] = base + root * math.sqrt(max(p_u1, p_u2)), base + root * math.sqrt(max(p_l1, p_l2))
-    return out
+    phase = _each(cmath.phase, h_jk)[..., None]
+    alpha_check = np.arange(1, n_div + 1) * math.pi / n_div + phase - _each(cmath.phase, s_k)[..., None]
+    p_u1, p_u2, p_l1, p_l2 = worst_case_pterms(alpha_check, theta, jp, awgn_var)
+    # max(p1, p2) as Python's max gives it: p1 unless p2 > p1
+    upper = base + root * np.sqrt(np.where(p_u2 > p_u1, p_u2, p_u1))
+    lower = base + root * np.sqrt(np.where(p_l2 > p_l1, p_l2, p_l1))
+    return np.stack([upper, lower], axis=-1)
 
 
 def robust_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: float, p: float,
@@ -336,30 +332,29 @@ def robust_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: f
     if n_div < 1:
         raise ValueError("n_div must be at least 1")
     h, h_j, s = _users(channels, h_j, s, delta0)
-    omega = chi2_scale(p)
-    bounds = [robust_bounds(h_j[u], jammer_power, awgn_var, s[u], delta0, omega, theta, n_div) for u in range(len(s))]
+    bounds = robust_bounds(h_j, jammer_power, awgn_var, s, delta0, chi2_scale(p), theta, n_div)
     if conservative:   # each bound's maximum over the orientations: one QP
-        bounds = [np.max(b, axis=0, keepdims=True) for b in bounds]
-    return solve_min_power(
-        [[(margin_rows_pair(*expand_row(h[u]), s[u], theta), bounds[u]) for u in range(len(s))]]
-    )[0]
+        bounds = np.max(bounds, axis=-2, keepdims=True)
+    b = bounds.swapaxes(0, 1).reshape(1, bounds.shape[1], -1)   # orientations x (user, boundary)
+    return solve_min_power(margin_rows(expand_row(h), s, theta)[None], b)[0]
 
 
-def circular_bounds(sigma2: float, delta0: float, omega: float, theta: float) -> np.ndarray:
-    """Both bounds of a user whose noise is circular with total power sigma2.
+def circular_bounds(sigma2, delta0: float, omega: float, theta: float) -> np.ndarray:
+    """Both bounds (..., 2) of users whose noise is circular with total power sigma2 (...).
 
     The confidence disk of covariance (sigma2 / 2) I adds sqrt(omega sigma2 / 2)
     to the preset margin term delta0 cos(theta) on either boundary. pw_slp
     applies it to the whitened noise, naive_slp (:func:`naive_bounds`) to the
     circularized raw noise.
     """
-    return np.full(2, delta0 * math.cos(theta) + math.sqrt(omega * 0.5 * sigma2))
+    bound = delta0 * math.cos(theta) + np.sqrt(omega * 0.5 * np.asarray(sigma2, dtype=float))
+    return np.stack([bound, bound], axis=-1)
 
 
-def naive_bounds(h_jk: complex, jammer_power: float, awgn_var: float,
+def naive_bounds(h_jk, jammer_power: float, awgn_var: float,
                  delta0: float, omega: float, theta: float) -> np.ndarray:
-    """One user's bounds with the noise circularized at its total power."""
-    return circular_bounds(jammer_power * abs(complex(h_jk)) ** 2 + awgn_var, delta0, omega, theta)
+    """Users' bounds (..., 2) with the noise circularized at its total power, for jammer gains h_jk (...)."""
+    return circular_bounds(jammer_power * _squares(abs, h_jk) + awgn_var, delta0, omega, theta)
 
 
 def naive_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: float, p: float,
@@ -371,11 +366,5 @@ def naive_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: fl
     on the total effective-noise power.
     """
     h, h_j, s = _users(channels, h_j, s, delta0)
-    omega = chi2_scale(p)
-    return solve_min_power([[
-        (
-            margin_rows_pair(*expand_row(h[u]), s[u], theta),
-            naive_bounds(h_j[u], jammer_power, awgn_var, delta0, omega, theta),
-        )
-        for u in range(len(s))
-    ]])[0]
+    bounds = naive_bounds(h_j, jammer_power, awgn_var, delta0, chi2_scale(p), theta)
+    return solve_min_power(margin_rows(expand_row(h), s, theta)[None], bounds.reshape(1, 1, -1))[0]

@@ -1,11 +1,20 @@
 """Widely-linear algebra kernel.
 
 Complex <-> real-stacked conversions, planar rotations, and closed-form
-eigen/whitening decompositions for symmetric 2x2 matrices. Everything in this
-module is a pure function on small fixed-size arrays: a symmetric 2x2 matrix
-(a noise or jammer covariance) is a plain float (2, 2) array whose builders
-write both off-diagonal entries from one value. The rest of the library is
-built on top of these primitives.
+eigen/whitening decompositions for symmetric 2x2 matrices. The functions
+broadcast over leading axes: a symmetric 2x2 matrix (a noise or jammer
+covariance) is a float (..., 2, 2) array whose builders write both
+off-diagonal entries from one value, and a single (2, 2) matrix is the
+one-item case of the same code. The rest of the library is built on top of
+these primitives.
+
+Every item of a stack has the bits of its own one-item call, because only
+three kinds of operation are used: each libm call (math.hypot, math.atan2,
+math.sin, math.cos, cmath.phase and Python-float ``** 2``) stays a
+per-element Python call (:func:`_each`), since numpy's own hypot, arctan2,
+sin, cos and square differ from them in the last bit on some arguments;
+each product and dot product is a stacked np.matmul, which makes the same
+BLAS call per item; and only + - * / and sqrt act elementwise in numpy.
 """
 
 import math
@@ -25,6 +34,33 @@ __all__ = [
 ]
 
 
+def _each(fn, *args) -> np.ndarray:
+    """fn called as a Python function on each element of the same-shaped args; float results."""
+    return np.array(list(map(fn, *(np.ravel(a).tolist() for a in args))), dtype=float).reshape(np.shape(args[0]))
+
+
+def _sym2(a, b, c) -> np.ndarray:
+    """The symmetric (..., 2, 2) matrices [[a, b], [b, c]] of broadcast a, b, c."""
+    out = np.empty(np.broadcast(a, b, c).shape + (2, 2))
+    out[..., 0, 0] = a
+    out[..., 0, 1] = out[..., 1, 0] = b
+    out[..., 1, 1] = c
+    return out
+
+
+def _outer(u, v) -> np.ndarray:
+    """Outer products u v^T of (..., 2) vectors, as np.outer forms them."""
+    return u[..., :, None] * v[..., None, :]
+
+
+def _perp(v) -> np.ndarray:
+    """The (..., 2) vectors (-v1, v0), v rotated by a quarter turn."""
+    out = np.empty(v.shape)
+    out[..., 0] = -v[..., 1]
+    out[..., 1] = v[..., 0]
+    return out
+
+
 def expand_vec(v) -> np.ndarray:
     """Stack a complex vector as [real parts; imaginary parts]."""
     v = np.asarray(v, dtype=complex).ravel()
@@ -41,53 +77,64 @@ def collapse_vec(vbar) -> np.ndarray:
 
 
 def expand_row(h) -> np.ndarray:
-    """Real 2x2t block form [[Re h, -Im h], [Im h, Re h]] of a complex row.
+    """Real 2x2t block form [[Re h, -Im h], [Im h, Re h]] of complex rows h (..., t).
 
-    For any complex x, expand_row(h) @ expand_vec(x) == [Re(hx); Im(hx)].
+    Returns shape (..., 2, 2t). For any complex x,
+    expand_row(h) @ expand_vec(x) == [Re(hx); Im(hx)] for a single row h.
     """
-    h = np.asarray(h, dtype=complex).ravel()
-    top = np.concatenate([h.real, -h.imag])
-    bot = np.concatenate([h.imag, h.real])
-    return np.vstack([top, bot])
+    h = np.asarray(h, dtype=complex)
+    t = h.shape[-1]
+    out = np.empty(h.shape[:-1] + (2, 2 * t))
+    out[..., 0, :t] = out[..., 1, t:] = h.real
+    out[..., 0, t:] = -h.imag
+    out[..., 1, :t] = h.imag
+    return out
 
 
-def symbol_rotation(s: complex) -> np.ndarray:
-    """Orthogonal 2x2 matrix [[Re s, -Im s], [Im s, Re s]] of a unit symbol."""
-    s = complex(s)
-    if abs(abs(s) - 1.0) > 1e-9:
+def symbol_rotation(s) -> np.ndarray:
+    """Orthogonal 2x2 matrices [[Re s, -Im s], [Im s, Re s]] of unit symbols s (...)."""
+    s = np.asarray(s, dtype=complex)
+    if (np.abs(np.abs(s) - 1.0) > 1e-9).any():
         raise ValueError("symbol must have unit magnitude")
-    return np.array([[s.real, -s.imag], [s.imag, s.real]])
+    return expand_row(s[..., None])
 
 
-def eig2_sym(g: np.ndarray):
-    """Closed-form eigendecomposition of a symmetric 2x2 matrix.
+def eig2_sym(g):
+    """Closed-form eigendecomposition of symmetric 2x2 matrices g (..., 2, 2).
 
-    Returns (lam1, lam2, v) with lam1 >= lam2 and v the unit eigenvector of
-    lam1. Sign convention: the first nonzero component of v is positive. For
-    a multiple of the identity (circle) v = (1, 0). Only the diagonal and
-    g[0, 1] are read.
+    Returns (lam1, lam2, v) with lam1 >= lam2 and v (..., 2) the unit
+    eigenvector of lam1. Sign convention: the first nonzero component of v
+    is positive. For a multiple of the identity (circle) v = (1, 0). Only
+    the diagonal and g[..., 0, 1] are read. For one matrix lam1 and lam2 are
+    scalars.
     """
-    a, b, c = float(g[0, 0]), float(g[0, 1]), float(g[1, 1])
+    g = np.asarray(g, dtype=float)
+    a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     half_tr = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
+    disc = _each(math.hypot, 0.5 * (a - c), b)
     lam1 = half_tr + disc
     lam2 = half_tr - disc
-    # Two candidate eigenvector expressions; keep the better conditioned one.
-    cand1 = np.array([lam1 - c, b])
-    cand2 = np.array([b, lam1 - a])
-    v = cand1 if cand1 @ cand1 >= cand2 @ cand2 else cand2
-    norm = math.sqrt(float(v @ v))
-    if norm == 0.0:
-        v = np.array([1.0, 0.0])
-    else:
-        v = v / norm
-        if v[0] < 0.0 or (v[0] == 0.0 and v[1] < 0.0):
-            v = -v
-    return lam1, lam2, v
+    # Two candidate eigenvector expressions, one per row; keep the better
+    # conditioned one. Their squared norms overflow above about 1e154, so
+    # candidates whose largest entry reaches 2^500 are first scaled down by
+    # an exact power of two, which changes no bit of the direction.
+    cand = _sym2(lam1 - c, b, lam1 - a)
+    if (np.abs(cand) >= 2.0 ** 500).any():
+        peak = np.abs(cand).max(axis=(-2, -1))
+        cand = np.ldexp(cand, -np.maximum(np.frexp(peak)[1] - 500, 0)[..., None, None])
+    norm2 = np.matmul(cand[..., None, :], cand[..., :, None])[..., 0]   # one BLAS dot per row, as cand @ cand
+    v = np.where(norm2[..., 0, :] >= norm2[..., 1, :], cand[..., 0, :], cand[..., 1, :])
+    norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
+    unit = np.zeros(v.shape)
+    unit[..., 0] = 1.0   # the circle's convention, kept where the norm is zero
+    v = np.divide(v, norm, out=unit, where=norm != 0.0)
+    first = np.where(v[..., :1] == 0.0, v[..., 1:], v[..., :1])   # the first nonzero component
+    np.negative(v, out=v, where=first < 0.0)
+    return lam1[()], lam2[()], v
 
 
-def sqrt_inv_psd2(g: np.ndarray) -> np.ndarray:
-    """Symmetric principal inverse square root W of a positive definite g.
+def sqrt_inv_psd2(g) -> np.ndarray:
+    """Symmetric principal inverse square roots W of positive definite g (..., 2, 2).
 
     Satisfies W @ g @ W.T == I. The symmetric root is one whitener among
     many; fixing it keeps downstream results deterministic. Every whitening
@@ -96,12 +143,13 @@ def sqrt_inv_psd2(g: np.ndarray) -> np.ndarray:
     power that underflows, as a jammer of about -3230 dB without AWGN gives)
     raises NotPositiveDefinite("the noise covariance is too small to whiten
     ..."); any other singular or indefinite g raises it as not strictly
-    positive definite.
+    positive definite. In a stack the first such matrix, in C order, raises.
     """
     lam1, lam2, v = eig2_sym(g)
-    if lam2 <= 0.0:
-        if lam1 < sys.float_info.min:
+    bad = np.ravel(lam2 <= 0.0)
+    if bad.any():   # the first failing matrix's message
+        if np.ravel(lam1)[bad.argmax()] < sys.float_info.min:
             raise NotPositiveDefinite("the noise covariance is too small to whiten: its entries underflow")
         raise NotPositiveDefinite("matrix must be strictly positive definite")
-    vp = np.array([-v[1], v[0]])
-    return np.outer(v, v) / math.sqrt(lam1) + np.outer(vp, vp) / math.sqrt(lam2)
+    vp = _perp(v)
+    return _outer(v, v) / np.sqrt(lam1)[..., None, None] + _outer(vp, vp) / np.sqrt(lam2)[..., None, None]

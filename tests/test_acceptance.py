@@ -131,10 +131,10 @@ def test_c02p_lemma2_per_constraint_worst_case_on_boundary():
     q11, q12 = _grid_axes(21)
     feas = _feasible_mask(q11, q12)
     boundary = _boundary_mask(feas)[feas]
-    jams = [
-        jammer_model(sc.rho, q_from_elements(q11[i], q12[j]))
-        for i, j in np.argwhere(feas)
-    ]
+    cells = np.argwhere(feas)
+    # every feasible cell's jammer in one stack; the route below gives each
+    # cell the bits of its own one-cell call
+    jams = jammer_model(sc.rho, q_from_elements(q11[cells[:, 0]], q12[cells[:, 1]]))
 
     def margins(hj, jam, s):
         ell = ellipse_from_cov(rotated_cov(effective_cov(hj, jam, awgn), s), sc.p)
@@ -150,7 +150,7 @@ def test_c02p_lemma2_per_constraint_worst_case_on_boundary():
         tol = 1e-9 * float(worst.max())
         for u in range(sc.k):
             for s in np.unique(symbols[:, u]):
-                grid = np.array([margins(h_j[u], jam, s) for jam in jams])   # cells x 2
+                grid = np.stack(margins(h_j[u], jams, s), axis=-1)   # cells x 2
                 for col, nvec in enumerate(normals):
                     vals = grid[:, col]
                     w = expand_row([h_j[u]]).T @ symbol_rotation(s) @ nvec

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -549,7 +550,9 @@ class TestSlotReuse:
     @pytest.mark.parametrize("method, solves_per_vector", [("nc_slp", 1), ("robust_slp", 8)])
     def test_one_solve_per_distinct_vector_and_lazy_terms(self, monkeypatch, method, solves_per_vector):
         # "solve" counts the problems given to the batched QP entry point:
-        # one per distinct vector and jammer-covariance orientation.
+        # one per distinct vector and jammer-covariance orientation; "terms"
+        # counts the (trial, user, symbol) items given to the stacked
+        # margin-row builder.
         sc = reuse_scenario(method)
         calls = {"solve": 0, "terms": 0}
 
@@ -562,7 +565,8 @@ class TestSlotReuse:
         monkeypatch.setattr(
             slp, "solve_min_norm_batch", counted("solve", slp.solve_min_norm_batch, lambda a, b, owner: len(b))
         )
-        monkeypatch.setattr(slp, "margin_rows_pair", counted("terms", slp.margin_rows_pair))
+        items = lambda h_e1, h_e2, s_k, theta: np.size(s_k)   # noqa: E731
+        monkeypatch.setattr(slp, "margin_rows_pair", counted("terms", slp.margin_rows_pair, items))
         per_trial_metrics(sc)
         vectors = pairs = 0
         for trial in range(sc.trials):
@@ -578,13 +582,14 @@ class TestSlotReuse:
     def test_symbol_free_bounds_are_built_once_per_user(self, monkeypatch, method, bound):
         # naive_slp's bounds do not depend on the symbol, so each trial builds
         # them once per user at set-up; nc_slp and robust_slp bound each
-        # distinct (user, symbol) of the trial once.
+        # distinct (user, symbol) of the trial once. Each stacked call counts
+        # its items: its symbols, or naive_slp's jammer gains.
         sc = reuse_scenario(method)
         calls = []
         fn = getattr(slp, bound)
 
         def counted(*args):
-            calls.append(args)
+            calls.extend([args] * np.size(args[1] if bound == "nc_bounds" else args[0]))
             return fn(*args)
 
         monkeypatch.setattr(slp, bound, counted)
@@ -644,17 +649,19 @@ class TestBatchedSolves:
     def clashing_engine():
         # user 1 shares user 0's channel, so a vector with two different
         # symbols asks one received point to lie in two sectors; the term of
-        # user 1 with symbol index 3 (0-based) cannot be built
+        # user 1 with symbol index 3 (0-based) cannot be built. The chunk's
+        # bound function takes stacks of (trial place, user, symbol) triples.
         engine = _TrialEngine(reuse_scenario("nc_slp"), 0)
-        engine.pairs[1] = engine.pairs[0]
-        bound_fn = engine.bound_fn
+        chunk = engine.chunk
+        chunk.pairs[0, 1] = chunk.pairs[0, 0]
+        bound_fn = chunk.bound_fn
 
-        def failing(u, s_k):
-            if u == 1 and s_k == engine.const[3]:
+        def failing(t, u, s_k):
+            if np.any((u == 1) & (s_k == engine.const[3])):
                 raise ValueError("no bounds for this symbol")
-            return bound_fn(u, s_k)
+            return bound_fn(t, u, s_k)
 
-        engine.bound_fn = failing
+        chunk.bound_fn = failing
         return engine
 
     def test_design_fails_at_the_first_failing_vector(self):
@@ -678,16 +685,16 @@ class TestBatchedSolves:
         # first; the run must still raise trial 1's, as trial by trial.
         sc = dataclasses.replace(reuse_scenario("nc_slp"), trials=4)
         assert sim.CHUNK_SLOTS // sc.block_len >= sc.trials   # one chunk
-        init = _TrialEngine.__init__
+        init = sim._Chunk.__init__
 
-        def failing(engine, sc, trial):
-            if trial == 3:
+        def failing(chunk, sc, trials):
+            if 3 in trials:
                 raise ValueError("set-up of trial 3")
-            init(engine, sc, trial)
-            if trial == 1:
-                engine.pairs[1] = engine.pairs[0]
+            init(chunk, sc, trials)
+            if 1 in trials:
+                chunk.pairs[trials.index(1), 1] = chunk.pairs[trials.index(1), 0]
 
-        monkeypatch.setattr(_TrialEngine, "__init__", failing)
+        monkeypatch.setattr(sim._Chunk, "__init__", failing)
         with pytest.raises(ValueError, match="set-up of trial 3"):
             sim._run_chunk(sc, range(sc.trials), False)
         with pytest.raises(Infeasible, match="inconsistent constraints"):
@@ -711,6 +718,23 @@ class TestStdErr:
             plain = np.float64(np.std(values, ddof=1) / math.sqrt(n))
             assert np.float64(_std_err(values)).tobytes() == plain.tobytes()
         assert _std_err(np.array([2.5])) == 0.0
+
+    @pytest.mark.parametrize("method, awgn_std, rho2_db", [
+        ("nc_slp", 1e100, 10.0), ("pw_slp", 1.0, 2000.0), ("nc_slp", 1.0, 2000.0),
+    ])
+    def test_huge_noise_covariances_run_without_overflow(self, method, awgn_std, rho2_db):
+        # covariances of order 1e200: eig2_sym scales its eigenvector
+        # candidates before their squared norms would overflow
+        sc = Scenario(
+            m=2, k=2, d=4, rho2_db=rho2_db, awgn_std=awgn_std, p=0.8, trials=4, block_len=3,
+            seed=11, method=method, psi_db=0.0, n_div=4,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = run_montecarlo(sc)
+        values = [getattr(rec, f.name) for f in dataclasses.fields(rec)]
+        assert all(math.isfinite(v) for value in values for v in np.ravel(value))
+        assert rec.avg_tx_power > 1e190
 
     @pytest.mark.parametrize("method", ["pw_slp", "naive_slp", "robust_slp"])
     def test_a_huge_awgn_std_gives_a_finite_power_error(self, method):

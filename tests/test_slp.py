@@ -29,14 +29,13 @@ from ncprecode.slp import (
     robust_bounds,
     robust_slp,
     safety_margin,
-    solve_max_margin,
     solve_min_power,
     tangent_points,
     whitened_effective_channel,
     worst_case_pterms,
 )
 from ncprecode.errors import Infeasible, ZeroRow
-from ncprecode.solver import BATCH_CROSSOVER, QpProblem, solve_min_norm
+from ncprecode.solver import BATCH_CROSSOVER, QpProblem, solve_maximin_batch, solve_min_norm
 from ncprecode.wlalg import eig2_sym, expand_row, expand_vec, sqrt_inv_psd2
 
 THETA4 = math.pi / 4
@@ -490,10 +489,22 @@ class TestSolveMinPower:
         a = np.array([row for rows, _ in terms for row in rows])
         return a, np.concatenate([bounds for _, bounds in terms], axis=-1)
 
+    @classmethod
+    def min_power(cls, vectors):
+        """solve_min_power of symbol vectors given as per-user (rows, bounds) terms."""
+        a, b = zip(*map(cls.stacked, vectors))
+        b = np.array(b)
+        return solve_min_power(np.array(a), b.reshape(len(b), -1, b.shape[-1]))
+
+    @classmethod
+    def max_margin(cls, vectors, p_t):
+        """solve_maximin_batch of symbol vectors given as per-user (rows, None) terms."""
+        return solve_maximin_batch(np.array([[row for rows, _ in terms for row in rows] for terms in vectors]), p_t)
+
     def test_one_dimensional_bounds_are_one_qp(self):
         terms = self.terms(np.random.default_rng(81))
         a, b = self.stacked(terms)
-        sol = solve_min_power([terms])[0]
+        sol = self.min_power([terms])[0]
         ref = solve_min_norm(QpProblem(a, b))
         assert np.array_equal(sol.x, ref.x)
         assert sol.power == ref.objective
@@ -526,8 +537,8 @@ class TestSolveMinPower:
         rng = np.random.default_rng(84)
         for orientations in (None, 5):
             vectors = [self.terms(rng, orientations) for _ in range(BATCH_CROSSOVER + 3)]
-            for terms, sol in zip(vectors, solve_min_power(vectors)):
-                one = solve_min_power([terms])[0]
+            for terms, sol in zip(vectors, self.min_power(vectors)):
+                one = self.min_power([terms])[0]
                 assert np.array_equal(sol.x, one.x)
                 assert sol.power == one.power
                 assert np.array_equal(sol.achieved_margins, one.achieved_margins)
@@ -540,7 +551,7 @@ class TestSolveMinPower:
             wide = [(rows, np.concatenate([b, b], axis=-1)) for rows, b in self.terms(rng, orientations)]
             for count in (1, BATCH_CROSSOVER + 3):
                 with pytest.raises(ValueError, match="constraint stack, bound rows and owners do not match"):
-                    solve_min_power([wide] * count)
+                    self.min_power([wide] * count)
 
     def test_the_first_failing_vector_raises(self):
         # as a loop over the vectors would: an earlier vector's failure wins,
@@ -553,20 +564,20 @@ class TestSolveMinPower:
             zero = [(tuple(np.zeros_like(r) for r in rows), bounds), *rest]
             clash = [((rows[0], -rows[0]), np.ones(2)), *rest]   # a x >= 1 and -a x >= 1
             with pytest.raises(Infeasible, match="inconsistent constraints"):
-                solve_min_power(good[:3] + [clash] + good[3:6] + [zero] + good[6:])
+                self.min_power(good[:3] + [clash] + good[3:6] + [zero] + good[6:])
             with pytest.raises(Infeasible, match="zero constraint row with positive bound"):
-                solve_min_power(good[:3] + [zero] + [clash] + good[3:])
+                self.min_power(good[:3] + [zero] + [clash] + good[3:])
             with pytest.raises(Infeasible, match="zero constraint row with positive bound"):
-                solve_min_power([zero] + good)
+                self.min_power([zero] + good)
             # the maximin designs pin a zero row's margin at 0; only all-zero rows raise
             all_zero = [(tuple(np.zeros_like(r) for r in rows_u), b) for rows_u, b in good[0]]
-            out = solve_max_margin(good[:3] + [zero] + good[3:], 1.0)
+            out = self.max_margin(good[:3] + [zero] + good[3:], 1.0)
             assert np.array_equal(out[3][0], np.zeros(6)) and out[3][1] == 0.0
             for terms, (x, delta) in zip(good, out[:3] + out[4:]):
-                x_one, delta_one = solve_max_margin([terms], 1.0)[0]
+                x_one, delta_one = self.max_margin([terms], 1.0)[0]
                 assert np.array_equal(x, x_one) and delta == delta_one
             with pytest.raises(ZeroRow, match="all constraint rows are zero"):
-                solve_max_margin(good[:3] + [zero, all_zero] + good[3:], 1.0)
+                self.max_margin(good[:3] + [zero, all_zero] + good[3:], 1.0)
 
 
 class TestZeroChannelRow:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,30 @@ class TestEig2:
             np.testing.assert_allclose(g @ v, lam1 * v, atol=1e-10)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
             assert v[0] > 0 or (v[0] == 0 and v[1] > 0)
+
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+    def test_huge_entries_give_a_unit_eigenvector(self, scale):
+        # the candidates' squared norms would overflow; scaled by a power of
+        # two first, the eigenvector stays a unit vector without a warning
+        g = scale * sym(1.0, 0.3, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam1, lam2, v = eig2_sym(g)
+        ref1, ref2, ref_v = eig2_sym(sym(1.0, 0.3, 0.5))
+        assert lam1 == pytest.approx(scale * ref1, rel=1e-14) and lam2 == pytest.approx(scale * ref2, rel=1e-14)
+        assert np.hypot(*v) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(v, ref_v, rtol=1e-14)
+
+    def test_a_stack_is_its_items(self):
+        # a stack mixing huge and ordinary matrices gives each item the bits
+        # of its own call: only the huge ones are scaled
+        rng = np.random.default_rng(6)
+        g = np.array([sym(*(rng.standard_normal(3) * 10.0 ** rng.uniform(-200, 300))) for _ in range(300)])
+        lam1, lam2, v = eig2_sym(g)
+        for i, gi in enumerate(g):
+            one = eig2_sym(gi)
+            assert (lam1[i], lam2[i]) == one[:2] and np.array_equal(v[i], one[2])
 
 
 class TestWhitener:
