@@ -42,6 +42,13 @@ from ncprecode.wlalg import eig2_sym, expand_row, sqrt_inv_psd2, symbol_rotation
 # -- frozen scalar builders ---------------------------------------------------
 
 
+def _ref_sample_channels(rng, m, k):
+    scale = 1.0 / math.sqrt(2.0)
+    h = scale * (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m)))
+    h_j = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    return h, h_j
+
+
 def _ref_expand_row(h):
     h = np.asarray(h, dtype=complex).ravel()
     return np.vstack([np.concatenate([h.real, -h.imag]), np.concatenate([h.imag, h.real])])
@@ -221,11 +228,13 @@ def _ref_draw_q(spec, rng):
 class _RefEngine:
     """One trial's scalar set-up and (user, symbol) terms, as the engine built them one at a time."""
 
+    channels = staticmethod(_ref_sample_channels)
+
     def __init__(self, sc, trial):
         self.sc = sc
         k, method, theta = sc.k, sc.method, sc.theta
         rng = _stream(sc.seed, trial, 0)
-        h, h_j = self.h, self.h_j = sim.sample_channels(rng, sc.m, k)
+        h, h_j = self.h, self.h_j = self.channels(rng, sc.m, k)
         q = _ref_draw_q(sc.q_spec, rng)
         t_factor = _ref_t_from_q(q)
         self.mix = (sc.rho * t_factor).T
@@ -355,15 +364,26 @@ def test_zero_awgn_where_loadable(method, q):
     assert_chunk_matches(scenario(method, 8, q, awgn_std=0.0), 0, 7)
 
 
+def patch_channels(monkeypatch, change):
+    """Apply change(trial, h, h_j) to the channel draws of the engine and of the reference."""
+    def patched(draw):
+        def channels(rng, m, k):
+            h, h_j = draw(rng, m, k)
+            change(int(rng.bit_generator.state["state"]["key"][1]) >> 32, h, h_j)   # the set-up stream's trial
+            return h, h_j
+        return channels
+
+    monkeypatch.setattr(sim, "sample_channels", patched(sample_channels))
+    monkeypatch.setattr(_RefEngine, "channels", staticmethod(patched(_ref_sample_channels)))
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_a_zero_jammer_gain(monkeypatch, method):
     # users whose jammer channel is exactly zero: covariances (awgn/2) I
-    def zero_jammer_gains(rng, m, k):
-        h, h_j = sample_channels(rng, m, k)
+    def zero_jammer_gains(trial, h, h_j):
         h_j[::2] = 0.0
-        return h, h_j
 
-    monkeypatch.setattr(sim, "sample_channels", zero_jammer_gains)
+    patch_channels(monkeypatch, zero_jammer_gains)
     assert_chunk_matches(scenario(method, 4, "random_rank_one"), 0, 7)
 
 
@@ -441,11 +461,11 @@ def test_lemma1_cells_match_the_per_cell_mse():
     cells = np.argwhere(sim._feasible_mask(q11, q12))
     q11_c, q12_c = q11[cells[:, 0]], q12[cells[:, 1]]
     for draw in range(3):
-        h, h_j = sample_channels(_stream(sc.seed, draw, 0), sc.m, sc.k)
+        h, h_j = _ref_sample_channels(_stream(sc.seed, draw, 0), sc.m, sc.k)
         ref = []
         for a, b in zip(q11_c, q12_c):
-            q = _ref_q_from_elements(a, b)
-            ref.append(_ref_mse_closed_form(h, [_ref_effective_cov(hj, sc.rho, q, sc.awgn_var) for hj in h_j], sc.p_t))
+            covs = [_ref_effective_cov(hj, sc.rho, _ref_q_from_elements(a, b), sc.awgn_var) for hj in h_j]
+            ref.append(_ref_mse_closed_form(h, covs, sc.p_t))
         assert same_bits(sim._sweep_mse(sc, h, h_j, q11_c, q12_c), ref)
         # the one-cell call is the one-item case of the same code
         jam = jammer_model(sc.rho, q_from_elements(0.3, 0.1))
@@ -497,16 +517,13 @@ def test_the_first_failing_trial_and_user_raises_its_own_failure(monkeypatch, me
     # symbols' sectors, so that trial's SLP QP fails. The chunked run must
     # raise the failure of the first failing trial and user, for chunks of
     # one trial, of three and of all eight.
-    def broken(rng, m, k):
-        h, h_j = sample_channels(rng, m, k)
-        trial = int(rng.bit_generator.state["state"]["key"][1]) >> 32   # the set-up stream's trial
+    def broken(trial, h, h_j):
         if trial == zero[0]:
             h_j[zero[1]] = 0.0
         if clash is not None and trial == clash[0]:
             h[clash[1]] = h[0]
-        return h, h_j
 
-    monkeypatch.setattr(sim, "sample_channels", broken)
+    patch_channels(monkeypatch, broken)
     sc = Scenario(m=3, k=3, d=4, rho2_db=10.0, awgn_std=0.0, p=0.9, trials=8, block_len=1,
                   seed=99, method=method, p_t_db=15.0, psi_db=3.0)
     want = _scalar_outcome(sc)
