@@ -9,22 +9,24 @@ are bit-identical regardless of how trials are distributed over worker
 threads.
 
 Trials run in chunks of consecutive trials, ``max(1, CHUNK_SLOTS //
-block_len)`` at a time. A chunk is set up in one pass over its trials by a
-``_Chunk``: each trial's channels and jammer covariance come from the
-trial's own set-up stream, and every per-trial constant (the noise
+block_len)`` at a time. A chunk is set up in one pass over its trials by
+one ``_TrialEngine``: each trial's channels and jammer covariance come from
+the trial's own set-up stream, and every per-trial constant (the noise
 covariances, the jammer mixing matrices, the BLP precoders, or each user's
 channel pair and, for designs whose bounds do not depend on the symbol, each
 user's bounds) is built for all of the chunk's trials and users at once, by
 the broadcasting 2x2 primitives of ``wlalg``, ``noisegeom``, ``blp`` and
 ``slp``: one per-method builder from ``_BUILDERS`` over (trial, user)
-stacks. ``_run_chunk`` then makes three passes over every (trial, slot) pair
-of the chunk, as arrays: a draw pass fills arrays with each slot's symbol
-indices, jammer draw and AWGN draw; a solve pass designs each trial's
-distinct symbol-index vectors, trial by trial and in order of first
-appearance, in one call, which builds each distinct (trial, user, symbol)
-term once, in one stacked call, and solves all of the chunk's QPs in one
-batch (``solver.solve_min_norm_batch``); a detect pass adds the noise to
-every point at once and counts the errors. Within a trial only d^K symbol
+stacks. The engine names a trial by its place in the chunk, and
+``_run_chunk`` then makes three passes over every (trial, slot) pair of the
+chunk, as arrays: a draw pass fills arrays with each slot's symbol indices,
+jammer draw and AWGN draw; a solve pass designs each trial's distinct
+symbol-index vectors, trial by trial and in order of first appearance, in
+one call, which builds each distinct (trial, user, symbol) term once, in one
+stacked call, and solves all of the chunk's QPs in one batch
+(``solver.solve_min_norm_batch``); a detect pass adds the noise to every
+point at once and counts the errors, and, when asked, integrates the noise
+out of every point in one stacked call. Within a trial only d^K symbol
 vectors and d K (user, symbol) pairs exist, so the transmit vector, its
 power and the noise-free received points are kept once per distinct
 symbol-index vector. The reused values are the ones a fresh computation
@@ -40,17 +42,18 @@ Detection is one array pass (``_detect``): np.arctan2 and ceil give every
 point's decision sector, and a point whose sector coordinate lies within
 ``SECTOR_GUARD`` of an integer (a decision-boundary ray, the 0/2 pi wrap and
 y = 0 among them) or that is not finite goes through the scalar
-``_TrialEngine.detect``, so every decision and every exception is the
-scalar path's. A chunk that raises runs again trial by trial, so the
+``_TrialEngine.detect`` of its trial, so every decision and every exception
+is the scalar path's. A chunk that raises runs again trial by trial, so the
 earliest failing trial raises its own failure.
 
 The covariance-grid sweeps (``sweep_q_grid`` and the two lemma checks)
 evaluate one channel draw's surface over the feasible (q11, q12) disk. The
 power sweep (``_sweep_power``) solves one min-power QP per symbol vector
-and cell; its symbol chains advance in rounds, each round's kernel calls in
-one lockstep ``solver._min_norm_batch`` call, and each chain certifies its
-kernel's active set on the cells after it. Every cell's power has the bits
-of a chain-by-chain sweep.
+and cell; every symbol chain's rows and bounds are built in one stacked
+pass (``_sweep_chains``), its symbol chains advance in rounds, each round's
+kernel calls in one lockstep ``solver._min_norm_batch`` call, and each chain
+certifies its kernel's active set on the cells after it. Every cell's power
+has the bits of a chain-by-chain sweep.
 """
 
 import math
@@ -399,8 +402,8 @@ def energy_efficiency(bler: float, c_bits: float, k: int, avg_power: float) -> f
     return (1.0 - bler) * c_bits * k / avg_power
 
 
-class _Chunk:
-    """The set-up of a chunk of consecutive trials, as (trial, user) stacks.
+class _TrialEngine:
+    """The set-up of a chunk of consecutive trials, as (trial, user) stacks, with its detector and integrated SER.
 
     One Philox generator, re-keyed to each trial's set-up stream (seed,
     trial, 0), draws the trials' channels and jammer covariances in trial
@@ -416,12 +419,13 @@ class _Chunk:
     triples for nc_slp and robust_slp; the maximin designs have rows only.
     Each stacked step gives every item the bits of its one-trial call; a
     step that raises is met again by :func:`_run_trials`, trial by trial.
+    A trial is named by its place in the chunk, ``pos``.
     """
 
     precoder = pairs = bounds = bound_fn = None
 
     def __init__(self, sc: Scenario, trials: range):
-        self.sc, self.trials = sc, trials
+        self.sc = sc
         self.rng = _stream(sc.seed, trials[0], 0)
         draws = []
         for trial in trials:
@@ -444,6 +448,33 @@ class _Chunk:
         else:
             bounds = None if self.bounds is None else self.bounds[t, u]
         return _slp.margin_rows(self.pairs[t, u][:, None], s[:, None], self.sc.theta), bounds
+
+    def detect(self, pos: int, y_k: complex, user: int) -> int:
+        """The scalar decision for received point y_k of a user of trial place pos."""
+        if self.whiten is not None:
+            z = self.whiten[pos, user] @ np.array([y_k.real, y_k.imag])
+            return psk_detect(complex(z[0], z[1]), self.sc.d)
+        return psk_detect(y_k, self.sc.d)
+
+    def exit_probability(self, rx: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Per-trial, per-slot, per-user probability (trials x slots x users) of a symbol error.
+
+        rx holds the noise-free received points h_k x of every trial place
+        and slot, idx the 1-based symbol indices. Pre-whitened receivers
+        detect G_k^{-1/2} y, whose noise is N(0, I2); raw receivers see the
+        symbol-rotated effective covariance. Every item has the bits of a
+        one-trial call (docs/DECISIONS.md).
+        """
+        sc, const = self.sc, self.const
+        if self.whiten is not None:
+            zw = np.einsum("nkij,ntkj->ntki", self.whiten, np.stack([rx.real, rx.imag], axis=-1))
+            rx = zw[..., 0] + 1j * zw[..., 1]
+            cov = np.eye(2)
+        else:
+            table = rotated_cov(self.covs[:, :, None], const)   # trials x users x symbols x 2 x 2
+            cov = table[np.arange(len(rx))[:, None, None], np.arange(sc.k), idx - 1]
+        mu = rx * np.conj(const[idx - 1])
+        return wedge_exit_probability(np.stack([mu.real, mu.imag], axis=-1), cov, sc.theta)
 
 
 # Per method: the chunk's precoders, channel pairs, symbol-free bounds or bound function.
@@ -479,94 +510,49 @@ _BUILDERS = {
 }
 
 
-class _TrialEngine:
-    """One trial of a chunk: its draws, whitener and scalar detector, as views of the chunk's stacks.
-
-    ``_TrialEngine(sc, trial)`` sets up a chunk of that one trial; a larger
-    chunk's engines are bound to it by :meth:`bind`.
-    """
-
-    def __init__(self, sc: Scenario, trial: int):
-        self.bind(_Chunk(sc, range(trial, trial + 1)), 0)
-
-    def bind(self, chunk: _Chunk, pos: int) -> "_TrialEngine":
-        """View trial place pos of the chunk."""
-        self.chunk, self.pos, self.sc, self.trial = chunk, pos, chunk.sc, chunk.trials[pos]
-        self.rng, self.const = chunk.rng, chunk.const
-        self.h, self.h_j, self.mix, self.covs = chunk.h[pos], chunk.h_j[pos], chunk.mix[pos], chunk.covs[pos]
-        self.whiten = None if chunk.whiten is None else chunk.whiten[pos]   # users x 2 x 2
-        return self
-
-    def detect(self, y_k: complex, user: int) -> int:
-        if self.whiten is not None:
-            z = self.whiten[user] @ np.array([y_k.real, y_k.imag])
-            return psk_detect(complex(z[0], z[1]), self.sc.d)
-        return psk_detect(y_k, self.sc.d)
-
-    def exit_probability(self, rx: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Per-slot, per-user probability (slots x users) of a symbol error.
-
-        rx holds the noise-free received points h_k x, idx the 1-based symbol
-        indices. Pre-whitened receivers detect G_k^{-1/2} y, whose noise is
-        N(0, I2); raw receivers see the symbol-rotated effective covariance.
-        """
-        sc, const = self.sc, self.const
-        if self.whiten is not None:
-            zw = np.einsum("kij,tkj->tki", self.whiten, np.stack([rx.real, rx.imag], axis=-1))
-            rx = zw[..., 0] + 1j * zw[..., 1]
-            cov = np.eye(2)
-        else:
-            table = rotated_cov(self.covs[:, None], const)   # users x symbols x 2 x 2
-            cov = table[np.arange(sc.k), idx - 1]
-        mu = rx * np.conj(const[idx - 1])
-        return wedge_exit_probability(np.stack([mu.real, mu.imag], axis=-1), cov, sc.theta)
-
-
-def _design(pairs) -> np.ndarray:
-    """Complex transmit vectors (pairs x M) of (engine, 1-based symbol-index vector) pairs of one chunk, in order.
+def _design(engine: _TrialEngine, pos: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Complex transmit vectors (vectors x M) of 1-based symbol-index vectors idx (vectors x K) at trial places pos.
 
     The SLP designs build the (trial, user, symbol) terms the vectors need,
-    each once, in one stacked call, and solve every pair's QP in one batch.
-    A pair whose terms or QP fail raises that failure, and an earlier pair's
-    failure comes first, as one design call per pair would have it: when
-    the stacked call raises, the terms are built again pair by pair and
-    user by user.
+    each once, in one stacked call, and solve every vector's QP in one
+    batch. A vector whose terms or QP fail raises that failure, and an
+    earlier vector's failure comes first, as one design call per vector
+    would have it: when the stacked call raises, the terms are built again
+    vector by vector and user by user.
     """
-    chunk = pairs[0][0].chunk
-    sc = chunk.sc
-    pos = np.array([e.pos for e, _ in pairs])
-    idx = np.array([idx for _, idx in pairs]) - 1
+    sc = engine.sc
+    idx = idx - 1
     if sc.method in BLP_METHODS:
-        s = chunk.const[idx]
-        xb = np.matmul(chunk.precoder.p[pos], np.concatenate([s.real, s.imag], axis=1)[:, :, None])[..., 0]
+        s = engine.const[idx]
+        xb = np.matmul(engine.precoder.p[pos], np.concatenate([s.real, s.imag], axis=1)[:, :, None])[..., 0]
         return xb[:, :sc.m] + 1j * xb[:, sc.m:]   # the precoder's product, one per vector
     try:
-        a, b = _stack_terms(chunk, pos, idx)
+        a, b = _stack_terms(engine, pos, idx)
     except Exception:
-        for j in range(len(pairs)):
+        for j in range(len(pos)):
             for u in range(sc.k):
                 try:
-                    chunk.terms(pos[j:j + 1], np.array([u]), idx[j, u:u + 1])
+                    engine.terms(pos[j:j + 1], np.array([u]), idx[j, u:u + 1])
                 except Exception:
                     if j:
-                        _solve_terms(sc, *_stack_terms(chunk, pos[:j], idx[:j]))   # an earlier pair's failure first
+                        _solve_terms(sc, *_stack_terms(engine, pos[:j], idx[:j]))   # an earlier vector's failure first
                     raise
         raise
     xb = _solve_terms(sc, a, b)
     return xb[:, :sc.m] + 1j * xb[:, sc.m:]
 
 
-def _stack_terms(chunk: _Chunk, pos: np.ndarray, idx: np.ndarray):
+def _stack_terms(engine: _TrialEngine, pos: np.ndarray, idx: np.ndarray):
     """Each vector's stacked rows (vectors x 2K x 2M) and bounds (vectors x orientations x 2K).
 
     pos holds the vectors' trial places and idx their 0-based symbol
     indices (vectors x K); each distinct (trial, user, symbol) term is built
-    once, in one :meth:`_Chunk.terms` call.
+    once, in one :meth:`_TrialEngine.terms` call.
     """
-    k, d = chunk.sc.k, chunk.sc.d
+    k, d = engine.sc.k, engine.sc.d
     key = (pos[:, None] * k + np.arange(k)) * d + idx
     uniq, inverse = np.unique(key, return_inverse=True)
-    rows, bounds = chunk.terms(uniq // (k * d), uniq // d % k, uniq % d)
+    rows, bounds = engine.terms(uniq // (k * d), uniq // d % k, uniq % d)
     n = len(pos)
     a = rows[inverse.ravel()].reshape(n, 2 * k, -1)
     if bounds is None:
@@ -582,8 +568,8 @@ def _solve_terms(sc: Scenario, a, b) -> np.ndarray:
     return np.array([sol.x for sol in _slp.solve_min_power(a, b)])
 
 
-def _detect(engines, y: np.ndarray) -> np.ndarray:
-    """Decisions (trials x slots x users) for received points y, each ``engines[i].detect(y[i, t, u], u)``.
+def _detect(engine: _TrialEngine, y: np.ndarray) -> np.ndarray:
+    """Decisions (trial places x slots x users) for received points y, each ``engine.detect(i, y[i, t, u], u)``.
 
     Whitened receivers whiten every point with one stacked matmul, which
     makes each point's vector product as ``detect`` does, bit for bit.
@@ -593,18 +579,17 @@ def _detect(engines, y: np.ndarray) -> np.ndarray:
     decision-boundary rays, the 0/2 pi wrap and y = 0 (whose phase is 0 or
     +-pi) all lie on integers, and NaN raises the scalar ValueError.
     """
-    if engines[0].whiten is None:
+    if engine.whiten is None:
         re, im = y.real, y.imag
     else:
-        whiten = np.array([e.whiten for e in engines])[:, None]
-        zw = np.matmul(whiten, np.stack([y.real, y.imag], axis=-1)[..., None])
+        zw = np.matmul(engine.whiten[:, None], np.stack([y.real, y.imag], axis=-1)[..., None])
         re, im = zw[..., 0, 0], zw[..., 1, 0]
     phase = np.arctan2(im, re)
-    coord = np.where(phase <= 0.0, phase + 2.0 * math.pi, phase) * engines[0].sc.d / (2.0 * math.pi)
+    coord = np.where(phase <= 0.0, phase + 2.0 * math.pi, phase) * engine.sc.d / (2.0 * math.pi)
     clear = np.isfinite(re) & np.isfinite(im) & (np.abs(coord - np.rint(coord)) > SECTOR_GUARD)
     det = np.ceil(np.where(clear, coord, 1.0)).astype(np.int64)
     for i, t, u in zip(*np.nonzero(~clear)):
-        det[i, t, u] = engines[i].detect(y[i, t, u], u)
+        det[i, t, u] = engine.detect(i, y[i, t, u], u)
     return det
 
 
@@ -613,36 +598,37 @@ def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
 
     The per-user error counts are int64 arrays; the noise-integrated
     per-user SER (see ``_TrialEngine.exit_probability``) is None unless
-    `integrate`. The trials are set up together by one :class:`_Chunk`,
-    each seen through its :class:`_TrialEngine`, and the chunk then makes
-    three passes over all its (trial, slot) pairs, as arrays:
+    `integrate`. The trials are set up together by one :class:`_TrialEngine`,
+    and the chunk then makes three passes over all its (trial, slot) pairs,
+    as arrays, each trial named by its place in the chunk:
 
-    1. Draw: each slot re-keys its trial's generator to its own (seed,
+    1. Draw: each slot re-keys the chunk's generator to its own (seed,
        trial, slot) stream (:func:`_rekey`), takes the raw bits of its
        symbol indices (:func:`_raw_indices`) and draws its jammer and AWGN
        normals in one call, into preallocated arrays. The jammer mixing
        (one stacked vector-matrix product, which makes each slot's product
        as a single one does) and the noise scaling then act on every slot
        at once.
-    2. Solve: one :func:`_design` call for each trial's distinct index
-       vectors, trial by trial and each trial's in order of first
+    2. Solve: one :func:`_design` call for the distinct (trial place, index
+       vector) pairs, trial by trial and each trial's in order of first
        appearance; each gives its transmit vector x, its power and the
        noise-free received points rx = h x.
     3. Detect: every received point y = rx + h_j z + w at once, decided by
        :func:`_detect`. Errors and bit errors are counted per user from the
        bit-error table, and each trial's power is summed in slot order. With
-       `integrate`, each trial's rx then give its slots' exit probabilities.
+       `integrate`, one stacked exit-probability call over every trial,
+       slot and user gives each trial's per-user mean over its slots.
 
     The transmit vector depends only on the trial and the index vector, so
     every slot that draws a vector again reuses its values, exactly: a
     repeat would recompute the same deterministic function of the same
-    inputs. The draws, the received points, the decisions and the power sums
-    are the ones a slot-by-slot loop over each trial makes, so every output
-    byte is the same for any chunk (tests/test_detect_reference.py).
+    inputs. The draws, the received points, the decisions, the power sums
+    and the integrated SER are the ones a slot-by-slot loop over each trial
+    makes, so every output byte is the same for any chunk
+    (tests/test_detect_reference.py).
     """
-    chunk = _Chunk(sc, trials)
-    engines = [object.__new__(_TrialEngine).bind(chunk, pos) for pos in range(len(trials))]
-    n, t_len, k, rng = len(engines), sc.block_len, sc.k, chunk.rng
+    engine = _TrialEngine(sc, trials)
+    n, t_len, k, rng = len(trials), sc.block_len, sc.k, engine.rng
     raw = np.empty((n, t_len, (k + 1) // 2), dtype=np.uint64)
     normal = np.empty((n, t_len, 2 + 2 * k))   # the jammer's 2 and the AWGN's k x 2, in draw order
     for trial, raw_e, normal_e in zip(trials, raw, normal):
@@ -651,7 +637,7 @@ def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
             raw_e[t] = rng.bit_generator.random_raw(raw.shape[2])
             rng.standard_normal(out=normal_e[t])
     idx = _raw_indices(raw.reshape(n * t_len, -1), sc.d, k).reshape(n, t_len, k)
-    z = np.matmul(normal[:, :, None, :2], chunk.mix[:, None]).view(complex)[..., 0, 0]   # one vector product per slot
+    z = np.matmul(normal[:, :, None, :2], engine.mix[:, None]).view(complex)[..., 0, 0]   # one vector product per slot
     nv = math.sqrt(0.5 * sc.awgn_var) * normal[..., 2:].reshape(n, t_len, k, 2)
     keyed = np.concatenate([np.arange(n).repeat(t_len)[:, None], idx.reshape(n * t_len, k)], axis=1)
     keys, row = keyed.tobytes(), keyed[0].nbytes
@@ -659,24 +645,25 @@ def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
     inverse = np.array([number.setdefault(keys[j:j + row], len(number)) for j in range(0, len(keys), row)])
     inverse = inverse.reshape(n, t_len)
     vectors = np.frombuffer(b"".join(number), dtype=np.int64).reshape(-1, k + 1)   # trial place, indices
-    xs = _design([(engines[v[0]], v[1:]) for v in vectors])
+    xs = _design(engine, vectors[:, 0], vectors[:, 1:])
     power = np.matmul(xs[:, None, :], np.conj(xs)[:, :, None])[:, 0, 0].real   # one BLAS dot per vector
-    rx = np.matmul(chunk.h[vectors[:, 0]], xs[:, :, None])[..., 0][inverse]
-    y = rx + chunk.h_j[:, None] * z[..., None] + (nv[..., 0] + 1j * nv[..., 1])
-    det = _detect(engines, y)
+    rx = np.matmul(engine.h[vectors[:, 0]], xs[:, :, None])[..., 0][inverse]
+    y = rx + engine.h_j[:, None] * z[..., None] + (nv[..., 0] + 1j * nv[..., 1])
+    det = _detect(engine, y)
     sym_err = np.count_nonzero(det != idx, axis=1).astype(np.int64)
     bit_err = np.array(_BIT_ERRORS[sc.d])[idx - 1, det - 1].sum(axis=1)
     power_sum = np.cumsum(power[inverse], axis=1)[:, -1].tolist()   # cumsum adds in slot order
-    ser = [e.exit_probability(rx[i], idx[i]).mean(axis=0) if integrate else None for i, e in enumerate(engines)]
+    ser = engine.exit_probability(rx, idx).mean(axis=1) if integrate else [None] * n
     return list(zip(sym_err, bit_err, power_sum, ser))
 
 
 def _run_trials(sc: Scenario, integrate: bool, threads: int) -> list:
     """``_run_chunk``'s tuple for every trial, in trial order, over chunks mapped on `threads` threads.
 
-    A chunk holds max(1, CHUNK_SLOTS // block_len) consecutive trials. A
-    chunk that raises runs again trial by trial, so the earliest failing
-    trial raises its own failure, as a trial-by-trial run would.
+    A chunk holds max(1, CHUNK_SLOTS // block_len) consecutive trials and
+    is set up by one :class:`_TrialEngine`. A chunk that raises runs again
+    as chunks of one trial, each with its own engine, so the earliest
+    failing trial raises its own failure, as a trial-by-trial run would.
     """
     size = max(1, CHUNK_SLOTS // sc.block_len)
 
@@ -888,14 +875,46 @@ def _certify_windows(a, gram, bounds, eps_p, active, ci, power):
     return ci
 
 
-def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
-    """Average minimum power of the transmit-only design at each cell (q11[c], q12[c]).
+def _sweep_chains(sc: Scenario, h, h_j, q11, q12, symbols):
+    """Every symbol draw's chain: margin rows (draws x 2K x 2M), Gram matrices, row norms, bounds, tolerances.
 
     The per-user squared margin terms are affine in (q11, q12), so for each
     symbol draw the constraint matrix and its Gram matrix are fixed and only
-    the QP bounds vary across the cells. Each symbol draw is one chain of
-    cells, and every chain's matrix, Gram matrix, row norms and bounds are
-    built up front. The kernel finds the active set at one cell of a chain,
+    the QP bounds (draws x cells x 2K) vary across the cells. Every draw is
+    built at once; each item of the stacked calls makes the products and
+    libm calls of a one-draw build, so it has its bits
+    (tests/test_setup_reference.py).
+    """
+    omega = chi2_scale(sc.p)
+    theta = sc.theta
+    cos_t = math.cos(theta)
+    normals = np.array(boundary_normals(theta))[..., None]   # n_u and n_l as 2 x 1 columns
+    rho2 = sc.rho * sc.rho
+    half_awgn = 0.5 * sc.awgn_var
+    s = np.array(symbols)   # symbol draws x K
+    a_all = _slp.margin_rows(expand_row(h), s, theta)   # draws x 2K x 2M
+    gram_all = np.matmul(a_all, a_all.swapaxes(-1, -2))
+    rn_all = np.einsum("sij,sij->si", a_all, a_all)
+    jv = np.matmul(symbol_rotation(s).swapaxes(-1, -2), expand_row(h_j[:, None]))   # draws x K x 2 x 2
+    w = np.matmul(jv.swapaxes(-1, -2)[..., None, :, :], normals)[..., 0]   # draws x K x normals x 2
+    # w^T Q w = w2^2 + q11 (w1^2 - w2^2) + 2 q12 w1 w2, each square a Python-float pow
+    sq = _slp._squares(float, w)
+    const, lin11, lin12 = (
+        v.reshape(len(s), 1, -1) for v in (sq[..., 1], sq[..., 0] - sq[..., 1], 2.0 * w[..., 0] * w[..., 1])
+    )
+    # bounds per cell: delta0 cos(theta) + sqrt(omega (rho^2 w^T Q w + awgn/2))
+    qf = np.maximum(const + q11[:, None] * lin11 + q12[:, None] * lin12, 0.0)
+    bounds = sc.delta0 * cos_t + np.sqrt(omega * (rho2 * qf + half_awgn))   # draws x cells x 2K
+    eps_all = 1e-9 * np.maximum(1.0, bounds.max(axis=(1, 2)))
+    return a_all, gram_all, rn_all, bounds, eps_all
+
+
+def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
+    """Average minimum power of the transmit-only design at each cell (q11[c], q12[c]).
+
+    Each symbol draw is one chain of cells, and every chain's matrix, Gram
+    matrix, row norms and bounds are built up front (``_sweep_chains``).
+    The kernel finds the active set at one cell of a chain,
     ``_certify_windows`` certifies it on the cells after it, and the kernel
     runs again at the first cell that fails.
 
@@ -910,38 +929,8 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
     failure of the lowest failed chain once every lower chain has finished,
     which is the failure a chain-by-chain loop meets first.
     """
-    k = h.shape[0]
-    omega = chi2_scale(sc.p)
-    theta = sc.theta
-    cos_t = math.cos(theta)
-    normals = boundary_normals(theta)
-    rho2 = sc.rho * sc.rho
-    half_awgn = 0.5 * sc.awgn_var
+    a_all, gram_all, rn_all, bounds, eps_all = _sweep_chains(sc, h, h_j, q11, q12, symbols)
     n_cells = len(q11)
-
-    a_all, gram_all, rn_all, bounds, eps_all = [], [], [], [], []
-    for s in symbols:
-        rows = []
-        coeffs = []
-        for u in range(k):
-            rows += _slp.margin_rows_pair(*expand_row(h[u]), s[u], theta)
-            jv = symbol_rotation(s[u]).T @ expand_row([h_j[u]])
-            for nvec in normals:
-                w = jv.T @ nvec
-                # w^T Q w = w2^2 + q11 (w1^2 - w2^2) + 2 q12 w1 w2
-                coeffs.append((w[1] ** 2, w[0] ** 2 - w[1] ** 2, 2.0 * w[0] * w[1]))
-        a = np.vstack(rows)
-        a_all.append(a)
-        gram_all.append(a @ a.T)
-        rn_all.append(np.einsum("ij,ij->i", a, a))
-        const, lin11, lin12 = np.array(coeffs).T
-        # bounds per cell: delta0 cos(theta) + sqrt(omega (rho^2 w^T Q w + awgn/2))
-        qf = const[None, :] + q11[:, None] * lin11[None, :] + q12[:, None] * lin12[None, :]
-        qf = np.maximum(qf, 0.0)
-        bounds.append(sc.delta0 * cos_t + np.sqrt(omega * (rho2 * qf + half_awgn)))
-        eps_all.append(1e-9 * max(1.0, float(np.max(bounds[-1]))))
-    a_all, gram_all, rn_all, bounds = (np.array(v) for v in (a_all, gram_all, rn_all, bounds))
-
     power = np.empty((len(symbols), n_cells))
     next_ci = np.zeros(len(symbols), dtype=np.intp)
     failures = {}

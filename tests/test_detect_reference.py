@@ -9,10 +9,13 @@ bits, forms every received point with the same arithmetic, decides the
 points away from a sector boundary with np.arctan2 and the rest with the
 scalar detector, and sums each trial's power in slot order, so each trial's
 symbol and bit errors, power bits and integrated SER must be equal on every
-scenario, whatever chunk the trial runs in.
+scenario, whatever chunk the trial runs in. The integrated SER is
+compared with `_exit_probability`, a frozen copy of the per-trial form the
+engine computed before one stacked call served every trial of a chunk.
 
 `TestGuard` puts points on the decision boundaries, at zero and at
-infinity or NaN, where only the scalar detector's decision counts.
+infinity or NaN, where only the scalar detector's decision counts; in a
+chunk of several trials each trial's points come from its own whitener.
 """
 
 import math
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 
 from ncprecode import sim
+from ncprecode.noisegeom import rotated_cov, wedge_exit_probability
 from ncprecode.sim import (
     _BIT_ERRORS,
     METHODS,
@@ -37,9 +41,28 @@ from ncprecode.sim import (
 )
 
 
-def _reference_run(engine, integrate):
-    """(symbol errors, bit errors, summed transmit power, noise-integrated SER), slot by slot."""
-    sc, trial, rng, h, h_j, mix = engine.sc, engine.trial, engine.rng, engine.h, engine.h_j, engine.mix
+def _exit_probability(sc, whiten, covs, const, rx, idx):
+    """One trial's per-slot, per-user symbol-error probability (slots x users), as the per-trial engine had it.
+
+    whiten holds the trial's whiteners (users x 2 x 2; None for a raw
+    receiver) and covs its noise covariances (users x 2 x 2).
+    """
+    if whiten is not None:
+        zw = np.einsum("kij,tkj->tki", whiten, np.stack([rx.real, rx.imag], axis=-1))
+        rx = zw[..., 0] + 1j * zw[..., 1]
+        cov = np.eye(2)
+    else:
+        table = rotated_cov(covs[:, None], const)   # users x symbols x 2 x 2
+        cov = table[np.arange(sc.k), idx - 1]
+    mu = rx * np.conj(const[idx - 1])
+    return wedge_exit_probability(np.stack([mu.real, mu.imag], axis=-1), cov, sc.theta)
+
+
+def _reference_run(sc, trial, integrate):
+    """(symbol errors, bit errors, summed transmit power, noise-integrated SER) of one trial, slot by slot."""
+    engine = _TrialEngine(sc, range(trial, trial + 1))
+    rng, h, h_j, mix = engine.rng, engine.h[0], engine.h_j[0], engine.mix[0]
+    whiten = None if engine.whiten is None else engine.whiten[0]
     k, d, bit_errors = sc.k, sc.d, _BIT_ERRORS[sc.d]
     awgn_scale = math.sqrt(0.5 * sc.awgn_var)
     slots = []
@@ -52,10 +75,8 @@ def _reference_run(engine, integrate):
         key = idx.tobytes()
         first.setdefault(key, idx)
         slots.append((key, idx, complex(zv[0], zv[1]), nv[:, 0] + 1j * nv[:, 1]))
-    memo = {
-        key: (float(np.real(x @ np.conj(x))), h @ x)
-        for key, x in zip(first, _design([(engine, idx) for idx in first.values()]))
-    }
+    xs = _design(engine, np.zeros(len(first), dtype=np.int64), np.array(list(first.values())))
+    memo = {key: (float(np.real(x @ np.conj(x))), h @ x) for key, x in zip(first, xs)}
     sym_err = np.zeros(k, dtype=np.int64)
     bit_err = np.zeros(k, dtype=np.int64)
     power_sum = 0.0
@@ -65,8 +86,8 @@ def _reference_run(engine, integrate):
         y = rx + h_j * z + w
         for u in range(k):
             y_k = y[u]
-            if engine.whiten is not None:
-                zw = engine.whiten[u] @ np.array([y_k.real, y_k.imag])
+            if whiten is not None:
+                zw = whiten[u] @ np.array([y_k.real, y_k.imag])
                 y_k = complex(zw[0], zw[1])
             det = psk_detect(y_k, d)
             if det != idx[u]:
@@ -75,7 +96,8 @@ def _reference_run(engine, integrate):
     ser_integrated = None
     if integrate:
         rx_block = np.array([memo[key][1] for key, *_ in slots])
-        ser_integrated = engine.exit_probability(rx_block, np.array([idx for _, idx, *_ in slots])).mean(axis=0)
+        idx_block = np.array([idx for _, idx, *_ in slots])
+        ser_integrated = _exit_probability(sc, whiten, engine.covs[0], engine.const, rx_block, idx_block).mean(axis=0)
     return sym_err, bit_err, power_sum, ser_integrated
 
 
@@ -111,7 +133,7 @@ def assert_equal_stats(got, ref, integrate):
 @pytest.mark.parametrize("method", METHODS)
 def test_run_matches_the_slot_loop(method, d, q, block_len):
     sc = scenario(method, d, q, block_len)
-    ref = _reference_run(_TrialEngine(sc, 1), True)
+    ref = _reference_run(sc, 1, True)
     for integrate in (True, False):
         (got,) = _run_chunk(sc, range(1, 2), integrate)
         assert_equal_stats(got, ref, integrate)
@@ -126,7 +148,7 @@ def test_every_chunking_matches_the_slot_loop(monkeypatch, method, trials, block
     # 12 = 7 + 5 and 3 = 2 + 1 trials) and the default chunk give every trial
     # the bytes of its own slot loop, at one thread and at three.
     sc = scenario(method, 8, "random_rank_one", block_len, trials)
-    refs = [_reference_run(_TrialEngine(sc, t), True) for t in range(trials)]
+    refs = [_reference_run(sc, t, True) for t in range(trials)]
     if block_len == 300:
         assert sum(ref[0].sum() for ref in refs) > 0   # the comparison covers counted errors
     for chunk_slots, threads in [(1, 1), (mid, 1), (mid, 3), (sim.CHUNK_SLOTS, 1)]:
@@ -171,26 +193,39 @@ SPECIAL = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)] + [
 class TestGuard:
     """Points the array pass must leave to the scalar detector get its decision or its exception."""
 
+    @staticmethod
+    def ray_points(engine, d):
+        """Received points (trial places x points x users) whose whitened images lie on the rays, to the last bits."""
+        pts = np.vstack([_boundary_points(d, s) for s in (1.0, 1e-3, 1e3)])
+        n, k = engine.h.shape[:2]
+        y = np.empty((n, len(pts), k), dtype=complex)
+        for i, u in np.ndindex(n, k):
+            p = pts if engine.whiten is None else np.linalg.solve(engine.whiten[i, u], pts.T).T
+            y[i, :, u] = p[:, 0] + 1j * p[:, 1]
+        return y
+
+    @staticmethod
+    def assert_scalar_decisions(engine, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            det = _detect(engine, y)
+        assert det.dtype == np.int64 and det.shape == y.shape
+        for i, t, u in np.ndindex(y.shape):
+            assert det[i, t, u] == engine.detect(i, y[i, t, u], u), (i, t, u, y[i, t, u])
+
     @pytest.mark.parametrize("method", ["naive_blp", "pw_blp"])
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_boundary_rays(self, method, d):
-        engine = _TrialEngine(scenario(method, d, "random_rank_one", 1), 0)
-        k = engine.sc.k
-        columns = []
-        for u in range(k):
-            pts = np.vstack([_boundary_points(d, s) for s in (1.0, 1e-3, 1e3)])
-            if engine.whiten is not None:
-                # received points whose whitened images lie on the rays, to the last bits
-                pts = np.linalg.solve(engine.whiten[u], pts.T).T
-            columns.append(pts[:, 0] + 1j * pts[:, 1])
-        y = np.stack(columns, axis=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            det = _detect([engine], y[None])[0]
-        assert det.dtype == np.int64 and det.shape == y.shape
-        for t in range(len(y)):
-            for u in range(k):
-                assert det[t, u] == engine.detect(y[t, u], u), (t, u, y[t, u])
+        engine = _TrialEngine(scenario(method, d, "random_rank_one", 1), range(0, 1))
+        self.assert_scalar_decisions(engine, self.ray_points(engine, d))
+
+    @pytest.mark.parametrize("method", ["pw_blp", "pw_slp"])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_boundary_rays_of_each_trial_of_a_chunk(self, method, d):
+        # each trial's points are made from its own whitener, so a decision
+        # taken with another trial's whitener differs
+        engine = _TrialEngine(scenario(method, d, "random_rank_one", 1, 3), range(3))
+        self.assert_scalar_decisions(engine, self.ray_points(engine, d))
 
     @pytest.mark.parametrize("method", ["naive_blp", "pw_blp"])
     @pytest.mark.parametrize("value", SPECIAL, ids=repr)
@@ -198,11 +233,11 @@ class TestGuard:
         # A NaN part, or an infinite one that whitening turns into NaN, raises
         # the ValueError of ceil(nan); the other points get their decision.
         # The array pass adds no warning the scalar path does not give.
-        engine = _TrialEngine(scenario(method, 4, "random_rank_one", 1), 0)
+        engine = _TrialEngine(scenario(method, 4, "random_rank_one", 1), range(0, 1))
         y = np.full((3, engine.sc.k), 0.3 + 0.2j)
         y[1, 1] = value
-        got, got_warnings = _outcome(lambda: _detect([engine], y[None])[0, 1, 1])
-        expected, expected_warnings = _outcome(lambda: engine.detect(y[1, 1], 1))
+        got, got_warnings = _outcome(lambda: _detect(engine, y[None])[0, 1, 1])
+        expected, expected_warnings = _outcome(lambda: engine.detect(0, y[1, 1], 1))
         assert got == expected
         if math.isnan(value.real) or math.isnan(value.imag):
             assert expected == (ValueError, "cannot convert float NaN to integer")

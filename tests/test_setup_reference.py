@@ -11,7 +11,9 @@ covariance, whitener, precoder, channel pair and bound, and every margin
 row and bound of every (trial, user, symbol) term, must have the same bits
 (compared as uint64 words), for chunks of 1, 7 and 32 trials. When a step
 fails, the run must raise the exception type and message of the first
-failing trial and user of a trial-by-trial scalar run.
+failing trial and user of a trial-by-trial scalar run. Lemma 2's symbol
+chains, built at once, must have the bits of `_ref_sweep_chain`, the
+per-symbol build.
 """
 
 import cmath
@@ -25,6 +27,7 @@ from ncprecode import sim, slp
 from ncprecode.blp import mse_closed_form
 from ncprecode.errors import DegenerateEllipse, Infeasible, InfeasibleQ, NotPositiveDefinite, PrecodingError
 from ncprecode.noisegeom import (
+    boundary_normals,
     chi2_scale,
     effective_cov,
     ellipse_from_cov,
@@ -304,7 +307,7 @@ def scenario(method, d, q, awgn_std=1.0, trials=32):
 
 
 def assert_chunk_matches(sc, first, n):
-    chunk = sim._Chunk(sc, range(first, first + n))
+    chunk = sim._TrialEngine(sc, range(first, first + n))
     k, d = sc.k, sc.d
     for pos in range(n):
         ref = _RefEngine(sc, first + pos)
@@ -472,6 +475,44 @@ def test_lemma1_cells_match_the_per_cell_mse():
         covs = [_ref_effective_cov(hj, sc.rho, _ref_q_from_elements(0.3, 0.1), sc.awgn_var) for hj in h_j]
         assert same_bits(mse_closed_form(h, effective_cov(h_j, jam, sc.awgn_var), sc.p_t),
                          _ref_mse_closed_form(h, covs, sc.p_t))
+
+
+def _ref_sweep_chain(sc, h, h_j, q11, q12, s):
+    """One symbol draw's rows, Gram matrix, row norms, bounds and tolerance, as the lemma-2 sweep built them."""
+    theta = sc.theta
+    rows, coeffs = [], []
+    for u in range(len(h)):
+        rows += _ref_margin_rows_pair(*_ref_expand_row(h[u]), s[u], theta)
+        jv = _ref_symbol_rotation(s[u]).T @ _ref_expand_row([h_j[u]])
+        for nvec in boundary_normals(theta):
+            w = jv.T @ nvec
+            coeffs.append((w[1] ** 2, w[0] ** 2 - w[1] ** 2, 2.0 * w[0] * w[1]))
+    a = np.vstack(rows)
+    const, lin11, lin12 = np.array(coeffs).T
+    qf = np.maximum(const[None, :] + q11[:, None] * lin11[None, :] + q12[:, None] * lin12[None, :], 0.0)
+    bounds = sc.delta0 * math.cos(theta) + np.sqrt(chi2_scale(sc.p) * (sc.rho * sc.rho * qf + 0.5 * sc.awgn_var))
+    return a, a @ a.T, np.einsum("ij,ij->i", a, a), bounds, 1e-9 * max(1.0, float(np.max(bounds)))
+
+
+@pytest.mark.parametrize("d, k", [(2, 3), (4, 1), (4, 4), (8, 3)])
+def test_lemma2_chains_match_the_per_symbol_build(d, k):
+    # _sweep_chains builds every symbol draw's chain at once; each chain has
+    # the bits of the per-symbol loop, whose squares are libm pows of
+    # np.float64 scalars (numpy's array square differs from them in the
+    # last bit on some arguments)
+    sc = Scenario(m=3, k=k, d=d, rho2_db=10.0, awgn_std=1.0, p=0.8, trials=1, block_len=1,
+                  seed=20240817 + d, method="nc_slp", psi_db=3.0)
+    q11, q12 = sim._grid_axes(21)
+    cells = np.argwhere(sim._feasible_mask(q11, q12))
+    q11_c, q12_c = q11[cells[:, 0]], q12[cells[:, 1]]
+    for draw in range(10):
+        h, h_j = _ref_sample_channels(_stream(sc.seed, draw, 0), sc.m, sc.k)
+        rng = _stream(sc.seed, draw, 1)
+        symbols = [sim.sample_psk(rng, d, k) for _ in range(50)]
+        got = sim._sweep_chains(sc, h, h_j, q11_c, q12_c, symbols)
+        for c, s in enumerate(symbols):
+            for g, r in zip(got, _ref_sweep_chain(sc, h, h_j, q11_c, q12_c, s)):
+                assert same_bits(g[c], r)
 
 
 def _scalar_outcome(sc):

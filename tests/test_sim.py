@@ -649,19 +649,18 @@ class TestBatchedSolves:
     def clashing_engine():
         # user 1 shares user 0's channel, so a vector with two different
         # symbols asks one received point to lie in two sectors; the term of
-        # user 1 with symbol index 3 (0-based) cannot be built. The chunk's
+        # user 1 with symbol index 3 (0-based) cannot be built. The engine's
         # bound function takes stacks of (trial place, user, symbol) triples.
-        engine = _TrialEngine(reuse_scenario("nc_slp"), 0)
-        chunk = engine.chunk
-        chunk.pairs[0, 1] = chunk.pairs[0, 0]
-        bound_fn = chunk.bound_fn
+        engine = _TrialEngine(reuse_scenario("nc_slp"), range(0, 1))
+        engine.pairs[0, 1] = engine.pairs[0, 0]
+        bound_fn = engine.bound_fn
 
         def failing(t, u, s_k):
             if np.any((u == 1) & (s_k == engine.const[3])):
                 raise ValueError("no bounds for this symbol")
             return bound_fn(t, u, s_k)
 
-        chunk.bound_fn = failing
+        engine.bound_fn = failing
         return engine
 
     def test_design_fails_at_the_first_failing_vector(self):
@@ -669,7 +668,7 @@ class TestBatchedSolves:
 
         def design(*vectors):
             engine = self.clashing_engine()
-            return _design([(engine, idx) for idx in vectors])
+            return _design(engine, np.zeros(len(vectors), dtype=np.int64), np.array(vectors))
 
         assert len(design(same, same + 1)) == 2
         with pytest.raises(Infeasible, match="inconsistent constraints"):
@@ -685,16 +684,16 @@ class TestBatchedSolves:
         # first; the run must still raise trial 1's, as trial by trial.
         sc = dataclasses.replace(reuse_scenario("nc_slp"), trials=4)
         assert sim.CHUNK_SLOTS // sc.block_len >= sc.trials   # one chunk
-        init = sim._Chunk.__init__
+        init = sim._TrialEngine.__init__
 
-        def failing(chunk, sc, trials):
+        def failing(engine, sc, trials):
             if 3 in trials:
                 raise ValueError("set-up of trial 3")
-            init(chunk, sc, trials)
+            init(engine, sc, trials)
             if 1 in trials:
-                chunk.pairs[trials.index(1), 1] = chunk.pairs[trials.index(1), 0]
+                engine.pairs[trials.index(1), 1] = engine.pairs[trials.index(1), 0]
 
-        monkeypatch.setattr(sim._Chunk, "__init__", failing)
+        monkeypatch.setattr(sim._TrialEngine, "__init__", failing)
         with pytest.raises(ValueError, match="set-up of trial 3"):
             sim._run_chunk(sc, range(sc.trials), False)
         with pytest.raises(Infeasible, match="inconsistent constraints"):
