@@ -24,9 +24,10 @@ jammer draw and AWGN draw; a solve pass designs each trial's distinct
 symbol-index vectors, trial by trial and in order of first appearance, in
 one call, which builds each distinct (trial, user, symbol) term once, in one
 stacked call, and solves all of the chunk's QPs in one batch
-(``solver.solve_min_norm_batch``); a detect pass adds the noise to every
-point at once and counts the errors, and, when asked, integrates the noise
-out of every point in one stacked call. Within a trial only d^K symbol
+(``solver.solve_min_norm_batch``), whose stacked results become the
+transmit vectors without an object per QP; a detect pass adds the noise to
+every point at once and counts the errors, and, when asked, integrates the
+noise out of every point in one stacked call. Within a trial only d^K symbol
 vectors and d K (user, symbol) pairs exist, so the transmit vector, its
 power and the noise-free received points are kept once per distinct
 symbol-index vector. The reused values are the ones a fresh computation
@@ -51,12 +52,14 @@ evaluate one channel draw's surface over the feasible (q11, q12) disk. The
 power sweep (``_sweep_power``) solves one min-power QP per symbol vector
 and cell; every symbol chain's rows and bounds are built in one stacked
 pass (``_sweep_chains``), its symbol chains advance in rounds, each round's
-kernel calls in one lockstep ``solver._min_norm_batch`` call, and each chain
-certifies its kernel's active set on the cells after it. Every cell's power
-has the bits of a chain-by-chain sweep.
+kernel calls in one lockstep ``solver._min_norm_batch`` call, whose stacked
+result gives every chain's power and active list, and each chain certifies
+that active set on the cells after it. Every cell's power has the bits of a
+chain-by-chain sweep.
 """
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -76,7 +79,7 @@ from .noisegeom import (
     rotated_cov,
     wedge_exit_probability,
 )
-from .solver import BATCH_CROSSOVER, _min_norm_batch, _min_norm_kernel, _or_error, _solve, solve_maximin_batch
+from .solver import BATCH_CROSSOVER, _batch, _min_norm_batch, _min_norm_kernel, _solve, _zeros, solve_maximin_batch
 from .wlalg import expand_row, sqrt_inv_psd2, symbol_rotation
 
 __all__ = [
@@ -221,6 +224,11 @@ class Scenario:
     must be finite and nonnegative, with a finite square (the AWGN variance).
     The master seed must lie in [0, 2^64): the random streams are keyed by
     its 64 bits, so a seed outside that range would alias one inside it.
+    Without AWGN, a design or receiver that whitens the noise needs a noise
+    covariance it can whiten: naive_blp never has one; robust_blp and the
+    pw_* methods need a jammer power of at least the smallest normal float
+    (a subnormal one underflows the covariance), and the pw_* methods a
+    full-rank jammer covariance.
     """
 
     m: int
@@ -286,10 +294,11 @@ class Scenario:
                 )
             if self.method == "naive_blp":
                 raise ValueError("method naive_blp whitens the AWGN alone, which is zero unless awgn_std > 0")
-            if self.method in _WHITENED_RX | {"robust_blp"} and self.rho2 == 0.0:
+            # A subnormal jammer power leaves a noise covariance whose entries underflow.
+            if self.method in _WHITENED_RX | {"robust_blp"} and self.rho2 < sys.float_info.min:
                 raise ValueError(
-                    f"method {self.method} whitens the effective noise, which is zero "
-                    "without a jammer (rho2 = 0) unless awgn_std > 0"
+                    f"method {self.method} whitens the effective noise, which is zero or too small to whiten "
+                    f"unless awgn_std > 0 or the jammer power is a normal float (rho2 = {self.rho2!r})"
                 )
 
     @property
@@ -564,8 +573,8 @@ def _stack_terms(engine: _TrialEngine, pos: np.ndarray, idx: np.ndarray):
 def _solve_terms(sc: Scenario, a, b) -> np.ndarray:
     """Real-stacked transmit vectors (vectors x 2M) of stacked rows and bounds."""
     if sc.method in MSM_METHODS:
-        return np.array([x for x, _ in solve_maximin_batch(a, sc.p_t)])
-    return np.array([sol.x for sol in _slp.solve_min_power(a, b)])
+        return solve_maximin_batch(a, sc.p_t)[0]
+    return _slp.solve_min_power(a, b)[0]
 
 
 def _detect(engine: _TrialEngine, y: np.ndarray) -> np.ndarray:
@@ -921,8 +930,10 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
     The chains advance in rounds. Each round, every live chain's kernel call
     at its next cell goes to one lockstep ``_min_norm_batch`` call, which
     gives each problem the scalar kernel's bits or exception (below
-    ``BATCH_CROSSOVER`` live chains, the scalar kernel runs chain by chain);
-    then each chain, in chain order, certifies its windows. Each chain's
+    ``BATCH_CROSSOVER`` live chains, the scalar kernel runs chain by chain
+    into the same stacked form); the round's powers are its stacked
+    objectives, and each chain, in chain order, certifies its windows with
+    its active list, in the kernel's insertion order. Each chain's
     powers fill one row, and the rows are added in symbol order, so every
     cell's sum adds the same values in the same order as a chain-by-chain
     loop. A chain whose kernel call fails stops; the sweep raises the
@@ -936,23 +947,23 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
     failures = {}
     live = np.arange(len(symbols))
     while live.size:
+        ci = next_ci[live]
         if live.size < BATCH_CROSSOVER:
-            results = [
-                _or_error(_min_norm_kernel, a_all[c], bounds[c, next_ci[c]], gram_all[c], rn_all[c])
-                for c in live.tolist()
-            ]
+            res = _batch(
+                lambda j: _min_norm_kernel(a_all[live[j]], bounds[live[j], ci[j]], gram_all[live[j]], rn_all[live[j]]),
+                range(live.size), *_zeros(live.size, *a_all.shape[1:]),
+            )
         else:
-            results = _min_norm_batch(a_all, gram_all, rn_all, bounds[live, next_ci[live]], live)
-        for c, res in zip(live.tolist(), results):
-            if isinstance(res, Exception):
-                failures[c] = res
-                continue
-            x, _, active = res
-            ci = int(next_ci[c])
-            power[c, ci] = float(x @ x)
-            next_ci[c] = ci + 1
-            if active:
-                next_ci[c] = _certify_windows(a_all[c], gram_all[c], bounds[c], eps_all[c], active, ci + 1, power[c])
+            res = _min_norm_batch(a_all, gram_all, rn_all, bounds[live, ci], live)
+        power[live, ci] = res.objective
+        next_ci[live] = ci + 1
+        for j, c in enumerate(live.tolist()):
+            if j in res.errors:
+                failures[c] = res.errors[j]
+            elif res.size[j]:
+                next_ci[c] = _certify_windows(
+                    a_all[c], gram_all[c], bounds[c], eps_all[c], res.active[j, :res.size[j]], ci[j] + 1, power[c]
+                )
         live = live[(next_ci[live] < n_cells) & (live < min(failures, default=len(symbols)))]
     if failures:
         raise failures[min(failures)]

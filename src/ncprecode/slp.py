@@ -17,7 +17,10 @@ one per decision boundary (:func:`margin_rows` stacks them), and one bound
 per row from the design's own bound function; the robust design bounds each
 boundary by its worst case over the swept orientations' rank-one endpoints.
 The stacked rows and bounds are solved with :func:`solve_min_power` or
-``solver.solve_maximin_batch``, so every min-power QP is 2K x 2M. A user's
+``solver.solve_maximin_batch``, so every min-power QP is 2K x 2M; both take
+and return stacks (one transmit vector per symbol vector, read from the QP
+batch's stacked results), and the one-vector public designs wrap their one
+item in an :class:`SlpSolution`. A user's
 terms depend only on that user's channel, noise and symbol, so the
 Monte-Carlo engine builds them once per (trial, user, symbol) and stacks
 them for the same solvers; bounds that do not depend on the symbol (pw_slp,
@@ -47,7 +50,7 @@ from .noisegeom import (
     ellipse_from_cov,
     rotated_cov,
 )
-from .solver import solve_maximin_batch, solve_min_norm, solve_min_norm_batch
+from .solver import solve_maximin, solve_min_norm, solve_min_norm_batch
 from .wlalg import _each, expand_row, sqrt_inv_psd2
 
 __all__ = [
@@ -142,30 +145,41 @@ def _per_user(values, k: int) -> np.ndarray:
     return arr
 
 
-def solve_min_power(a, b) -> list:
-    """Minimum-power transmit vector of each symbol vector: rows a (vectors x R x 2M), bounds b (vectors x O x R).
+def solve_min_power(a, b):
+    """Minimum-power transmit vectors of symbol vectors: rows a (vectors x R x 2M), bounds b (vectors x O x R).
 
     A vector's bounds are one row per jammer-covariance orientation (O = 1
     for a single orientation), one bound per stacked row: any other count
     raises ValueError. Each orientation is one QP on the vector's rows, and
-    the solution needing the most power is returned (the first on ties).
+    the solution needing the most power is kept (the first on ties: one
+    argmax over the vectors x orientations objectives, which are never NaN).
     Every QP of every vector goes to one :func:`solve_min_norm_batch` call,
     and the first failing QP, in vector order and then orientation order,
     raises its failure. A zero margin row (from a zero channel row, say)
     meets the QP kernel's rule: under a positive bound it raises
-    Infeasible("zero constraint row with positive bound").
+    Infeasible("zero constraint row with positive bound"). Returns stacks:
+    the transmit vectors x (vectors x 2M), their powers and their achieved
+    margins a x - b (vectors x R), one stacked product.
     """
     n_vec, n_or = b.shape[:2]
-    sols = solve_min_norm_batch(a, b.reshape(-1, b.shape[-1]), np.arange(n_vec).repeat(n_or))
-    for sol in sols:
-        if isinstance(sol, Exception):
-            raise sol
-    # max keeps the first of equal objectives
-    pick = [max(range(v * n_or, (v + 1) * n_or), key=lambda i: sols[i].objective) for v in range(n_vec)]
-    x = np.array([sols[i].x for i in pick])
-    margins = np.matmul(a, x[:, :, None])[:, :, 0] - b.reshape(-1, b.shape[-1])[pick]
-    return [SlpSolution(x=x[v], power=sols[i].objective, achieved_margins=margins[v])
-            for v, i in enumerate(pick)]
+    b = b.reshape(-1, b.shape[-1])
+    res = solve_min_norm_batch(a, b, np.arange(n_vec).repeat(n_or))
+    if res.errors:
+        raise res.errors[min(res.errors)]
+    power = res.objective
+    pick = np.arange(n_vec) * n_or + power.reshape(n_vec, n_or).argmax(axis=1)
+    x = res.x[pick]
+    return x, power[pick], np.matmul(a, x[:, :, None])[:, :, 0] - b[pick]
+
+
+def _min_power_one(pairs, s, theta: float, b) -> SlpSolution:
+    """:func:`solve_min_power` of one symbol vector as an SlpSolution.
+
+    pairs (K x 2 x 2M) are the users' channel pairs, s (K) their symbols and
+    b (O x 2K) the bounds, one row per orientation.
+    """
+    x, power, margins = solve_min_power(margin_rows(pairs, s, theta)[None], b[None])
+    return SlpSolution(x=x[0], power=float(power[0]), achieved_margins=margins[0])
 
 
 def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:
@@ -176,8 +190,7 @@ def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:
     """
     s = np.ravel(np.asarray(s, dtype=complex))
     t = _per_user(targets, len(s))
-    a = margin_rows(np.asarray(eff_channels, dtype=float), s, theta)
-    return solve_min_power(a[None], np.repeat(t, 2)[None, None])[0]
+    return _min_power_one(np.asarray(eff_channels, dtype=float), s, theta, np.repeat(t, 2)[None])
 
 
 def pw_slp_msm(eff_channels, s, p_t: float, theta: float):
@@ -187,7 +200,7 @@ def pw_slp_msm(eff_channels, s, p_t: float, theta: float):
     the solution uses the full budget.
     """
     a = margin_rows(np.asarray(eff_channels, dtype=float), np.ravel(np.asarray(s, dtype=complex)), theta)
-    x, delta = solve_maximin_batch(a[None], p_t)[0]
+    x, delta = solve_maximin(a, p_t)
     return SlpSolution(x=x, power=float(x @ x), achieved_margins=a @ x - delta), delta
 
 
@@ -270,7 +283,7 @@ def nc_slp(channels, h_j, jam, awgn_var: float, s, delta0: float, p: float, thet
     """
     h, h_j, s = _users(channels, h_j, s, delta0)
     bounds = nc_bounds(effective_cov(h_j, jam, awgn_var), s, delta0, p, theta)
-    return solve_min_power(margin_rows(expand_row(h), s, theta)[None], bounds.reshape(1, 1, -1))[0]
+    return _min_power_one(expand_row(h), s, theta, bounds.reshape(1, -1))
 
 
 def worst_case_pterms(alpha_check, theta: float, jam_power, awgn_var: float):
@@ -335,8 +348,8 @@ def robust_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: f
     bounds = robust_bounds(h_j, jammer_power, awgn_var, s, delta0, chi2_scale(p), theta, n_div)
     if conservative:   # each bound's maximum over the orientations: one QP
         bounds = np.max(bounds, axis=-2, keepdims=True)
-    b = bounds.swapaxes(0, 1).reshape(1, bounds.shape[1], -1)   # orientations x (user, boundary)
-    return solve_min_power(margin_rows(expand_row(h), s, theta)[None], b)[0]
+    b = bounds.swapaxes(0, 1).reshape(bounds.shape[1], -1)   # orientations x (user, boundary)
+    return _min_power_one(expand_row(h), s, theta, b)
 
 
 def circular_bounds(sigma2, delta0: float, omega: float, theta: float) -> np.ndarray:
@@ -367,4 +380,4 @@ def naive_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: fl
     """
     h, h_j, s = _users(channels, h_j, s, delta0)
     bounds = naive_bounds(h_j, jammer_power, awgn_var, delta0, chi2_scale(p), theta)
-    return solve_min_power(margin_rows(expand_row(h), s, theta)[None], bounds.reshape(1, 1, -1))[0]
+    return _min_power_one(expand_row(h), s, theta, bounds.reshape(1, -1))

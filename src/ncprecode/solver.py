@@ -11,18 +11,21 @@ complementary slackness). Ties are broken by lowest constraint index, which
 makes the solver fully deterministic.
 
 Batches. :func:`solve_min_norm_batch` solves a stack of same-shape problems
-(each a matrix of the stack with one of its bound vectors) and returns, per
-problem, exactly what :func:`solve_min_norm` returns for it, bit for bit, or
-the exception it raises. From BATCH_CROSSOVER distinct matrices on, the
-problems advance in lockstep through one kernel (:func:`_min_norm_batch`)
-whose stacked products are the same BLAS calls as the scalar kernel's; below
-it each problem goes through :func:`solve_min_norm`. The lockstep kernel
-takes only the regular step. A problem that needs a rare path (a zero row
-under a positive bound, a singular active-set solve, inconsistent
-constraints, an overlong active list, the iteration cap) is solved again
-from the start by :func:`_min_norm_kernel`, which is deterministic and so
-gives it the same result or exception; every failure rule and message is
-defined there alone. The crossover was
+(each a matrix of the stack with one of its bound vectors) and returns one
+``QpBatch`` of stacks: x, objectives, duals and active lists, row i exactly
+what :func:`solve_min_norm` gives problem i, bit for bit, and the exception
+of each problem that raises one. No object is built per problem. From
+BATCH_CROSSOVER distinct matrices on, the problems advance in lockstep
+through one kernel (:func:`_min_norm_batch`) whose stacked products are the
+same BLAS calls as the scalar kernel's, and a finished problem's x, active
+list and multipliers stay in its arrays; below it each problem goes through
+:func:`solve_min_norm`. The lockstep kernel takes only the regular step. A
+problem that needs a rare path (a zero row under a positive bound, a
+singular active-set solve, inconsistent constraints, an overlong active
+list, the iteration cap) is solved again from the start by
+:func:`_min_norm_kernel`, which is deterministic and so gives it the same
+result or exception, written into the same arrays; every failure rule and
+message is defined there alone. The crossover was
 measured on the QPs of one 512-slot M = K = 4 QPSK trial (2-core host,
 numpy 2.4.6 with OpenBLAS on one thread, five different batches per size,
 median of 15 runs each): for the 8 x 8 problems of nc_slp, pw_slp and msm,
@@ -35,7 +38,8 @@ for a one-slot trial expects; batched, they took about 0.6x the time.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -83,7 +87,15 @@ class QpSolution:
     x: np.ndarray
     objective: float
     duals: np.ndarray
-    active_set: tuple = field(default_factory=tuple)
+    active_set: tuple   # the active constraints, in the order the kernel added them
+
+
+# Stacked results of N min-norm QPs, problem i in row i: x (N x n), objective
+# (N, ||x||^2), duals (N x m) and the active lists active[i, :size[i]], in the
+# order the kernel added them (only a broken active-set solve makes a list
+# longer than m, and then `active` is wider). `errors` maps each failed
+# problem to the exception the kernel raises for it; its rows are zero.
+QpBatch = namedtuple("QpBatch", "x objective duals active size errors")
 
 
 def _raise_singular(err, flag):
@@ -107,22 +119,6 @@ def _solve(a, b):
     """
     with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         return _umath_linalg.solve1(a, b, signature="dd->d")
-
-
-def _or_error(solve, *args):
-    """solve(*args), or the PrecodingError or LinAlgError it raises."""
-    try:
-        return solve(*args)
-    except (PrecodingError, np.linalg.LinAlgError) as exc:
-        return exc
-
-
-def _result(x, active, mu, m):
-    """(x, duals, active list) of a finished iteration; a negative multiplier's dual is 0."""
-    duals = np.zeros(m)
-    for idx, mu_i in zip(active, mu):
-        duals[idx] = max(mu_i, 0.0)
-    return x, duals, active
 
 
 def _min_norm_kernel(a, b, gram, row_norm2):
@@ -193,7 +189,50 @@ def _min_norm_kernel(a, b, gram, row_norm2):
                 break
             del active[k_drop]
             del mu[k_drop]
-    return _result(x, active, mu, m)
+    duals = np.zeros(m)
+    for idx, mu_i in zip(active, mu):
+        duals[idx] = max(mu_i, 0.0)   # a negative multiplier's dual is 0
+    return x, duals, active
+
+
+def _zeros(n_prob: int, m: int, n: int):
+    """Zero x, active-list, list-size and multiplier arrays of n_prob problems with m rows and n columns."""
+    return (
+        np.zeros((n_prob, n)),
+        np.zeros((n_prob, m), dtype=np.intp),
+        np.zeros(n_prob, dtype=np.intp),
+        np.zeros((n_prob, m)),
+    )
+
+
+def _batch(solve, todo, x, act, size, mu) -> QpBatch:
+    """The QpBatch of lockstep arrays, with each problem i of `todo` set to solve(i).
+
+    Row i's active list is ``act[i, :size[i]]``, in insertion order, with
+    multipliers ``mu[i, :size[i]]``. Its duals are one scatter of
+    ``where(0 > mu, 0, mu)``, which has the bits of the kernel's
+    ``max(mu_i, 0.0)``, -0.0 and NaN included, in (problem, list position)
+    order, the order in which the kernel writes them. solve(i) gives a
+    kernel triple (x, duals, active list) or a QpSolution, which replaces
+    row i, or raises a PrecodingError or LinAlgError, which is recorded and
+    leaves row i zero. The objectives are one stacked matmul, each item the
+    BLAS dot of ``float(x @ x)``.
+    """
+    duals = np.zeros(mu.shape)
+    row, at = np.nonzero(np.arange(mu.shape[1]) < size[:, None])
+    duals[row, act[row, at]] = np.where(0.0 > mu[row, at], 0.0, mu[row, at])
+    errors = {}
+    for i in todo:
+        try:
+            res = solve(i)
+        except (PrecodingError, np.linalg.LinAlgError) as exc:
+            errors[i], res = exc, (0.0, 0.0, ())
+        x[i], duals[i], active = res if isinstance(res, tuple) else (res.x, res.duals, res.active_set)
+        size[i] = len(active)
+        if size[i] > act.shape[1]:
+            act = np.pad(act, ((0, 0), (0, size[i] - act.shape[1])))
+        act[i, :size[i]] = active
+    return QpBatch(x, np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0], duals, act, size, errors)
 
 
 def _min_norm_batch(a, gram, row_norm2, b, owner):
@@ -213,17 +252,21 @@ def _min_norm_batch(a, gram, row_norm2, b, owner):
     solve raises (the whole group), a step that can neither add nor drop, an
     add to a list of m entries, or an iteration count past the cap. After
     the loop the kernel solves each such problem again from the start, so
-    every failure rule lives in the kernel alone. Returns one entry per
-    problem: (x, duals, active_list), or the exception the kernel raises for
-    it.
+    every failure rule lives in the kernel alone, and its triple or
+    exception goes into the same arrays (:func:`_batch`).
+
+    A finished problem stays in the lockstep's arrays: its x row, its active
+    list ``act[i, :size[i]]`` in the kernel's insertion order and its
+    multipliers, from which :func:`_batch` scatters the duals. Returns the
+    QpBatch of every problem.
     """
     n_prob, m = b.shape
     n = a.shape[2]
     cap = 50 * (m + n) + 200
-    out = [None] * n_prob
     bmax = np.abs(b).max(axis=1)
     eps_p = 1e-9 * np.where(bmax > 1.0, bmax, 1.0)
-    # A problem dropped from `outer` and `inner` keeps out[i] None: it is handed off.
+    # A problem dropped from `outer` and `inner` never sets `solved`: it is handed off.
+    solved = np.zeros(n_prob, dtype=bool)
     zero_bad = ((row_norm2[owner] <= _ZERO_ROW_NORM2) & (b > eps_p[:, None])).any(axis=1)
 
     x = np.zeros((n_prob, n))
@@ -243,8 +286,7 @@ def _min_norm_batch(a, gram, row_norm2, b, owner):
             slack = np.matmul(a[owner[outer]], x[outer, :, None])[:, :, 0] - b[outer]
             pp = slack.argmin(axis=1)
             done = slack[np.arange(outer.size), pp] >= -eps_p[outer]
-            for i in outer[done].tolist():
-                out[i] = _result(x[i].copy(), act[i, :size[i]].tolist(), mu[i, :size[i]].tolist(), m)
+            solved[outer[done]] = True
             enter = outer[~done]
             p[enter] = pp[~done]
             mu_p[enter] = 0.0
@@ -307,11 +349,10 @@ def _min_norm_batch(a, gram, row_norm2, b, owner):
         mu[shrink] = np.take_along_axis(mu[shrink], src, axis=1)
         size[shrink] -= 1
         outer, inner = grow, shrink
-    for i, res in enumerate(out):
-        if res is None:   # left the lockstep for a rare path
-            o = owner[i]
-            out[i] = _or_error(_min_norm_kernel, a[o], b[i], gram[o], row_norm2[o])
-    return out
+    return _batch(  # every problem that left the lockstep for a rare path, again from the start
+        lambda i: _min_norm_kernel(a[owner[i]], b[i], gram[owner[i]], row_norm2[owner[i]]),
+        np.flatnonzero(~solved).tolist(), x, act, size, mu,
+    )
 
 
 def solve_min_norm(prob: QpProblem) -> QpSolution:
@@ -331,23 +372,26 @@ def solve_min_norm(prob: QpProblem) -> QpSolution:
         x=x,
         objective=float(x @ x),
         duals=duals,
-        active_set=tuple(sorted(active)),
+        active_set=tuple(active),
     )
 
 
-def solve_min_norm_batch(a, b, owner=None) -> list:
-    """:func:`solve_min_norm` of each problem min ||x||^2 s.t. a[owner[i]] x >= b[i].
+def solve_min_norm_batch(a, b, owner=None) -> QpBatch:
+    """:func:`solve_min_norm` of each problem min ||x||^2 s.t. a[owner[i]] x >= b[i], stacked.
 
     `a` is a stack of P same-shape m x n constraint matrices, `b` an N x m
     array of bounds and `owner` the matrix of each of its rows (default: row
-    i of `b` goes with matrix i, N = P). Returns one entry per row of `b`: the
-    QpSolution :func:`solve_min_norm` returns, bit for bit, or the exception
-    (Infeasible, MaxIterations or LinAlgError) it raises for that problem.
+    i of `b` goes with matrix i, N = P). Returns the :class:`QpBatch` of the N
+    problems: row i has the x, objective, duals and active list (in the
+    kernel's order) :func:`solve_min_norm` gives problem i, bit for bit, or
+    `errors[i]` holds the exception (Infeasible, MaxIterations or
+    LinAlgError) it raises.
 
     A stack of fewer than BATCH_CROSSOVER matrices goes problem by problem
     through :func:`solve_min_norm`. A larger one has each matrix's Gram
     product and row norms computed once, however many bound vectors share
     it, and all its problems solved in lockstep (:func:`_min_norm_batch`).
+    Both routes give the objectives as one stacked matmul.
     """
     a = np.ascontiguousarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -355,20 +399,14 @@ def solve_min_norm_batch(a, b, owner=None) -> list:
     if a.ndim != 3 or b.ndim != 2 or b.shape[1] != a.shape[1] or owner.shape != (len(b),):
         raise ValueError("constraint stack, bound rows and owners do not match")
     if len(a) < BATCH_CROSSOVER:
-        return [_or_error(solve_min_norm, QpProblem(a[o], b[i])) for i, o in enumerate(owner.tolist())]
+        return _batch(
+            lambda i: solve_min_norm(QpProblem(a[owner[i]], b[i])), range(len(b)), *_zeros(len(b), *a.shape[1:])
+        )
     if a.shape[1] < 1 or a.shape[2] < 1:
         raise ValueError("problem must have at least one row and one column")
     gram = np.matmul(a, a.transpose(0, 2, 1))
     row_norm2 = np.einsum("pij,pij->pi", a, a)
-    out = _min_norm_batch(a, gram, row_norm2, b, owner)
-    solved = [i for i, res in enumerate(out) if not isinstance(res, Exception)]
-    if solved:
-        xs = np.array([out[i][0] for i in solved])
-        objectives = np.matmul(xs[:, None, :], xs[:, :, None])[:, 0, 0].tolist()
-        for i, obj in zip(solved, objectives):
-            x, duals, active = out[i]
-            out[i] = QpSolution(x=x, objective=obj, duals=duals, active_set=tuple(sorted(active)))
-    return out
+    return _min_norm_batch(a, gram, row_norm2, b, owner)
 
 
 def solve_maximin(a_rows, p_t: float):
@@ -379,36 +417,35 @@ def solve_maximin(a_rows, p_t: float):
     rescaling yields the maximin point with the power budget met with
     equality. Returns (x, delta). :func:`solve_maximin_batch` of one matrix.
     """
-    return solve_maximin_batch(np.atleast_2d(np.asarray(a_rows, dtype=float))[None], p_t)[0]
+    x, delta = solve_maximin_batch(np.atleast_2d(np.asarray(a_rows, dtype=float))[None], p_t)
+    return x[0], float(delta[0])
 
 
-def solve_maximin_batch(a, p_t: float) -> list:
-    """(x, delta) of :func:`solve_maximin` for each matrix of the stack `a`.
+def solve_maximin_batch(a, p_t: float):
+    """Stacked (x, delta) of :func:`solve_maximin` for the matrices of the stack `a`.
 
     A matrix with a zero row pins that constraint value at zero, and one with
     no direction that makes every value positive (Infeasible) has x = 0
-    optimal: both give (0, 0.0). A matrix whose rows are all zero raises
-    ZeroRow. Problems fail in stack order: the first matrix whose solve
-    raises, or whose rows are all zero, raises its exception, as a loop of
-    single solves would.
+    optimal: both give a zero x row and delta 0. A matrix whose rows are all
+    zero raises ZeroRow. Problems fail in stack order: the first matrix whose
+    solve raises, or whose rows are all zero, raises its exception, as a loop
+    of single solves would. Each delta is sqrt(p_t / ||x||^2) of its unit-bound
+    solution and each x that solution times delta, elementwise as in the
+    single solve, so both have its bits.
     """
     a = np.asarray(a, dtype=float)
     if p_t <= 0.0:
         raise ValueError("power budget must be positive")
-    all_zero = (np.einsum("pij,pij->pi", a, a) <= _ZERO_ROW_NORM2).all(axis=1).tolist()
-    out = []
-    for zero, sol in zip(all_zero, solve_min_norm_batch(a, np.ones(a.shape[:2]))):
-        if zero:
-            raise ZeroRow("all constraint rows are zero")
-        if isinstance(sol, Infeasible):
-            # a zero row, or no direction makes every margin positive: x = 0 is optimal
-            out.append((np.zeros(a.shape[2]), 0.0))
-        elif isinstance(sol, Exception):
-            raise sol
-        else:
-            delta = math.sqrt(p_t / sol.objective)
-            out.append((delta * sol.x, delta))
-    return out
+    all_zero = (np.einsum("pij,pij->pi", a, a) <= _ZERO_ROW_NORM2).all(axis=1)
+    res = solve_min_norm_batch(a, np.ones(a.shape[:2]))
+    raising = {i: exc for i, exc in res.errors.items() if not isinstance(exc, Infeasible)}
+    raising.update((i, ZeroRow("all constraint rows are zero")) for i in np.flatnonzero(all_zero).tolist())
+    if raising:
+        raise raising[min(raising)]
+    # a zero row, or no direction makes every margin positive (Infeasible): x = 0, delta 0
+    solved = ~np.isin(np.arange(len(a)), list(res.errors))
+    delta = np.sqrt(np.divide(p_t, res.objective, out=np.zeros(len(a)), where=solved))
+    return delta[:, None] * res.x, delta
 
 
 def kkt_residuals(prob: QpProblem, sol: QpSolution):

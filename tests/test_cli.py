@@ -146,12 +146,13 @@ class TestRun:
     @pytest.mark.parametrize(
         "method, rho2_db",
         [("naive_blp", "10.0"), ("naive_blp", "-inf")]
-        + [(m, r) for m in ("robust_blp", "pw_blp", "pw_msm", "pw_slp") for r in ("-inf", "-4000")],
+        + [(m, r) for m in ("robust_blp", "pw_blp", "pw_msm", "pw_slp") for r in ("-inf", "-4000", "-3080")],
     )
     def test_zero_noise_whitening_fails_at_load(self, tmp_path, capsys, method, rho2_db):
         # naive_blp whitens the AWGN alone; robust_blp and the pw_* methods
         # whiten the effective noise, which is zero without AWGN and jammer
-        # (-4000 dB underflows to rho2 = 0).
+        # (-4000 dB underflows to rho2 = 0) and too small to whiten below the
+        # smallest normal float (-3080 dB is rho2 = 1e-308, subnormal).
         bad = (
             MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
             .replace("rho2_db = 10.0", f"rho2_db = {rho2_db}")
@@ -258,16 +259,18 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["robust_blp", "pw_blp"])
-    @pytest.mark.parametrize("rho2_db", ["-3080", "-3200"])
+    @pytest.mark.parametrize("rho2_db", ["-3070", "-3076"])
     def test_whitened_gram_overflow_is_reported(self, tmp_path, capsys, method, rho2_db):
-        # Without AWGN the whitened channel is of order 1/sqrt(rho2), so its
-        # Gram product overflows. Warnings are errors here, so a run that
-        # overflows before the check fails the test.
+        # Without AWGN the whitened channel is of order 1/sqrt(rho2 |h_j|^2),
+        # so at a jammer power just above the smallest normal float its Gram
+        # product overflows on seed 0's draws. Warnings are errors here, so a
+        # run that overflows before the check fails the test.
         text = (
             MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
             .replace("rho2_db = 10.0", f"rho2_db = {rho2_db}")
             .replace("method = nc_slp", f"method = {method}\np_t_db = 20.0")
             .replace("q = random_rank_one", "q = circular")
+            .replace("seed = 99", "seed = 0")
         )
         cfg = write(tmp_path, "tiny-jammer.cfg", text)
         out = tmp_path / "x.csv"
@@ -280,9 +283,9 @@ class TestRun:
     @pytest.mark.parametrize("method", ["robust_blp", "pw_blp", "pw_slp", "pw_msm"])
     @pytest.mark.parametrize("rho2_db", ["-3230", "-3235"])
     def test_underflowing_noise_covariance_is_reported(self, tmp_path, capsys, method, rho2_db):
-        # A subnormal jammer power passes the rho2 = 0 load rule, but without
-        # AWGN a user's noise covariance underflows to zero and cannot be
-        # whitened. Warnings are errors here.
+        # Without AWGN a subnormal jammer power leaves a noise covariance that
+        # underflows and cannot be whitened, whatever the draw: the scenario
+        # fails at load, like rho2 = 0. Warnings are errors here.
         text = (
             MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
             .replace("rho2_db = 10.0", f"rho2_db = {rho2_db}")
@@ -291,10 +294,37 @@ class TestRun:
         )
         cfg = write(tmp_path, "subnormal-jammer.cfg", text)
         out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: method {method} whitens the effective noise" in err
+        assert "too small to whiten" in err and "is a normal float" in err
+        assert "strictly positive definite" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["robust_blp", "pw_blp", "pw_slp", "pw_msm"])
+    def test_a_draw_can_still_underflow_a_normal_jammer_power(self, tmp_path, capsys, monkeypatch, method):
+        # A normal jammer power passes the load rule, but a draw whose jammer
+        # gain is tiny (here every trial's, scaled by 1e-10) still makes a
+        # noise covariance underflow: the run stops with the README-listed
+        # run-time error. Warnings are errors here.
+        draw = sim.sample_channels
+
+        def tiny_jammer_gains(rng, m, k):
+            h, h_j = draw(rng, m, k)
+            return h, 1e-10 * h_j
+
+        monkeypatch.setattr(sim, "sample_channels", tiny_jammer_gains)
+        text = (
+            MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
+            .replace("rho2_db = 10.0", "rho2_db = -3076")
+            .replace("method = nc_slp", f"method = {method}\np_t_db = 20.0")
+            .replace("q = random_rank_one", "q = circular")
+        )
+        cfg = write(tmp_path, "tiny-gain.cfg", text)
+        out = tmp_path / "x.csv"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "the noise covariance is too small to whiten" in err
-        assert "strictly positive definite" not in err
+        assert f"error: the noise covariance is too small to whiten: its entries underflow ({method}" in err
         assert not out.exists()
 
     def test_more_users_than_antennas_is_inconsistent(self, tmp_path, capsys):

@@ -562,9 +562,15 @@ class TestSlotReuse:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            slp, "solve_min_norm_batch", counted("solve", slp.solve_min_norm_batch, lambda a, b, owner: len(b))
-        )
+        batch = slp.solve_min_norm_batch
+
+        def solve(a, b, owner):
+            out = batch(a, b, owner)
+            assert len(out.x) == len(out.objective) == len(b)   # one stacked row per problem
+            calls["solve"] += len(out.x)
+            return out
+
+        monkeypatch.setattr(slp, "solve_min_norm_batch", solve)
         items = lambda h_e1, h_e2, s_k, theta: np.size(s_k)   # noqa: E731
         monkeypatch.setattr(slp, "margin_rows_pair", counted("terms", slp.margin_rows_pair, items))
         per_trial_metrics(sc)
@@ -641,9 +647,32 @@ class TestBatchedSolves:
         sc = long_block_scenario(method)
         assert a.shape[1:] == (2 * sc.k, 2 * sc.m)   # one margin row per decision boundary per user
         assert len(a) >= solver.BATCH_CROSSOVER   # the lockstep kernel solved them
-        assert len(out) == len(b) == len(a) * (16 if method == "robust_slp" else 1)
-        for sol, bounds, o in zip(out, b, owner):
+        assert len(out.x) == len(b) == len(a) * (16 if method == "robust_slp" else 1)
+        assert out.errors == {}
+        for i, (bounds, o) in enumerate(zip(b, owner)):
+            active = tuple(out.active[i, :out.size[i]].tolist())
+            sol = solver.QpSolution(x=out.x[i], objective=out.objective[i], duals=out.duals[i], active_set=active)
             assert validate_solution(QpProblem(a[o], bounds), sol)
+
+    def test_a_run_builds_no_per_problem_result(self, monkeypatch):
+        # The engine's QPs stay stacks from the lockstep kernel to the
+        # transmit vectors: no QpSolution or SlpSolution is built, and one
+        # lockstep call solves every problem without a handoff.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-problem result object was built")
+
+        lockstep, kernel_calls = [], []
+        batch, kernel = solver._min_norm_batch, solver._min_norm_kernel
+        monkeypatch.setattr(solver, "_min_norm_batch", lambda *args: lockstep.append(len(args[3])) or batch(*args))
+        monkeypatch.setattr(solver, "_min_norm_kernel", lambda *args: kernel_calls.append(args) or kernel(*args))
+        sc = long_block_scenario("robust_slp")
+        expected = run_montecarlo(sc)
+        lockstep.clear()
+        monkeypatch.setattr(solver, "QpSolution", forbidden)
+        monkeypatch.setattr(slp, "SlpSolution", forbidden)
+        assert run_montecarlo(sc) == expected
+        assert len(lockstep) == 1 and lockstep[0] >= 16 * solver.BATCH_CROSSOVER
+        assert kernel_calls == []
 
     @staticmethod
     def clashing_engine():

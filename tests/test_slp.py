@@ -17,6 +17,7 @@ from ncprecode.noisegeom import (
 from ncprecode.oracles import min_norm_by_enumeration
 from ncprecode.sim import margin_from_psi, psk_constellation, sample_channels
 from ncprecode.slp import (
+    SlpSolution,
     circular_bounds,
     ellipse_margins,
     margin_rows_pair,
@@ -491,15 +492,20 @@ class TestSolveMinPower:
 
     @classmethod
     def min_power(cls, vectors):
-        """solve_min_power of symbol vectors given as per-user (rows, bounds) terms."""
+        """solve_min_power of symbol vectors given as per-user (rows, bounds) terms, one SlpSolution per vector."""
         a, b = zip(*map(cls.stacked, vectors))
         b = np.array(b)
-        return solve_min_power(np.array(a), b.reshape(len(b), -1, b.shape[-1]))
+        x, power, margins = solve_min_power(np.array(a), b.reshape(len(b), -1, b.shape[-1]))
+        assert len(x) == len(power) == len(margins) == len(vectors)
+        return [SlpSolution(*item) for item in zip(x, power, margins)]
 
     @classmethod
     def max_margin(cls, vectors, p_t):
-        """solve_maximin_batch of symbol vectors given as per-user (rows, None) terms."""
-        return solve_maximin_batch(np.array([[row for rows, _ in terms for row in rows] for terms in vectors]), p_t)
+        """solve_maximin_batch of symbol vectors given as per-user (rows, None) terms, one (x, delta) per vector."""
+        a = np.array([[row for rows, _ in terms for row in rows] for terms in vectors])
+        x, delta = solve_maximin_batch(a, p_t)
+        assert len(x) == len(delta) == len(vectors)
+        return list(zip(x, delta))
 
     def test_one_dimensional_bounds_are_one_qp(self):
         terms = self.terms(np.random.default_rng(81))
@@ -578,6 +584,60 @@ class TestSolveMinPower:
                 assert np.array_equal(x, x_one) and delta == delta_one
             with pytest.raises(ZeroRow, match="all constraint rows are zero"):
                 self.max_margin(good[:3] + [zero, all_zero] + good[3:], 1.0)
+
+    # One vector's rows: x1 >= b0, -x1 >= b1 and a zero row >= b2. Its
+    # orientations (bound rows) are feasible, inconsistent (b0 + b1 > 0) or
+    # fail on the zero row (b2 > 0).
+    EDGE_ROWS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+    FEASIBLE, INCONSISTENT, ZERO = [1.0, -2.0, 0.0], [1.0, 1.0, 0.0], [1.0, -2.0, 1.0]
+
+    @staticmethod
+    def stack(vectors, n_good):
+        """Stacked rows and bounds of `vectors`, (rows, orientations) pairs, amid n_good random 3 x 2 vectors.
+
+        Returns (a, b, at): `vectors` start at stack index `at`. The random
+        vectors have bounds -1, so x = 0 solves each of their orientations.
+        """
+        rng = np.random.default_rng(87)
+        n_or = len(vectors[0][1])
+        good = [(rng.standard_normal((3, 2)), np.full((n_or, 3), -1.0)) for _ in range(n_good)]
+        half = n_good // 2
+        items = good[:half] + list(vectors) + good[half:]
+        return np.array([rows for rows, _ in items]), np.array([b for _, b in items], dtype=float), half
+
+    @pytest.mark.parametrize("n_good", [0, BATCH_CROSSOVER + 2], ids=["scalar", "lockstep"])
+    def test_tied_orientations_keep_the_first(self, n_good):
+        # The unit rows with bounds (1, 0) and (0, 1) give x = e1 and x = e2,
+        # both of power exactly 1; identical bound rows tie with identical x.
+        unit = np.eye(2)
+        tied = (unit, [[1.0, 0.0], [0.0, 1.0]])
+        same = (unit, [[0.5, 0.25], [0.5, 0.25]])
+        rising = (unit, [[0.5, 0.0], [0.0, 0.75]])   # the second orientation needs more power
+        for vector, first in ((tied, 0), (same, 0), (rising, 1)):
+            a, b, at = self.stack([(np.vstack([vector[0], [[0.0, 0.0]]]), np.pad(vector[1], ((0, 0), (0, 1))))],
+                                  n_good)
+            x, power, margins = solve_min_power(a, b)
+            ref = solve_min_norm(QpProblem(a[at], b[at, first]))
+            assert np.array_equal(x[at], ref.x)
+            assert power[at] == ref.objective
+            assert np.array_equal(margins[at], a[at] @ ref.x - b[at, first])
+            assert len(x) == n_good + 1
+        assert np.array_equal(x[at], [0.0, 0.75])
+
+    @pytest.mark.parametrize("n_good", [0, BATCH_CROSSOVER + 2], ids=["scalar", "lockstep"])
+    def test_a_later_orientation_fails_first_in_orientation_order(self, n_good):
+        for orientations, message in (
+            ([self.FEASIBLE, self.INCONSISTENT, self.ZERO], "^inconsistent constraints$"),
+            ([self.FEASIBLE, self.ZERO, self.INCONSISTENT], "^zero constraint row with positive bound$"),
+        ):
+            a, b, _ = self.stack([(self.EDGE_ROWS, orientations)], n_good)
+            with pytest.raises(Infeasible, match=message):
+                solve_min_power(a, b)
+            # an earlier vector's failure comes first, whatever its orientation
+            a, b, _ = self.stack([(self.EDGE_ROWS, [self.FEASIBLE, self.FEASIBLE, self.ZERO]),
+                                  (self.EDGE_ROWS, orientations)], n_good)
+            with pytest.raises(Infeasible, match="^zero constraint row with positive bound$"):
+                solve_min_power(a, b)
 
 
 class TestZeroChannelRow:

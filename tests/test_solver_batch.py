@@ -2,9 +2,11 @@
 
 `solve_min_norm_batch` sends a stack of fewer than BATCH_CROSSOVER matrices
 through `solve_min_norm` and a larger one through the lockstep kernel
-`_min_norm_batch`. Both routes must give, for every problem, the x, duals and
-active set `_min_norm_kernel` gives, or raise the same exception type with
-the same message, on the generators that hold the kernel to its reference.
+`_min_norm_batch`. Both return one stacked QpBatch. On both routes, each
+problem's row must hold the x, duals, active list (in the kernel's insertion
+order) and objective that `_min_norm_kernel` gives it, or its `errors` entry
+the exception type and message the kernel raises, on the generators that
+hold the kernel to its reference.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from ncprecode import solver
 from ncprecode.errors import Infeasible, MaxIterations, PrecodingError
-from ncprecode.solver import BATCH_CROSSOVER, _min_norm_batch, _min_norm_kernel, solve_min_norm_batch
+from ncprecode.solver import BATCH_CROSSOVER, _batch, _min_norm_batch, _min_norm_kernel, solve_min_norm_batch
 from test_kernel_reference import CASES
 
 SIZES = (1, 2, BATCH_CROSSOVER - 1, BATCH_CROSSOVER + 1)
@@ -47,28 +49,31 @@ def _same_error(out, ref):
     return isinstance(out, Exception) and type(out) is type(ref) and str(out) == str(ref)
 
 
-def _assert_solution(out, ref):
-    """A QpSolution of the entry point against a kernel triple or exception."""
+def _same_bits(u, v):
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+def _assert_item(out, i, ref):
+    """Problem i of a stacked QpBatch against a kernel triple or exception, active order included."""
+    assert len(out.x) == len(out.objective) == len(out.duals) == len(out.active) == len(out.size)
     if isinstance(ref, Exception):
-        assert _same_error(out, ref)
+        assert _same_error(out.errors.get(i), ref)
+        assert not out.x[i].any() and not out.duals[i].any() and out.size[i] == 0
         return
     x, duals, active = ref
-    assert not isinstance(out, Exception)
-    assert np.array_equal(out.x, x)
-    assert np.array_equal(out.duals, duals)
-    assert out.active_set == tuple(sorted(active))
-    assert out.objective == float(x @ x)
+    assert i not in out.errors
+    assert _same_bits(out.x[i], x)
+    assert _same_bits(out.duals[i], duals)
+    assert out.active[i, :out.size[i]].tolist() == active
+    assert _same_bits(out.objective[i], float(x @ x))
 
 
-def _assert_triple(out, ref):
-    """A lockstep-kernel entry against a kernel triple or exception, active order included."""
-    if isinstance(ref, Exception):
-        assert _same_error(out, ref)
-        return
-    assert not isinstance(out, Exception)
-    assert np.array_equal(out[0], ref[0])
-    assert np.array_equal(out[1], ref[1])
-    assert out[2] == ref[2]
+def _assert_batch(out, refs):
+    assert len(out.x) == len(refs)
+    assert set(out.errors) == {i for i, ref in enumerate(refs) if isinstance(ref, Exception)}
+    for i, ref in enumerate(refs):
+        _assert_item(out, i, ref)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -83,9 +88,7 @@ def test_entry_point_matches_kernel_at_every_batch_size(case):
         for size in SIZES:
             for start in range(0, len(group), size):
                 out = solve_min_norm_batch(a[start:start + size], b[start:start + size])
-                assert len(out) == len(group[start:start + size])
-                for res, ref in zip(out, refs[start:start + size]):
-                    _assert_solution(res, ref)
+                _assert_batch(out, refs[start:start + size])
     assert solved >= 100 and failed >= 10
 
 
@@ -97,8 +100,7 @@ def test_lockstep_kernel_keeps_the_active_order(case):
         gram = np.matmul(a, a.transpose(0, 2, 1))
         row_norm2 = np.einsum("pij,pij->pi", a, a)
         out = _min_norm_batch(a, gram, row_norm2, b, np.arange(len(a)))
-        for res, prob in zip(out, group):
-            _assert_triple(res, _kernel(*prob))
+        _assert_batch(out, [_kernel(*prob) for prob in group])
 
 
 def test_bound_vectors_sharing_a_matrix():
@@ -114,9 +116,7 @@ def test_bound_vectors_sharing_a_matrix():
             owner.append(i)
     a, b = np.array(mats), np.array(bounds)
     out = solve_min_norm_batch(a, b, owner)
-    assert len(out) == len(b)
-    for res, bi, oi in zip(out, b, owner):
-        _assert_solution(res, _kernel(a[oi], bi))
+    _assert_batch(out, [_kernel(a[oi], bi) for bi, oi in zip(b, owner)])
 
 
 def test_singular_active_set_solves_fail_one_problem_each(monkeypatch):
@@ -136,8 +136,7 @@ def test_singular_active_set_solves_fail_one_problem_each(monkeypatch):
     refs = [_kernel(*prob) for prob in zip(a, b)]
     assert sum(isinstance(ref, np.linalg.LinAlgError) for ref in refs) >= 5
     assert sum(not isinstance(ref, Exception) for ref in refs) >= 5
-    for res, ref in zip(solve_min_norm_batch(a, b), refs):
-        _assert_solution(res, ref)
+    _assert_batch(solve_min_norm_batch(a, b), refs)
 
 
 def test_iteration_cap_is_per_problem(monkeypatch):
@@ -151,8 +150,7 @@ def test_iteration_cap_is_per_problem(monkeypatch):
     refs = [_kernel(*prob) for prob in zip(a, b)]
     assert sum(isinstance(ref, MaxIterations) for ref in refs) >= 5
     assert sum(not isinstance(ref, Exception) for ref in refs) >= 5
-    for res, ref in zip(solve_min_norm_batch(a, b), refs):
-        _assert_solution(res, ref)
+    _assert_batch(solve_min_norm_batch(a, b), refs)
 
 
 def _kernel_calls(monkeypatch, a, b):
@@ -184,8 +182,7 @@ class TestHandoff:
         assert calls == 2
         assert [i for i, ref in enumerate(refs) if isinstance(ref, Exception)] == [2, 5]
         assert str(refs[2]) == "zero constraint row with positive bound"
-        for res, ref in zip(out, refs):
-            _assert_solution(res, ref)
+        _assert_batch(out, refs)
 
     def test_a_singular_size_group_goes_whole(self, monkeypatch):
         # The stacked solve of every 2-row active set raises; the kernel's
@@ -208,9 +205,8 @@ class TestHandoff:
         monkeypatch.setattr(solver, "_solve", stacked_pairs_fail)
         out, calls = _kernel_calls(monkeypatch, a, b)
         assert 5 <= calls == sum(reach_two) < len(a)
-        for res, ref in zip(out, refs):
-            assert not isinstance(ref, Exception)
-            _assert_solution(res, ref)
+        assert not any(isinstance(ref, Exception) for ref in refs)
+        _assert_batch(out, refs)
 
     def test_a_step_that_can_neither_add_nor_drop(self, monkeypatch):
         # x1 >= 1 and -x1 >= 1: the second row's step is zero and no
@@ -227,10 +223,10 @@ class TestHandoff:
         out, calls = _kernel_calls(monkeypatch, a, b)
         refs = [_kernel(*prob) for prob in zip(a, b)]
         assert calls == len(clash)
-        for i, (res, ref) in enumerate(zip(out, refs)):
+        for i, ref in enumerate(refs):
             assert isinstance(ref, Infeasible) == (i in clash)
-            _assert_solution(res, ref)
-        assert str(out[1]) == "inconsistent constraints"
+        _assert_batch(out, refs)
+        assert str(out.errors[1]) == "inconsistent constraints"
 
     def test_an_add_to_a_full_active_list(self, monkeypatch):
         # Only a broken solve fills a list: with every active-set solve
@@ -246,8 +242,7 @@ class TestHandoff:
         assert long >= 3 and capped >= 3
         out, calls = _kernel_calls(monkeypatch, a, b)
         assert calls == long + capped < len(a)
-        for res, ref in zip(out, refs):
-            _assert_solution(res, ref)
+        _assert_batch(out, refs)
 
     def test_the_iteration_cap(self, monkeypatch):
         # Every active-set solve returning 2 keeps the lists short but the
@@ -260,8 +255,7 @@ class TestHandoff:
         assert capped >= 10 and capped < len(a)
         out, calls = _kernel_calls(monkeypatch, a, b)
         assert calls == capped
-        for res, ref in zip(out, refs):
-            _assert_solution(res, ref)
+        _assert_batch(out, refs)
 
 
 @pytest.mark.parametrize("a_shape, b_shape, owner", [
@@ -273,3 +267,75 @@ class TestHandoff:
 def test_mismatched_stacks_are_rejected(a_shape, b_shape, owner):
     with pytest.raises(ValueError):
         solve_min_norm_batch(np.ones(a_shape), np.ones(b_shape), owner)
+
+
+def _rigged_solve(monkeypatch):
+    """Patch solver._solve to pick problems by the scale of their rows, for both kernels.
+
+    An active-set block whose largest diagonal entry is below 1e-4 (rows
+    scaled by 1e-3) is singular from two rows on; one above 1e4 (rows scaled
+    by 1e3) gets the step 2 in every entry, which keeps its steps from
+    converging. Every other item keeps the real solve's bits. In the lockstep
+    kernel a singular item fails its whole size group, so the problems of the
+    group that the scalar kernel solves are handed off and solved there.
+    """
+    solve = solver._solve
+
+    def rigged(g, rhs):
+        scale = np.diagonal(g, axis1=-2, axis2=-1).max(axis=-1)
+        if np.any((scale < 1e-4) & (np.shape(rhs)[-1] >= 2)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.where((scale > 1e4)[..., None], 2.0, solve(g, rhs))
+
+    monkeypatch.setattr(solver, "_solve", rigged)
+
+
+@pytest.mark.parametrize("n_mats", [BATCH_CROSSOVER - 6, BATCH_CROSSOVER + 2], ids=["scalar", "lockstep"])
+def test_mixed_problems_of_a_robust_layout(monkeypatch, n_mats):
+    # robust_slp's layout: 16 bound rows on each matrix. Zero-row, singular,
+    # capped and handed-off problems lie between solved ones, and every
+    # problem's row of the stacked result is the scalar kernel's.
+    _rigged_solve(monkeypatch)
+    a, _ = _margin_stack(61, n_mats, m=4, n=3)
+    a[1::4] *= 1e-3     # singular from two active rows on
+    a[2::4] *= 1e3      # capped, or solved with the broken step
+    a[3::4, 1] = 0.0    # a zero row: its problems fail under a positive bound
+    rng = np.random.default_rng(62)
+    owner = np.arange(n_mats).repeat(16)
+    b = rng.uniform(-1.0, 2.0, (len(owner), 4))
+    refs = [_kernel(a[o], bi) for o, bi in zip(owner, b)]
+    kinds = [type(ref).__name__ for ref in refs]
+    assert kinds.count("tuple") >= 50 and kinds.count("LinAlgError") >= 10
+    assert kinds.count("MaxIterations") >= 5 and kinds.count("Infeasible") >= 10
+    assert "zero constraint row with positive bound" in map(str, refs)
+    kernel_calls = []
+    kernel = solver._min_norm_kernel
+    monkeypatch.setattr(solver, "_min_norm_kernel", lambda *args: kernel_calls.append(args) or kernel(*args))
+    _assert_batch(solve_min_norm_batch(a, b, owner), refs)
+    if n_mats < BATCH_CROSSOVER:
+        assert len(kernel_calls) == len(refs)
+    else:   # every failure, some solved problems, not all
+        assert len(refs) - kinds.count("tuple") < len(kernel_calls) < len(refs)
+
+
+def test_duals_are_the_kernels_max_bit_for_bit():
+    # The kernel's multipliers start at +0.0 and change only by steps t > 0,
+    # so no solve gives a -0.0 or NaN multiplier; the scatter's rule for them
+    # is checked on hand-made lockstep arrays. Each dual must have the bits
+    # of the kernel's max(mu_i, 0.0) written in list order, a repeated index
+    # included (only a broken active-set solve repeats one).
+    mu = np.array([
+        [-0.0, 1.5, -2.0, np.nan],
+        [np.nan, -0.0, 0.0, 3.0],
+        [7.0, 8.0, 9.0, 10.0],
+        [-1.0, 2.0, -0.0, 4.0],
+    ])
+    act = np.array([[2, 0, 3, 1], [1, 3, 0, 2], [0, 1, 2, 3], [3, 0, 3, 1]])
+    size = np.array([4, 2, 0, 3])
+    out = _batch(None, [], np.zeros((4, 2)), act, size, mu)
+    for i in range(4):
+        ref = np.zeros(4)
+        for idx, mu_i in zip(act[i, :size[i]].tolist(), mu[i, :size[i]].tolist()):
+            ref[idx] = max(mu_i, 0.0)
+        assert _same_bits(out.duals[i], ref)
+    assert np.signbit(out.duals[0, 2]) and np.isnan(out.duals[0, 1]) and out.errors == {}

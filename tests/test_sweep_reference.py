@@ -139,7 +139,8 @@ def _surface_and_calls(monkeypatch, sweep, sc, draw, grid_n, n_symbols, fail_at=
         problems = list(zip(owner.tolist(), cells))
         calls.extend((chain, cell, row.tobytes()) for (chain, cell), row in zip(problems, b))
         out = batch(a, gram, row_norm2, b, owner)
-        return [fail_at.get(problem, res) for problem, res in zip(problems, out)]
+        out.errors.update((j, fail_at[problem]) for j, problem in enumerate(problems) if problem in fail_at)
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(sim, "_min_norm_kernel", recording_kernel)
