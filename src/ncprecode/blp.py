@@ -48,15 +48,16 @@ def _as_channel_matrix(channels) -> np.ndarray:
     return np.atleast_2d(np.asarray(channels, dtype=complex))
 
 
-def stack_whitened(channels, covs) -> np.ndarray:
+def stack_whitened(channels, whiteners) -> np.ndarray:
     """Stacked whitened channels (..., 2K, 2M): rows G_k^{-1/2} Hbar_k, first rows then seconds.
 
-    channels (..., K, M) and covs (..., K, 2, 2) are the users' channel rows
-    and noise covariances. Row k (k = 0..K-1) is the first whitened row of
-    user k, row K + k the second, matching the ordering of the stacked
-    whitened observations.
+    channels (..., K, M) are the users' channel rows and whiteners (..., K,
+    2, 2) the whiteners G_k^{-1/2} of their noise covariances, as
+    ``sqrt_inv_psd2`` gives them. Row k (k = 0..K-1) is the first whitened
+    row of user k, row K + k the second, matching the ordering of the
+    stacked whitened observations.
     """
-    he = sqrt_inv_psd2(np.asarray(covs, dtype=float)) @ expand_row(_as_channel_matrix(channels))
+    he = whiteners @ expand_row(_as_channel_matrix(channels))
     return np.concatenate([he[..., 0, :], he[..., 1, :]], axis=-2)
 
 
@@ -85,9 +86,15 @@ def mmse_blp(h_e: np.ndarray, p_t: float) -> LinearPrecoder:
     delta = np.linalg.solve(chol.swapaxes(-1, -2), np.linalg.solve(chol, eye))
     hd = h_e @ delta  # = (Delta @ H_E^T)^T by symmetry of Delta
     power = (hd * hd).reshape(hd.shape[:-2] + (-1,)).sum(axis=-1)
-    if np.any(power == 0.0):
-        raise PrecodingError(f"power budget {p_t!r} is too small: the precoder's power underflows")
-    beta = np.sqrt(2.0 * p_t / power)
+    with np.errstate(over="ignore", divide="ignore"):
+        beta = np.sqrt(2.0 * p_t / power)
+    if not np.isfinite(beta).all():
+        # a power of zero (a tiny budget) or a subnormal one (a huge whitened
+        # channel whose Gram product is still finite)
+        raise PrecodingError(
+            f"power budget {p_t!r} is too small: the precoder's power underflows" if np.any(power == 0.0)
+            else "the precoder's scaling overflows: the noise covariance is too small to whiten"
+        )
     return LinearPrecoder(p=beta[..., None, None] * hd.swapaxes(-1, -2), beta=beta[()], power_budget=float(p_t))
 
 
@@ -148,7 +155,7 @@ def mse_of_precoder(pre: LinearPrecoder, channels, covs) -> float:
     """
     h = _as_channel_matrix(channels)
     k = h.shape[0]
-    h_e = stack_whitened(h, covs)
+    h_e = stack_whitened(h, sqrt_inv_psd2(covs))
     hp = h_e @ pre.p
     beta = pre.beta
     return (
@@ -163,7 +170,7 @@ def pw_blp(channels, covs, p_t: float) -> LinearPrecoder:
 
     covs[k] is user k's G_k, as `noisegeom.effective_cov` gives it.
     """
-    return mmse_blp(stack_whitened(channels, covs), p_t)
+    return mmse_blp(stack_whitened(channels, sqrt_inv_psd2(covs)), p_t)
 
 
 def robust_blp(channels, awgn_var: float, jammer_powers_per_user, p_t: float) -> LinearPrecoder:
@@ -174,7 +181,7 @@ def robust_blp(channels, awgn_var: float, jammer_powers_per_user, p_t: float) ->
     """
     h = _as_channel_matrix(channels)
     s = 0.5 * (np.broadcast_to(np.asarray(jammer_powers_per_user, dtype=float), h.shape[:-1]) + awgn_var)
-    return mmse_blp(stack_whitened(h, _sym2(s, 0.0, s)), p_t)
+    return mmse_blp(stack_whitened(h, sqrt_inv_psd2(_sym2(s, 0.0, s))), p_t)
 
 
 def naive_blp(channels, awgn_var: float, p_t: float) -> LinearPrecoder:

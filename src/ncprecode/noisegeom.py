@@ -91,10 +91,10 @@ def q_from_elements(q11, q12) -> np.ndarray:
     return _sym2(q11, q12, 1.0 - q11)
 
 
-def q_rank_one(phi: float) -> np.ndarray:
-    """Maximally non-circular covariance v v^T with v = (cos phi, sin phi)."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c * c, c * s], [c * s, s * s]])
+def q_rank_one(phi) -> np.ndarray:
+    """Maximally non-circular covariances v v^T with v = (cos phi, sin phi), for orientations phi (...)."""
+    c, s = _each(math.cos, phi), _each(math.sin, phi)
+    return _sym2(c * c, c * s, s * s)
 
 
 def _clip0(x):

@@ -10,14 +10,18 @@ threads.
 
 Trials run in chunks of consecutive trials, ``max(1, CHUNK_SLOTS //
 block_len)`` at a time. A chunk is set up in one pass over its trials by
-one ``_TrialEngine``: each trial's channels and jammer covariance come from
-the trial's own set-up stream, and every per-trial constant (the noise
-covariances, the jammer mixing matrices, the BLP precoders, or each user's
+one ``_TrialEngine``: each trial's set-up stream fills one row of a draw
+buffer (and, for a random rank-one jammer, draws its orientation), the only
+per-trial work; every trial's channels and jammer covariance are then
+assembled from the buffer at once, by the code of the one-trial
+``sample_channels`` and ``QSpec.draw``, and every per-trial constant (the
+jammer mixing matrices, the noise covariances where a method or the
+integrated SER reads them, the whiteners, the BLP precoders, or each user's
 channel pair and, for designs whose bounds do not depend on the symbol, each
 user's bounds) is built for all of the chunk's trials and users at once, by
 the broadcasting 2x2 primitives of ``wlalg``, ``noisegeom``, ``blp`` and
 ``slp``: one per-method builder from ``_BUILDERS`` over (trial, user)
-stacks. The engine names a trial by its place in the chunk, and
+stacks, each covariance whitened once. The engine names a trial by its place in the chunk, and
 ``_run_chunk`` then makes three passes over every (trial, slot) pair of the
 chunk, as arrays: a draw pass fills arrays with each slot's symbol indices,
 jammer draw and AWGN draw; a solve pass designs each trial's distinct
@@ -145,23 +149,6 @@ def _stream(seed: int, trial: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(_key(seed, trial, slot), dtype=np.uint64)))
 
 
-def _rekey(rng: np.random.Generator, seed: int, trial: int, slot: int) -> None:
-    """Reset a Philox generator to the fresh state of ``_stream(seed, trial, slot)``.
-
-    Counter zero, output buffer empty and no buffered 32-bit half: what
-    ``Philox(key=...)`` starts from, without building a generator (and the
-    entropy-seeded SeedSequence its constructor makes) for every slot.
-    """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": _key(seed, trial, slot)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 @dataclass(frozen=True)
 class QSpec:
     """Jammer covariance specification for a scenario.
@@ -190,13 +177,16 @@ class QSpec:
             q_from_elements(*self.args)  # raises InfeasibleQ outside the PSD disk
 
     def draw(self, rng) -> np.ndarray:
+        """One trial's covariance; random_rank_one draws its orientation from rng."""
+        return self.covariances(rng.uniform(0.0, math.pi) if self.kind == "random_rank_one" else None)
+
+    def covariances(self, phi) -> np.ndarray:
+        """random_rank_one's covariances (..., 2, 2) at orientations phi (...); a fixed kind's one (2, 2) matrix."""
         if self.kind == "elements":
             return q_from_elements(*self.args)
-        if self.kind == "rank_one":
-            return q_rank_one(*self.args)
-        if self.kind == "random_rank_one":
-            return q_rank_one(rng.uniform(0.0, math.pi))
-        return CIRCULAR_Q
+        if self.kind == "circular":
+            return CIRCULAR_Q
+        return q_rank_one(*self.args or (phi,))   # rank_one's fixed orientation, else phi
 
     @property
     def rank_deficient(self) -> bool:
@@ -352,11 +342,18 @@ class MetricsRecord:
 
 def sample_channels(rng, m: int, k: int):
     """K unit-variance complex Gaussian channel rows plus K jammer scalars."""
+    return _channels(rng.standard_normal(2 * k * (m + 1)), m, k)   # one call draws what four consecutive ones would
+
+
+def _channels(z: np.ndarray, m: int, k: int):
+    """Channel rows (..., K, M) and jammer gains (..., K) of standard normals z (..., 2K(M+1)), in draw order.
+
+    Every operation is elementwise, so each row of a stack of draws gets the
+    bits of its own one-trial call.
+    """
     scale = 1.0 / math.sqrt(2.0)
-    z = rng.standard_normal(2 * k * (m + 1))   # one call draws what four consecutive ones would
-    h = scale * (z[:k * m].reshape(k, m) + 1j * z[k * m:2 * k * m].reshape(k, m))
-    h_j = scale * (z[2 * k * m:-k] + 1j * z[-k:])
-    return h, h_j
+    re, im = np.moveaxis(z[..., :2 * k * m].reshape(z.shape[:-1] + (2, k, m)), -3, 0)
+    return scale * (re + 1j * im), scale * (z[..., 2 * k * m:-k] + 1j * z[..., -k:])   # h and h_j
 
 
 def psk_constellation(d: int) -> np.ndarray:
@@ -416,13 +413,15 @@ class _TrialEngine:
 
     One Philox generator, re-keyed to each trial's set-up stream (seed,
     trial, 0), draws the trials' channels and jammer covariances in trial
-    order; the slot draws re-key it again (:func:`_run_chunk`). Everything
-    that depends on a trial only is then built once for all of the chunk's
-    trials: the jammer mixing matrices (trials x 2 x 2), the effective-noise
-    covariances and, for the whitening receivers, their whiteners (trials x
-    users x 2 x 2), and the method's own constants from ``_BUILDERS``: the
-    BLP precoders, or each user's channel pair (trials x users x 2 x 2M)
-    and either the bounds that do not depend on the symbol (pw_slp's
+    order (:meth:`draw`); the slot draws re-key it again
+    (:func:`_run_chunk`). Everything that depends on a trial only is then
+    built once for all of the chunk's trials: the jammer mixing matrices
+    (trials x 2 x 2), for the whitening receivers the whiteners of the
+    effective-noise covariances (trials x users x 2 x 2; ``covs``, built on
+    first use, which the other methods need only for the integrated SER or
+    nc_slp's bounds), and the method's own constants from ``_BUILDERS``:
+    the BLP precoders, or each user's channel pair (trials x users x 2 x
+    2M) and either the bounds that do not depend on the symbol (pw_slp's
     matched-reliability targets, naive_slp's circularised bounds; trials x
     users x 2) or ``bound_fn``, which bounds (trial place, user, symbol)
     triples for nc_slp and robust_slp; the maximin designs have rows only.
@@ -436,18 +435,58 @@ class _TrialEngine:
     def __init__(self, sc: Scenario, trials: range):
         self.sc = sc
         self.rng = _stream(sc.seed, trials[0], 0)
-        draws = []
-        for trial in trials:
-            _rekey(self.rng, sc.seed, trial, 0)
-            draws.append((*sample_channels(self.rng, sc.m, sc.k), sc.q_spec.draw(self.rng)))
-        self.h, self.h_j, q = (np.array(v) for v in zip(*draws))
-        jam = jammer_model(sc.rho, q[:, None])
-        self.mix = np.ascontiguousarray((sc.rho * jam.t_factor[:, 0]).swapaxes(-1, -2))
-        self.covs = effective_cov(self.h_j, jam, sc.awgn_var)
+        # the generator's state template: a fresh Philox state, whose key rekey sets
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self.h, self.h_j, q = self.draw(trials)
+        self.jam = jammer_model(sc.rho, q[:, None])
+        self.mix = np.ascontiguousarray((sc.rho * self.jam.t_factor[:, 0]).swapaxes(-1, -2))
         self.whiten = sqrt_inv_psd2(self.covs) if sc.method in _WHITENED_RX else None
         self.const = psk_constellation(sc.d)
         self.omega = chi2_scale(sc.p)
         vars(self).update(_BUILDERS[sc.method](self))
+
+    def rekey(self, trial: int, slot: int) -> None:
+        """Reset the chunk's generator to the fresh state of ``_stream(seed, trial, slot)``.
+
+        Counter zero, output buffer empty and no buffered 32-bit half: what
+        ``Philox(key=...)`` starts from, without building a generator (and
+        the entropy-seeded SeedSequence its constructor makes) for every
+        stream. Only the template's key changes; each engine owns its
+        generator and template, so chunks on different threads stay apart.
+        """
+        self.state["state"]["key"] = _key(self.sc.seed, trial, slot)
+        self.rng.bit_generator.state = self.state
+
+    def draw(self, trials: range):
+        """The trials' channel rows (trials x K x M), jammer gains (trials x K) and jammer covariances (trials x 2 x 2).
+
+        Each trial re-keys the generator to its set-up stream and fills its
+        row of one buffer with the 2K(M+1) normals ``sample_channels``
+        takes, then draws the orientation ``QSpec.draw`` takes for
+        random_rank_one. The channels and covariances of every trial are
+        then assembled at once, by the code of those one-trial forms.
+        """
+        m, k, spec = self.sc.m, self.sc.k, self.sc.q_spec
+        z = np.empty((len(trials), 2 * k * (m + 1)))
+        phi = []
+        for trial, row in zip(trials, z):
+            self.rekey(trial, 0)
+            self.rng.standard_normal(out=row)
+            if spec.kind == "random_rank_one":
+                phi.append(self.rng.uniform(0.0, math.pi))
+        return (*_channels(z, m, k), np.broadcast_to(spec.covariances(phi), (len(trials), 2, 2)))
+
+    @cached_property
+    def covs(self) -> np.ndarray:
+        """The effective-noise covariances (trials x users x 2 x 2)."""
+        return effective_cov(self.h_j, self.jam, self.sc.awgn_var)
 
     def terms(self, t, u, i):
         """Margin rows (n x 2 x 2M) and bounds (n x 2 or n x n_div x 2) of (trial place, user, symbol index) triples."""
@@ -489,17 +528,17 @@ class _TrialEngine:
 # Per method: the chunk's precoders, channel pairs, symbol-free bounds or bound function.
 _BUILDERS = {
     "naive_blp": lambda c: {"precoder": _blp.naive_blp(c.h, c.sc.awgn_var, c.sc.p_t)},
-    "pw_blp": lambda c: {"precoder": _blp.pw_blp(c.h, c.covs, c.sc.p_t)},
+    "pw_blp": lambda c: {"precoder": _blp.mmse_blp(_blp.stack_whitened(c.h, c.whiten), c.sc.p_t)},
     "robust_blp": lambda c: {
         "precoder": _blp.robust_blp(c.h, c.sc.awgn_var, c.sc.rho2 * np.abs(c.h_j) ** 2, c.sc.p_t),
     },
     "msm": lambda c: {"pairs": expand_row(c.h)},
-    "pw_msm": lambda c: {"pairs": _slp.whitened_effective_channel(c.h, c.covs)},
+    "pw_msm": lambda c: {"pairs": _slp.whitened_effective_channel(c.h, c.covs, c.whiten)},
     # Matched-reliability whitened-domain targets: after whitening the noise
     # is circular with power sigma_k^2 = tr G_k; the raw-domain designs apply
     # the same preset with their own (elliptical or circularized) terms.
     "pw_slp": lambda c: {
-        "pairs": _slp.whitened_effective_channel(c.h, c.covs),
+        "pairs": _slp.whitened_effective_channel(c.h, c.covs, c.whiten),
         "bounds": _slp.circular_bounds(np.trace(c.covs, axis1=-2, axis2=-1), c.sc.delta0, c.omega, c.sc.theta),
     },
     "naive_slp": lambda c: {
@@ -612,7 +651,7 @@ def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
     as arrays, each trial named by its place in the chunk:
 
     1. Draw: each slot re-keys the chunk's generator to its own (seed,
-       trial, slot) stream (:func:`_rekey`), takes the raw bits of its
+       trial, slot) stream (:meth:`_TrialEngine.rekey`), takes the raw bits of its
        symbol indices (:func:`_raw_indices`) and draws its jammer and AWGN
        normals in one call, into preallocated arrays. The jammer mixing
        (one stacked vector-matrix product, which makes each slot's product
@@ -637,12 +676,12 @@ def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
     (tests/test_detect_reference.py).
     """
     engine = _TrialEngine(sc, trials)
-    n, t_len, k, rng = len(trials), sc.block_len, sc.k, engine.rng
+    n, t_len, k, rng, rekey = len(trials), sc.block_len, sc.k, engine.rng, engine.rekey
     raw = np.empty((n, t_len, (k + 1) // 2), dtype=np.uint64)
     normal = np.empty((n, t_len, 2 + 2 * k))   # the jammer's 2 and the AWGN's k x 2, in draw order
     for trial, raw_e, normal_e in zip(trials, raw, normal):
         for t in range(t_len):
-            _rekey(rng, sc.seed, trial, t + 1)
+            rekey(trial, t + 1)
             raw_e[t] = rng.bit_generator.random_raw(raw.shape[2])
             rng.standard_normal(out=normal_e[t])
     idx = _raw_indices(raw.reshape(n * t_len, -1), sc.d, k).reshape(n, t_len, k)

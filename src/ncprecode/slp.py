@@ -51,7 +51,7 @@ from .noisegeom import (
     rotated_cov,
 )
 from .solver import solve_maximin, solve_min_norm, solve_min_norm_batch
-from .wlalg import _each, expand_row, sqrt_inv_psd2
+from .wlalg import _each, expand_row
 
 __all__ = [
     "SlpSolution",
@@ -84,17 +84,18 @@ class SlpSolution:
     achieved_margins: np.ndarray
 
 
-def whitened_effective_channel(h_k, g_k) -> np.ndarray:
+def whitened_effective_channel(h_k, g_k, w_k) -> np.ndarray:
     """The two rows of gamma_k G_k^{-1/2} Hbar_k with gamma_k = sigma_k / sqrt(2), shape (..., 2, 2M).
 
-    h_k (..., M) are channel rows and g_k (..., 2, 2) their noise
-    covariances. sigma_k^2 = tr G_k is the user's total effective-noise
-    power. The scaling keeps the total whitened noise power equal to
+    h_k (..., M) are channel rows, g_k (..., 2, 2) their noise covariances
+    and w_k (..., 2, 2) the whiteners G_k^{-1/2} of those, as
+    ``sqrt_inv_psd2`` gives them. sigma_k^2 = tr G_k is the user's total
+    effective-noise power. The scaling keeps the total whitened noise power equal to
     sigma_k^2, so the implied whitened noise has covariance (sigma_k^2 / 2)
     I2 and margin targets keep the same meaning as in the circular case.
     """
     gamma = np.sqrt(np.trace(g_k, axis1=-2, axis2=-1)) / math.sqrt(2.0)
-    return gamma[..., None, None] * (sqrt_inv_psd2(g_k) @ expand_row(h_k))
+    return gamma[..., None, None] * (w_k @ expand_row(h_k))
 
 
 def safety_margin(s_k: complex, h_e, x, theta: float) -> float:

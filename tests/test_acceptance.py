@@ -213,7 +213,7 @@ def test_c03_closed_form_mse_matches_simulation():
         const = psk_constellation(4)
         s = const[rng.integers(0, 4, size=(n, 3))]
         sbar = np.concatenate([s.real, s.imag], axis=1)
-        h_e = stack_whitened(h, covs)
+        h_e = stack_whitened(h, sqrt_inv_psd2(covs))
         noise = np.zeros((n, 6))
         for u in range(3):
             c = sample_noise(rng, h_j[u], jam, 1.0, size=n)

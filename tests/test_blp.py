@@ -13,7 +13,7 @@ from ncprecode.blp import (
     stack_whitened,
     stationarity_residuals,
 )
-from ncprecode.errors import NotPositiveDefinite
+from ncprecode.errors import NotPositiveDefinite, PrecodingError
 from ncprecode.noisegeom import CIRCULAR_Q, effective_cov, jammer_model, q_from_elements, sample_noise
 from ncprecode.sim import sample_channels
 from ncprecode.wlalg import expand_row, sqrt_inv_psd2
@@ -31,14 +31,14 @@ class TestStackWhitened:
         rng = np.random.default_rng(31)
         h, _ = sample_channels(rng, 3, 2)
         covs = [np.eye(2)] * 2
-        h_e = stack_whitened(h, covs)
+        h_e = stack_whitened(h, sqrt_inv_psd2(covs))
         for k in range(2):
             hb = expand_row(h[k])
             np.testing.assert_allclose(h_e[k], hb[0])
             np.testing.assert_allclose(h_e[2 + k], hb[1])
 
     def test_single_user_diag(self):
-        h_e = stack_whitened([[1.0]], [np.diag([4.0, 1.0])])
+        h_e = stack_whitened([[1.0]], sqrt_inv_psd2([np.diag([4.0, 1.0])]))
         np.testing.assert_allclose(h_e, [[0.5, 0.0], [0.0, 1.0]])
 
     def test_whitened_noise_covariance(self):
@@ -65,11 +65,20 @@ class TestMmseBlp:
         assert res_p < 1e-10
         assert res_b < 1e-10
 
+    def test_a_subnormal_power_in_a_stack_raises(self):
+        # A whitened channel of about 1e154 keeps its Gram product finite,
+        # but its precoder's power is subnormal, so 2 p_t / power overflows:
+        # the stack raises, without a warning, where beta would be inf.
+        h_e = np.array([np.eye(2), 1.2e154 * np.eye(2), np.eye(2)])
+        with pytest.raises(PrecodingError, match="^the precoder's scaling overflows: the noise covariance is too small"):
+            mmse_blp(h_e, 2.0)
+        assert np.isfinite(mmse_blp(0.5 * h_e, 2.0).beta).all()
+
     def test_power_constraint_equality(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
             h, _, _, covs = random_case(rng)
-            h_e = stack_whitened(h, covs)
+            h_e = stack_whitened(h, sqrt_inv_psd2(covs))
             p_t = float(rng.uniform(0.5, 200.0))
             pre = mmse_blp(h_e, p_t)
             assert 0.5 * np.sum(pre.p * pre.p) == pytest.approx(p_t, rel=1e-8)
@@ -78,7 +87,7 @@ class TestMmseBlp:
         rng = np.random.default_rng(34)
         for _ in range(10):
             h, _, _, covs = random_case(rng)
-            h_e = stack_whitened(h, covs)
+            h_e = stack_whitened(h, sqrt_inv_psd2(covs))
             pre = mmse_blp(h_e, 30.0)
             res_p, res_b = stationarity_residuals(pre, h_e)
             assert res_p < 1e-8
@@ -88,7 +97,7 @@ class TestMmseBlp:
         # perturbing P on the power-constraint sphere never reduces the MSE
         rng = np.random.default_rng(35)
         h, _, _, covs = random_case(rng)
-        h_e = stack_whitened(h, covs)
+        h_e = stack_whitened(h, sqrt_inv_psd2(covs))
         p_t = 50.0
         pre = mmse_blp(h_e, p_t)
         base = mse_of_precoder(pre, h, covs)
@@ -161,7 +170,7 @@ class TestClosedFormMse:
 
 
 def pw_blp_from(h, covs, p_t):
-    return mmse_blp(stack_whitened(h, covs), p_t)
+    return mmse_blp(stack_whitened(h, sqrt_inv_psd2(covs)), p_t)
 
 
 def simulate_mse(rng, pre, h, h_j, jam, covs, n=100_000):
@@ -171,7 +180,7 @@ def simulate_mse(rng, pre, h, h_j, jam, covs, n=100_000):
     idx = rng.integers(0, 4, size=(n, k))
     s = const[idx]
     sbar = np.concatenate([s.real, s.imag], axis=1)  # n x 2K
-    h_e = stack_whitened(h, covs)
+    h_e = stack_whitened(h, sqrt_inv_psd2(covs))
     whit = [sqrt_inv_psd2(g) for g in covs]
     noise = np.zeros((n, 2 * k))
     for u in range(k):

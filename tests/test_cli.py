@@ -307,13 +307,13 @@ class TestRun:
         # gain is tiny (here every trial's, scaled by 1e-10) still makes a
         # noise covariance underflow: the run stops with the README-listed
         # run-time error. Warnings are errors here.
-        draw = sim.sample_channels
+        draw = sim._TrialEngine.draw
 
-        def tiny_jammer_gains(rng, m, k):
-            h, h_j = draw(rng, m, k)
-            return h, 1e-10 * h_j
+        def tiny_jammer_gains(engine, trials):
+            h, h_j, q = draw(engine, trials)
+            return h, 1e-10 * h_j, q
 
-        monkeypatch.setattr(sim, "sample_channels", tiny_jammer_gains)
+        monkeypatch.setattr(sim._TrialEngine, "draw", tiny_jammer_gains)
         text = (
             MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
             .replace("rho2_db = 10.0", "rho2_db = -3076")
@@ -325,6 +325,29 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"error: the noise covariance is too small to whiten: its entries underflow ({method}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("method", ["pw_blp", "robust_blp"])
+    def test_a_tiny_normal_jammer_power_stops_a_blp_design(self, tmp_path, capsys, method, seed):
+        # At rho2_db = -3060 without AWGN the whitened channel is huge but its
+        # Gram product finite; the MMSE precoder's power is then subnormal and
+        # its scaling beta = sqrt(2 p_t / power) would overflow. The run stops
+        # with the README-listed run-time error. Warnings are errors here.
+        text = (
+            MINIMAL.replace("awgn_std = 1.0", "awgn_std = 0.0")
+            .replace("rho2_db = 10.0", "rho2_db = -3060")
+            .replace("method = nc_slp", f"method = {method}\np_t_db = 20.0")
+            .replace("q = random_rank_one", "q = circular")
+            .replace("seed = 99", f"seed = {seed}")
+        )
+        cfg = write(tmp_path, "tiny-power.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: the precoder's scaling overflows: the noise covariance is too small to whiten ({method})\n"
+        )
         assert not out.exists()
 
     def test_more_users_than_antennas_is_inconsistent(self, tmp_path, capsys):
@@ -360,14 +383,14 @@ class TestRun:
 
     @pytest.mark.parametrize("method", ["nc_slp", "naive_slp", "pw_slp", "robust_slp"])
     def test_a_zero_channel_row_stops_a_min_power_design(self, tmp_path, monkeypatch, capsys, method):
-        sample_channels = sim.sample_channels
+        draw = sim._TrialEngine.draw
 
-        def zero_first_user(rng, m, k):
-            h, h_j = sample_channels(rng, m, k)
-            h[0] = 0.0
-            return h, h_j
+        def zero_first_user(engine, trials):
+            h, h_j, q = draw(engine, trials)
+            h[:, 0] = 0.0
+            return h, h_j, q
 
-        monkeypatch.setattr(sim, "sample_channels", zero_first_user)
+        monkeypatch.setattr(sim._TrialEngine, "draw", zero_first_user)
         cfg = write(tmp_path, "zero-row.cfg", MINIMAL.replace("method = nc_slp", f"method = {method}"))
         out = tmp_path / "x.csv"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1

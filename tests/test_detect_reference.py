@@ -33,7 +33,6 @@ from ncprecode.sim import (
     Scenario,
     _design,
     _detect,
-    _rekey,
     _run_chunk,
     _run_trials,
     _TrialEngine,
@@ -68,7 +67,7 @@ def _reference_run(sc, trial, integrate):
     slots = []
     first = {}
     for slot in range(1, sc.block_len + 1):
-        _rekey(rng, sc.seed, trial, slot)
+        engine.rekey(trial, slot)
         idx = rng.integers(1, d + 1, size=k)
         zv = rng.standard_normal(2) @ mix
         nv = awgn_scale * rng.standard_normal((k, 2))

@@ -214,14 +214,15 @@ class TestSymmetricArrays:
             assert_symmetric_2x2(rotated_cov(g, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))))
 
     def test_blp_design_covariances(self, monkeypatch):
+        # the covariances a BLP design whitens, recorded where it whitens them
         seen = []
-        stack_whitened = blp.stack_whitened
+        sqrt_inv_psd2 = blp.sqrt_inv_psd2
 
-        def recording_stack_whitened(channels, covs):
+        def recording_sqrt_inv_psd2(covs):
             seen.extend(covs)
-            return stack_whitened(channels, covs)
+            return sqrt_inv_psd2(covs)
 
-        monkeypatch.setattr(blp, "stack_whitened", recording_stack_whitened)
+        monkeypatch.setattr(blp, "sqrt_inv_psd2", recording_sqrt_inv_psd2)
         rng = np.random.default_rng(21)
         h, _ = sample_channels(rng, 3, 3)
         blp.robust_blp(h, 1.3, rng.uniform(0.0, 10.0, size=3), 20.0)

@@ -367,17 +367,49 @@ def test_zero_awgn_where_loadable(method, q):
     assert_chunk_matches(scenario(method, 8, q, awgn_std=0.0), 0, 7)
 
 
+@pytest.mark.parametrize("q", sorted(Q_KINDS))
+def test_the_one_trial_draws_are_the_frozen_draws(q):
+    # sample_channels and QSpec.draw are the one-trial forms of the chunk's
+    # assembly code; each must still draw the frozen scalar values
+    spec = Q_KINDS[q]
+    for trial in range(12):
+        rng, ref_rng = _stream(5, trial, 0), _stream(5, trial, 0)
+        h, h_j = sample_channels(rng, 3, 2)
+        ref_h, ref_h_j = _ref_sample_channels(ref_rng, 3, 2)
+        assert same_bits(h.view(float), ref_h.view(float)) and same_bits(h_j.view(float), ref_h_j.view(float))
+        assert same_bits(spec.draw(rng), _ref_draw_q(spec, ref_rng))
+
+
+@pytest.mark.parametrize("q", sorted(Q_KINDS))
+def test_a_chunk_is_drawn_without_the_one_trial_forms(monkeypatch, q):
+    # the set-up draws every trial into one buffer and assembles the stacks
+    # at once: no per-trial channel or covariance call
+    def forbidden(*args):
+        raise AssertionError(f"a per-trial draw was called with {len(args)} arguments")
+
+    monkeypatch.setattr(sim, "sample_channels", forbidden)
+    monkeypatch.setattr(QSpec, "draw", forbidden)
+    for method in METHODS:
+        assert sim._TrialEngine(scenario(method, 4, q), range(32)).h.shape == (32, 3, 3)
+
+
 def patch_channels(monkeypatch, change):
     """Apply change(trial, h, h_j) to the channel draws of the engine and of the reference."""
-    def patched(draw):
-        def channels(rng, m, k):
-            h, h_j = draw(rng, m, k)
-            change(int(rng.bit_generator.state["state"]["key"][1]) >> 32, h, h_j)   # the set-up stream's trial
-            return h, h_j
-        return channels
+    draw = sim._TrialEngine.draw
 
-    monkeypatch.setattr(sim, "sample_channels", patched(sample_channels))
-    monkeypatch.setattr(_RefEngine, "channels", staticmethod(patched(_ref_sample_channels)))
+    def engine_draw(engine, trials):
+        h, h_j, q = draw(engine, trials)
+        for trial, h_t, h_j_t in zip(trials, h, h_j):
+            change(trial, h_t, h_j_t)
+        return h, h_j, q
+
+    def ref_channels(rng, m, k):
+        h, h_j = _ref_sample_channels(rng, m, k)
+        change(int(rng.bit_generator.state["state"]["key"][1]) >> 32, h, h_j)   # the set-up stream's trial
+        return h, h_j
+
+    monkeypatch.setattr(sim._TrialEngine, "draw", engine_draw)
+    monkeypatch.setattr(_RefEngine, "channels", staticmethod(ref_channels))
 
 
 @pytest.mark.parametrize("method", METHODS)

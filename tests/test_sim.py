@@ -15,7 +15,6 @@ from ncprecode.sim import (
     _TrialEngine,
     _design,
     _raw_indices,
-    _rekey,
     _std_err,
     _stream,
     energy_efficiency,
@@ -32,6 +31,11 @@ from ncprecode.sim import (
 from ncprecode import cli
 from ncprecode.solver import QpProblem, validate_solution
 from ncprecode.wlalg import expand_row, sqrt_inv_psd2, symbol_rotation
+
+
+def _engine(seed):
+    """A one-trial engine keyed by seed, whose generator a test re-keys."""
+    return _TrialEngine(small_scenario("msm", p_t_db=10.0, seed=seed, trials=1, block_len=1), range(1))
 
 
 class TestSampling:
@@ -65,14 +69,24 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed, trial, slot", [(12345, 0, 1), (2**64 - 1, 2**32 - 1, 2**32 - 1), (7, 3, 511)])
     def test_rekey_restarts_the_slot_stream(self, seed, trial, slot):
-        rng = _stream(seed, trial + 1, 0)
-        rng.standard_normal(3)
-        rng.integers(0, 7, size=3, dtype=np.uint32)   # odd count of 32-bit draws
-        state = rng.bit_generator.state
-        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
-        _rekey(rng, seed, trial, slot)
+        # one engine's state template serves every stream it re-keys to:
+        # after other streams' draws, only the key it sets may differ
+        engine = _engine(seed)
+        rng = engine.rng
+        for other in ((trial + 1, slot), (trial, slot ^ 1), (trial, slot)):
+            engine.rekey(*other)
+            rng.standard_normal(3)
+            rng.integers(0, 7, size=3, dtype=np.uint32)   # odd count of 32-bit draws
+            state = rng.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        engine.rekey(trial, slot)
         fresh = _stream(seed, trial, slot)
-        assert rng.bit_generator.state["has_uint32"] == 0
+        got, want = rng.bit_generator.state, fresh.bit_generator.state
+        assert got.keys() == want.keys() and got["has_uint32"] == 0
+        for name in ("counter", "key"):
+            assert np.array_equal(got["state"][name], want["state"][name])
+        for name in ("buffer", "buffer_pos", "has_uint32", "uinteger"):
+            assert np.array_equal(got[name], want[name])
         for draw in (
             lambda g: g.integers(1, 5, size=4),
             lambda g: g.integers(0, 9, size=3, dtype=np.uint32),
@@ -88,11 +102,12 @@ class TestSampling:
         # AWGN normals in one call; this binds both to Generator.integers and
         # the two normal draws after it, for odd and even k (an odd k leaves
         # half of a 64-bit word unused).
-        raw_rng, one_rng, int_rng = _stream(0, 0, 0), _stream(0, 0, 0), _stream(0, 0, 0)
+        engines = [_engine(seed) for _ in range(3)]
+        raw_rng, one_rng, int_rng = (e.rng for e in engines)
         for k in range(1, 7):
             for s in range(slot, slot + 20):
-                for g in (raw_rng, one_rng, int_rng):
-                    _rekey(g, seed, trial, s & (2**32 - 1))
+                for engine in engines:
+                    engine.rekey(trial, s & (2**32 - 1))
                 expected = int_rng.integers(1, d + 1, size=k)
                 for g in (raw_rng, one_rng):
                     raw = g.bit_generator.random_raw((k + 1) // 2)
@@ -480,7 +495,7 @@ def per_slot_reference(sc):
         jam = jammer_model(sc.rho, sc.q_spec.draw(rng))
         covs = [effective_cov(hj, jam, sc.awgn_var) for hj in h_j]
         sigma2 = np.array([np.trace(g) for g in covs])
-        eff = [slp.whitened_effective_channel(h[u], covs[u]) for u in range(k)]
+        eff = [slp.whitened_effective_channel(h[u], covs[u], sqrt_inv_psd2(covs[u])) for u in range(k)]
         plain = [tuple(expand_row(h[u])) for u in range(k)]
         pw_targets = sc.delta0 * math.cos(theta) + np.sqrt(chi2_scale(sc.p) * sigma2 / 2.0)
         whiten = sc.method in ("pw_msm", "pw_slp")

@@ -52,7 +52,7 @@ class TestWhitenedEffectiveChannel:
         h, _ = sample_channels(rng, 3, 1)
         sigma2 = 3.7
         g = sigma2 / 2 * np.eye(2)
-        e1, e2 = whitened_effective_channel(h[0], g)
+        e1, e2 = whitened_effective_channel(h[0], g, sqrt_inv_psd2(g))
         hb = expand_row(h[0])
         np.testing.assert_allclose(e1, hb[0], atol=1e-12)
         np.testing.assert_allclose(e2, hb[1], atol=1e-12)
@@ -62,7 +62,7 @@ class TestWhitenedEffectiveChannel:
         h, _ = sample_channels(rng, 2, 1)
         jam = jammer_model(0.0, CIRCULAR_Q)
         g = effective_cov(0.3 + 0.1j, jam, 2.0)
-        e1, e2 = whitened_effective_channel(h[0], g)
+        e1, e2 = whitened_effective_channel(h[0], g, sqrt_inv_psd2(g))
         hb = expand_row(h[0])
         np.testing.assert_allclose(e1, hb[0], atol=1e-12)
         np.testing.assert_allclose(e2, hb[1], atol=1e-12)
@@ -162,7 +162,7 @@ class TestMarginRows:
 
 
 def eff_channels_from(h, covs):
-    return [whitened_effective_channel(h[i], covs[i]) for i in range(len(covs))]
+    return [whitened_effective_channel(h[i], covs[i], sqrt_inv_psd2(covs[i])) for i in range(len(covs))]
 
 
 class TestPwSlpMinPower:
@@ -930,7 +930,7 @@ class TestRankOneSmallAwgn:
             self.assert_feasible(sol, rb)
 
             sigma2 = np.array([np.trace(g) for g in covs])
-            eff = [whitened_effective_channel(h[u], covs[u]) for u in range(self.K)]
+            eff = [whitened_effective_channel(h[u], covs[u], sqrt_inv_psd2(covs[u])) for u in range(self.K)]
             pw_targets = delta0 * math.cos(THETA4) + np.sqrt(omega * sigma2 / 2.0)
             self.assert_feasible(pw_slp_minpower(eff, s, pw_targets, THETA4), pw_targets)
 
