@@ -90,9 +90,10 @@ def whitened_effective_channel(h_k, g_k, w_k) -> np.ndarray:
     h_k (..., M) are channel rows, g_k (..., 2, 2) their noise covariances
     and w_k (..., 2, 2) the whiteners G_k^{-1/2} of those, as
     ``sqrt_inv_psd2`` gives them. sigma_k^2 = tr G_k is the user's total
-    effective-noise power. The scaling keeps the total whitened noise power equal to
-    sigma_k^2, so the implied whitened noise has covariance (sigma_k^2 / 2)
-    I2 and margin targets keep the same meaning as in the circular case.
+    effective-noise power. The scaling keeps the total whitened noise power
+    equal to sigma_k^2, so the implied whitened noise has covariance
+    (sigma_k^2 / 2) I2 and margin targets keep the same meaning as in the
+    circular case.
     """
     gamma = np.sqrt(np.trace(g_k, axis1=-2, axis2=-1)) / math.sqrt(2.0)
     return gamma[..., None, None] * (w_k @ expand_row(h_k))

@@ -70,7 +70,7 @@ class TestMmseBlp:
         # but its precoder's power is subnormal, so 2 p_t / power overflows:
         # the stack raises, without a warning, where beta would be inf.
         h_e = np.array([np.eye(2), 1.2e154 * np.eye(2), np.eye(2)])
-        with pytest.raises(PrecodingError, match="^the precoder's scaling overflows: the noise covariance is too small"):
+        with pytest.raises(PrecodingError, match="^the precoder's scaling overflows: the noise covariance"):
             mmse_blp(h_e, 2.0)
         assert np.isfinite(mmse_blp(0.5 * h_e, 2.0).beta).all()
 

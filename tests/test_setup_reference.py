@@ -13,7 +13,10 @@ row and bound of every (trial, user, symbol) term, must have the same bits
 fails, the run must raise the exception type and message of the first
 failing trial and user of a trial-by-trial scalar run. Lemma 2's symbol
 chains, built at once, must have the bits of `_ref_sweep_chain`, the
-per-symbol build.
+per-symbol build. A chunk draws its trials into one buffer and assembles
+them at once: its set-up must call neither `sample_channels` nor
+`QSpec.draw`, and those one-trial forms of the same code must still draw
+the frozen values.
 """
 
 import cmath
@@ -33,7 +36,6 @@ from ncprecode.noisegeom import (
     ellipse_from_cov,
     jammer_model,
     q_from_elements,
-    q_rank_one,
     rotated_cov,
     t_from_q,
 )
@@ -89,6 +91,11 @@ def _ref_sqrt_inv_psd2(g):
         raise NotPositiveDefinite("matrix must be strictly positive definite")
     vp = np.array([-v[1], v[0]])
     return np.outer(v, v) / math.sqrt(lam1) + np.outer(vp, vp) / math.sqrt(lam2)
+
+
+def _ref_q_rank_one(phi):
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c * c, c * s], [c * s, s * s]])
 
 
 def _ref_q_from_elements(q11, q12):
@@ -222,9 +229,9 @@ def _ref_draw_q(spec, rng):
     if spec.kind == "elements":
         return _ref_q_from_elements(*spec.args)
     if spec.kind == "rank_one":
-        return q_rank_one(*spec.args)
+        return _ref_q_rank_one(*spec.args)
     if spec.kind == "random_rank_one":
-        return q_rank_one(rng.uniform(0.0, math.pi))
+        return _ref_q_rank_one(rng.uniform(0.0, math.pi))
     return np.array([[0.5, 0.0], [0.0, 0.5]])
 
 
