@@ -469,18 +469,22 @@ class _TrialEngine:
 
         Each trial re-keys the generator to its set-up stream and fills its
         row of one buffer with the 2K(M+1) normals ``sample_channels``
-        takes, then draws the orientation ``QSpec.draw`` takes for
-        random_rank_one. The channels and covariances of every trial are
-        then assembled at once, by the code of those one-trial forms.
+        takes, then, for random_rank_one, the one raw 64-bit word that
+        ``QSpec.draw``'s ``uniform(0, pi)`` would take, so the stream ends
+        where it does. The chunk's words become orientations at once, with
+        uniform's arithmetic, and the channels and covariances of every
+        trial are assembled at once, by the code of the one-trial forms.
         """
         m, k, spec = self.sc.m, self.sc.k, self.sc.q_spec
         z = np.empty((len(trials), 2 * k * (m + 1)))
-        phi = []
+        words = []
         for trial, row in zip(trials, z):
             self.rekey(trial, 0)
             self.rng.standard_normal(out=row)
             if spec.kind == "random_rank_one":
-                phi.append(self.rng.uniform(0.0, math.pi))
+                words.append(self.rng.bit_generator.random_raw())
+        # Generator.uniform(0.0, pi) of each word: 0.0 + pi * (53-bit double)
+        phi = 0.0 + math.pi * ((np.array(words, dtype=np.uint64) >> 11) * 2.0 ** -53)
         return (*_channels(z, m, k), np.broadcast_to(spec.covariances(phi), (len(trials), 2, 2)))
 
     @cached_property
@@ -730,14 +734,19 @@ def _run_trials(sc: Scenario, integrate: bool, threads: int) -> list:
     return [stats for chunk in chunks for stats in chunk]
 
 
-def _std_err(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
+def _std_err(values: np.ndarray):
+    """Standard error of the mean of each series along the last axis (trials); 0 below two trials.
+
+    A stack of series (series x trials) goes through one ``np.std`` call
+    whose rows have the bits of the series' one-row calls.
+    """
+    if values.shape[-1] < 2:
+        return np.zeros(values.shape[:-1])[()]
     # np.std squares the deviations, which overflows above about 1e154. A
     # series reaching 2^400 is scaled down by a power of two first and back
     # after; the scaling is exact, so the bits are those of the plain form.
-    exp = max(0, math.frexp(float(np.max(np.abs(values))))[1] - 400)
-    return float(np.ldexp(np.std(np.ldexp(values, -exp), ddof=1) / math.sqrt(values.size), exp))
+    exp = np.maximum(np.frexp(np.abs(values).max(axis=-1))[1] - 400, 0)
+    return np.ldexp(np.std(np.ldexp(values, -exp[..., None]), axis=-1, ddof=1) / math.sqrt(values.shape[-1]), exp)
 
 
 @dataclass(frozen=True)
@@ -777,7 +786,7 @@ def per_trial_metrics(sc: Scenario, threads: int = 1, noise_integrated: bool = F
     sym = np.vstack(sym_err)            # trials x K
     bits = np.vstack(bit_err)
     blk = (sym > 0).astype(float)       # a user's block is in error when any of its symbols is
-    power = np.array([p / t_len for p in power_sum])
+    power = np.array(power_sum) / t_len
     ser_int = np.vstack(ser_integrated) if noise_integrated else None
     return TrialSeries(
         ser_per_user=sym / t_len,
@@ -806,25 +815,25 @@ def _summarize(sc: Scenario, series: TrialSeries) -> MetricsRecord:
     k, t_len, c_bits = sc.k, sc.block_len, sc.c_bits
     bler = float(series.bler.mean())
     avg_power = float(series.avg_tx_power.mean())
-    ee_t = np.array(
-        [
-            energy_efficiency(b, c_bits, k, pw)
-            for b, pw in zip(series.bler, series.avg_tx_power)
-        ]
-    )
+    power = series.avg_tx_power
+    # energy_efficiency of each trial, 0 at a power that is not positive
+    ee_t = np.divide((1.0 - series.bler) * c_bits * k, power, out=np.zeros(power.shape), where=~(power <= 0.0))
+    worst_se, ber_se, bler_se, power_se, ee_se = _std_err(
+        np.vstack([series.worst_user_ser, series.ber, series.bler, power, ee_t])
+    ).tolist()
     return MetricsRecord(
         ser_per_user=tuple(float(v) for v in series.ser_per_user.mean(axis=0)),
         worst_user_ser=float(series.worst_user_ser.mean()),
-        worst_user_ser_se=_std_err(series.worst_user_ser),
+        worst_user_ser_se=worst_se,
         ber=float(series.ber.mean()),
-        ber_se=_std_err(series.ber),
+        ber_se=ber_se,
         bler=bler,
-        bler_se=_std_err(series.bler),
+        bler_se=bler_se,
         avg_tx_power=avg_power,
-        avg_tx_power_se=_std_err(series.avg_tx_power),
+        avg_tx_power_se=power_se,
         throughput=(1.0 - bler) * c_bits * t_len * k,
         ee=energy_efficiency(bler, c_bits, k, avg_power),
-        ee_se=_std_err(ee_t),
+        ee_se=ee_se,
     )
 
 
@@ -887,7 +896,7 @@ def _certify_windows(a, gram, bounds, eps_p, active, ci, power):
     For a fixed active set S the optimum is affine in the bounds b:
     mu = G_SS^-1 2 b_S and x = A_S^T mu / 2, and it is the cell's optimum
     exactly when mu >= 0 and A x >= b - eps_p (the full KKT conditions).
-    The cells are certified against S in windows of 4, 8, 16, ... cells, one
+    The cells are certified against S in windows of 16, 32, 64, ... cells, one
     stacked solve and two stacked matmuls per window, up to the first cell
     that fails, and each certified cell's power is written into `power`. The
     stacked gufunc forms (gesv per right-hand-side row, matmul per stacked
@@ -899,7 +908,7 @@ def _certify_windows(a, gram, bounds, eps_p, active, ci, power):
     s_arr = np.asarray(active)
     g_ss = gram[s_arr[:, None], s_arr]
     a_st = a[s_arr].T
-    width = 4
+    width = 16   # fewer, larger windows: faster per lemma2 draw than 4, same bits
     while ci < n_cells:
         b_w = bounds[ci:ci + width]
         try:

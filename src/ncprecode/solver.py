@@ -17,9 +17,14 @@ what :func:`solve_min_norm` gives problem i, bit for bit, and the exception
 of each problem that raises one. No object is built per problem. From
 BATCH_CROSSOVER distinct matrices on, the problems advance in lockstep
 through one kernel (:func:`_min_norm_batch`) whose stacked products are the
-same BLAS calls as the scalar kernel's, and a finished problem's x, active
-list and multipliers stay in its arrays; below it each problem goes through
-:func:`solve_min_norm`. The lockstep kernel takes only the regular step. A
+same BLAS calls as the scalar kernel's; below it each problem goes through
+:func:`solve_min_norm`. The lockstep kernel works on arrays of the problems
+still running, from which a problem leaves with its x, active list and
+multipliers once it finishes. Problems that share a matrix, an active list
+and an entering row (robust_slp's orientations of one symbol vector, say)
+share that step's active-set solve and direction, taken once for all of
+them with the operands each would use, so each keeps its bits. The lockstep
+kernel takes only the regular step. A
 problem that needs a rare path (a zero row under a positive bound, a
 singular active-set solve, inconsistent constraints, an overlong active
 list, the iteration cap) is solved again from the start by
@@ -37,11 +42,13 @@ matrix) stay on the scalar path, which the benchmark's traced kernel count
 for a one-slot trial expects; batched, they took about 0.6x the time.
 """
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .errors import Infeasible, MaxIterations, PrecodingError, ZeroRow
@@ -102,6 +109,12 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+# The floating-point error state np.linalg.solve sets around gesv, built
+# once: a singular matrix (an invalid flag) calls _raise_singular, and no
+# other flag warns.
+_SINGULAR_STATE = _make_extobj(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
 def _solve(a, b):
     """``np.linalg.solve(a, b)`` for a square float matrix and a 1-D right-hand side.
 
@@ -109,7 +122,9 @@ def _solve(a, b):
     for this case, under the same floating-point error state, so the result
     has the same bits and a singular matrix raises the same LinAlgError; the
     array-wrapping checks around it, which cost several times the solve for
-    the small systems here, are skipped.
+    the small systems here, are skipped. The state is built once and set on
+    numpy's error-state context variable, as ``np.errstate`` sets it, without
+    the context manager's Python calls.
 
     `b` may also be a stack of right-hand sides, one per row. The gufunc
     broadcasts `a` over the rows and makes one ``gesv`` call per row, so row
@@ -117,8 +132,11 @@ def _solve(a, b):
     ``np.linalg.solve`` is a matrix of right-hand-side columns instead, solved
     in one call whose columns need not match the 1-D results bit for bit.)
     """
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+    token = _extobj_contextvar.set(_SINGULAR_STATE)
+    try:
         return _umath_linalg.solve1(a, b, signature="dd->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _min_norm_kernel(a, b, gram, row_norm2):
@@ -241,117 +259,134 @@ def _min_norm_batch(a, gram, row_norm2, b, owner):
     Every problem takes its own sequence of the kernel's regular steps, with
     the kernel's operations on the same operands, so its x, duals and active
     list have the kernel's bits; the steps of all problems are taken
-    together. Each round, the problems in the outer phase take one stacked
-    slack and argmin, and every problem in the inner phase takes one step:
-    the active-set solves are grouped by active-set size into one stacked
-    ``_solve`` per size, the products become stacked ``np.matmul`` calls
-    (each item the same BLAS call as the kernel's 2-D or 1-D product), and
-    the ratio test and the updates are elementwise, with the same first index
-    on ties. A problem that needs one of the kernel's rare paths leaves the
-    lockstep: a zero row under a positive bound, a size group whose stacked
-    solve raises (the whole group), a step that can neither add nor drop, an
-    add to a list of m entries, or an iteration count past the cap. After
-    the loop the kernel solves each such problem again from the start, so
-    every failure rule lives in the kernel alone, and its triple or
-    exception goes into the same arrays (:func:`_batch`).
+    together, on arrays that hold only the problems still running. Each
+    round, the problems that just added a constraint (or just started) take
+    one stacked slack and argmin; those that are done leave the arrays
+    together with those that left the lockstep, and every other problem
+    takes one step. Problems that share a constraint matrix, an active list
+    (in insertion order) and an entering row share the step's active-set
+    solve and direction z, taken once for all of them; the active-set solves
+    are grouped by active-set size into one stacked ``_solve`` per size, the
+    products become stacked ``np.matmul`` calls (each item the same BLAS call
+    as the kernel's 2-D or 1-D product), and the ratio test and the updates
+    are elementwise, with the same first index on ties. A problem that needs
+    one of the kernel's rare paths leaves the lockstep: a zero row under a
+    positive bound, a size group whose stacked solve raises (the whole
+    group), a step that can neither add nor drop, an add to a list of m
+    entries, or an iteration count past the cap. After the loop the kernel
+    solves each such problem again from the start, so every failure rule
+    lives in the kernel alone, and its triple or exception goes into the
+    same arrays (:func:`_batch`).
 
-    A finished problem stays in the lockstep's arrays: its x row, its active
-    list ``act[i, :size[i]]`` in the kernel's insertion order and its
-    multipliers, from which :func:`_batch` scatters the duals. Returns the
-    QpBatch of every problem.
+    A finished problem's x row, its active list ``act[i, :size[i]]`` in the
+    kernel's insertion order and its multipliers are written out as it
+    leaves; :func:`_batch` scatters the duals. Returns the QpBatch of every
+    problem.
     """
     n_prob, m = b.shape
     n = a.shape[2]
     cap = 50 * (m + n) + 200
     bmax = np.abs(b).max(axis=1)
     eps_p = 1e-9 * np.where(bmax > 1.0, bmax, 1.0)
-    # A problem dropped from `outer` and `inner` never sets `solved`: it is handed off.
-    solved = np.zeros(n_prob, dtype=bool)
     zero_bad = ((row_norm2[owner] <= _ZERO_ROW_NORM2) & (b > eps_p[:, None])).any(axis=1)
-
-    x = np.zeros((n_prob, n))
-    act = np.zeros((n_prob, m), dtype=np.intp)   # active list, first size[i] entries
-    mu = np.zeros((n_prob, m))                  # its multipliers
-    size = np.zeros(n_prob, dtype=np.intp)
-    p = np.zeros(n_prob, dtype=np.intp)
-    mu_p = np.zeros(n_prob)
-    iters = np.zeros(n_prob, dtype=np.intp)
+    x_out, act_out, size_out, mu_out = _zeros(n_prob, m, n)
+    solved = np.zeros(n_prob, dtype=bool)   # a problem that leaves unsolved is handed off
+    # A step's key is its matrix, entering row and active list as digits in
+    # base m + 1 (m past the list's end); no key is built when no matrix has
+    # two problems, or when the keys could overflow.
+    share = np.bincount(owner, minlength=len(a)).max() > 1 and len(a) * (m + 1) ** (m + 1) < 2 ** 63
+    digits = (m + 1) ** np.arange(m, dtype=np.int64)
     cols = np.arange(m)
-    outer = np.flatnonzero(~zero_bad)
-    inner = outer[:0]
-    while outer.size or inner.size:
-        if outer.size:
-            iters[outer] += 1
-            outer = outer[iters[outer] <= cap]
-            slack = np.matmul(a[owner[outer]], x[outer, :, None])[:, :, 0] - b[outer]
-            pp = slack.argmin(axis=1)
-            done = slack[np.arange(outer.size), pp] >= -eps_p[outer]
-            solved[outer[done]] = True
-            enter = outer[~done]
-            p[enter] = pp[~done]
-            mu_p[enter] = 0.0
-            inner = np.concatenate([inner, enter])
-        iters[inner] += 1
-        inner = inner[iters[inner] <= cap]
-        if not inner.size:
+
+    # The running problems: their index, matrix, bounds and state, compacted.
+    idx = np.flatnonzero(~zero_bad)
+    own, bq, eq = owner[idx], b[idx], eps_p[idx]
+    x, act, size, mu = _zeros(idx.size, m, n)
+    p = np.zeros(idx.size, dtype=np.intp)
+    mu_p = np.zeros(idx.size)
+    iters = np.zeros(idx.size, dtype=np.intp)
+    outer = live = np.ones(idx.size, dtype=bool)   # every problem starts with a slack test
+    while True:
+        iters += outer
+        slack = np.matmul(a[own], x[:, :, None])[:, :, 0] - bq   # only the outer rows' are used
+        pp = slack.argmin(axis=1)
+        done = outer & (iters <= cap) & (slack[np.arange(idx.size), pp] >= -eq)
+        p = np.where(outer, pp, p)
+        mu_p = np.where(outer, 0.0, mu_p)
+        iters += 1
+        keep = live & ~done & (iters <= cap)
+        fin = idx[done]
+        solved[fin] = True
+        x_out[fin], act_out[fin], size_out[fin], mu_out[fin] = x[done], act[done], size[done], mu[done]
+        if not keep.all():
+            idx, own, bq, eq, x, act, size, mu, p, mu_p, iters = (
+                v[keep] for v in (idx, own, bq, eq, x, act, size, mu, p, mu_p, iters)
+            )
+        if not idx.size:
             break
-        own, ip, ks = owner[inner], p[inner], size[inner]
-        ap = a[own, ip]
+        ap = a[own, p]
         z = 0.5 * ap   # the step of an empty active set
-        r = np.zeros((inner.size, m))
-        live = np.ones(inner.size, dtype=bool)
+        r = np.zeros((idx.size, m))
+        live = np.ones(idx.size, dtype=bool)
+        rep = np.arange(idx.size)   # the problems whose step is taken
+        if share:
+            key = (own * (m + 1) + p) * (m + 1) ** m + np.where(cols < size[:, None], act, m) @ digits
+            _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
+        ks = size[rep]
         for k in np.unique(ks[ks > 0]).tolist():
-            sel = np.flatnonzero(ks == k)
-            s = act[inner[sel], :k]
+            sel = rep[ks == k]
+            s = act[sel, :k]
             o = own[sel]
             try:
-                r_k = _solve(gram[o[:, None, None], s[:, :, None], s[:, None, :]], gram[o[:, None], s, ip[sel, None]])
+                r_k = _solve(gram[o[:, None, None], s[:, :, None], s[:, None, :]], gram[o[:, None], s, p[sel, None]])
             except np.linalg.LinAlgError:
                 live[sel] = False   # the whole size group
                 continue
             a_s = a[o[:, None], s].transpose(0, 2, 1)
             z[sel] = 0.5 * (ap[sel] - np.matmul(a_s, r_k[:, :, None])[:, :, 0])
             r[sel, :k] = r_k
+        if share:   # each problem gets the step of its key's first problem
+            z, r, live = z[rep[inv]], r[rep[inv]], live[rep[inv]]
         z2 = np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0]
-        sp = b[inner, ip] - np.matmul(ap[:, None, :], x[inner, :, None])[:, 0, 0]
-        rn = row_norm2[own, ip]
+        sp = bq[np.arange(idx.size), p] - np.matmul(ap[:, None, :], x[:, :, None])[:, 0, 0]
+        rn = row_norm2[own, p]
         full = z2 > 1e-20 * np.where(rn > 1.0, rn, 1.0)
         z2 = np.where(full, z2, 0.0)
-        t_full = np.full(inner.size, math.inf)
-        ratio = np.full((inner.size, m), math.inf)
+        t_full = np.full(idx.size, math.inf)
+        ratio = np.full((idx.size, m), math.inf)
         # The kernel takes these steps in Python floats, which overflow to
         # inf without a warning; it moves x in numpy, as done below.
         with np.errstate(over="ignore", invalid="ignore"):
             np.divide(np.where(0.0 > sp, 0.0, sp), 2.0 * z2, out=t_full, where=full)
-            r_eps = 1e-12 * (1.0 + np.abs(r).max(axis=1))
-            np.divide(mu[inner], r, out=ratio, where=r > r_eps[:, None])
+            r_eps = 1e-12 * (1.0 + functools.reduce(np.maximum, np.abs(r).T))
+            np.divide(mu, r, out=ratio, where=r > r_eps[:, None])
             ratio[~(ratio < math.inf)] = math.inf   # a NaN ratio never blocks
             k_drop = ratio.argmin(axis=1)
-            t_drop = ratio[np.arange(inner.size), k_drop]
+            t_drop = ratio[np.arange(idx.size), k_drop]
             add = t_full <= t_drop
             # stuck (neither an add nor a drop), or an add to a full list
-            live &= (np.isfinite(t_full) | np.isfinite(t_drop)) & ~(add & (ks == m))
+            live &= (np.isfinite(t_full) | np.isfinite(t_drop)) & ~(add & (size == m))
             t_min = np.where(t_drop < t_full, t_drop, t_full)
             t = np.where(0.0 > t_min, 0.0, t_min)
             pos = (t > 0.0) & live
-            mu[inner[pos]] = mu[inner[pos]] - t[pos, None] * r[pos]
-            mu_p[inner[pos]] += t[pos]
-        move = pos & (z2 > 0.0)
-        x[inner[move]] = x[inner[move]] + t[move, None] * z[move]
-        grow = inner[add & live]
+            mu = np.where(pos[:, None], mu - t[:, None] * r, mu)
+            mu_p = np.where(pos, mu_p + t, mu_p)
+            x = np.where((pos & (z2 > 0.0))[:, None], x + t[:, None] * z, x)
+        outer = add & live
+        grow = np.flatnonzero(outer)
         act[grow, size[grow]] = p[grow]
         mu[grow, size[grow]] = mu_p[grow]
-        size[grow] += 1
+        size += outer
         drop = ~add & live
-        shrink = inner[drop]
-        src = np.minimum(cols + (cols >= k_drop[drop, None]), m - 1)
-        act[shrink] = np.take_along_axis(act[shrink], src, axis=1)
-        mu[shrink] = np.take_along_axis(mu[shrink], src, axis=1)
-        size[shrink] -= 1
-        outer, inner = grow, shrink
+        if drop.any():
+            shrink = np.flatnonzero(drop)
+            src = np.minimum(cols + (cols >= k_drop[shrink, None]), m - 1)
+            act[shrink] = np.take_along_axis(act[shrink], src, axis=1)
+            mu[shrink] = np.take_along_axis(mu[shrink], src, axis=1)
+            size -= drop
     return _batch(  # every problem that left the lockstep for a rare path, again from the start
         lambda i: _min_norm_kernel(a[owner[i]], b[i], gram[owner[i]], row_norm2[owner[i]]),
-        np.flatnonzero(~solved).tolist(), x, act, size, mu,
+        np.flatnonzero(~solved).tolist(), x_out, act_out, size_out, mu_out,
     )
 
 
