@@ -153,7 +153,7 @@ def test_iteration_cap_is_per_problem(monkeypatch):
     _assert_batch(solve_min_norm_batch(a, b), refs)
 
 
-def _kernel_calls(monkeypatch, a, b):
+def _kernel_calls(monkeypatch, a, b, owner=None):
     """The lockstep entry point's results, and how many problems it gave the scalar kernel."""
     assert len(a) >= BATCH_CROSSOVER
     calls = []
@@ -164,7 +164,7 @@ def _kernel_calls(monkeypatch, a, b):
         return kernel(*args)
 
     monkeypatch.setattr(solver, "_min_norm_kernel", counting)
-    out = solve_min_norm_batch(a, b)
+    out = solve_min_norm_batch(a, b, owner)
     monkeypatch.setattr(solver, "_min_norm_kernel", kernel)
     return out, len(calls)
 
@@ -339,3 +339,103 @@ def test_duals_are_the_kernels_max_bit_for_bit():
             ref[idx] = max(mu_i, 0.0)
         assert _same_bits(out.duals[i], ref)
     assert np.signbit(out.duals[0, 2]) and np.isnan(out.duals[0, 1]) and out.errors == {}
+
+
+def _sharing_stack(seed, counts, m, n):
+    """counts[i] bound vectors on margin-like matrix i, about a third exact repeats, in shuffled order."""
+    a, _ = _margin_stack(seed, len(counts), m=m, n=n)
+    rng = np.random.default_rng(seed)
+    owner = rng.permutation(np.arange(len(counts)).repeat(counts))
+    b = rng.uniform(0.1, 3.0, (len(owner), m))
+    for i in range(len(owner)):
+        earlier = np.flatnonzero(owner[:i] == owner[i])
+        if earlier.size and rng.random() < 0.35:
+            b[i] = b[rng.choice(earlier)]
+    return a, b, owner
+
+
+def _solve_rows(monkeypatch):
+    """Patch solver._solve to record how many active-set systems each call solves."""
+    rows = []
+    solve = solver._solve
+    monkeypatch.setattr(solver, "_solve", lambda g, rhs: rows.append(int(np.prod(np.shape(rhs)[:-1]))) or solve(g, rhs))
+    return rows
+
+
+class TestSharedSteps:
+    """Problems on one matrix with one active list and one entering row take that step once.
+
+    Each row of the result must still be the scalar kernel's, active order
+    included, whichever problems share steps and wherever they sit in the
+    stack.
+    """
+
+    @pytest.mark.parametrize("m, n", [(4, 3), (8, 8), (12, 12)])
+    def test_many_bound_vectors_per_matrix_with_repeats(self, monkeypatch, m, n):
+        a, b, owner = _sharing_stack(71, [16] * (BATCH_CROSSOVER + 1), m, n)
+        rows = _solve_rows(monkeypatch)
+        refs, solves = [], {}
+        for o, bi in zip(owner, b):
+            rows.clear()
+            refs.append(_kernel(a[o], bi))
+            solves[o, bi.tobytes()] = sum(rows)
+        assert len(solves) < len(b)   # some problems are exact repeats
+        assert not any(isinstance(ref, Exception) for ref in refs)   # none is solved twice
+        rows.clear()
+        out = solve_min_norm_batch(a, b, owner)
+        _assert_batch(out, refs)
+        # a repeated problem costs no solve, and distinct problems share some
+        assert 0 < sum(rows) < sum(solves.values())
+
+    def test_a_stack_where_only_some_matrices_repeat(self):
+        counts = [1] * BATCH_CROSSOVER + [16, 3, 2]
+        a, b, owner = _sharing_stack(72, counts, m=8, n=4)
+        _assert_batch(solve_min_norm_batch(a, b, owner), [_kernel(a[o], bi) for o, bi in zip(owner, b)])
+
+    def test_keys_that_could_overflow_are_not_built(self, monkeypatch):
+        # 17 ** 17 exceeds an int64: the steps are taken problem by problem
+        a, b, owner = _sharing_stack(73, [4] * BATCH_CROSSOVER, m=16, n=16)
+        rows = _solve_rows(monkeypatch)
+        refs = [_kernel(a[o], bi) for o, bi in zip(owner, b)]
+        kernel_rows = sum(rows)
+        rows.clear()
+        _assert_batch(solve_min_norm_batch(a, b, owner), refs)
+        assert sum(rows) == kernel_rows
+
+    def test_a_singular_size_group_goes_whole(self, monkeypatch):
+        # As TestHandoff's case, with steps shared: every problem that
+        # reaches two active rows is handed off, and only those.
+        a, b, owner = _sharing_stack(74, [6] * (BATCH_CROSSOVER + 2), m=6, n=6)
+        solve = solver._solve
+        refs, reach_two = [], []
+        for o, bi in zip(owner, b):
+            sizes = []
+            monkeypatch.setattr(solver, "_solve", lambda g, rhs: sizes.append(len(rhs)) or solve(g, rhs))
+            refs.append(_kernel(a[o], bi))
+            reach_two.append(2 in sizes)
+
+        def stacked_pairs_fail(g, rhs):
+            if np.ndim(rhs) == 2 and np.shape(rhs)[1] == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(g, rhs)
+
+        monkeypatch.setattr(solver, "_solve", stacked_pairs_fail)
+        out, calls = _kernel_calls(monkeypatch, a, b, owner)
+        assert 5 <= calls == sum(reach_two) < len(b)
+        _assert_batch(out, refs)
+
+    @pytest.mark.parametrize("step", [2.0, 0.0], ids=["iteration-cap", "full-list"])
+    def test_handoffs_among_shared_steps(self, monkeypatch, step):
+        # Every active-set solve returning 2 keeps the steps from converging;
+        # returning 0 never drops a constraint, so lists fill up. The
+        # problems the kernel caps or gives a list longer than m are handed
+        # off, and only they.
+        monkeypatch.setattr(solver, "_solve", lambda g, rhs: np.full(np.shape(rhs), step))
+        a, b, owner = _sharing_stack(75, [5] * (BATCH_CROSSOVER + 2), m=4, n=3)
+        refs = [_kernel(a[o], bi) for o, bi in zip(owner, b)]
+        capped = sum(isinstance(ref, MaxIterations) for ref in refs)
+        long = sum(not isinstance(ref, Exception) and len(ref[2]) > 4 for ref in refs)
+        assert capped >= 5 and capped + long < len(b)
+        out, calls = _kernel_calls(monkeypatch, a, b, owner)
+        assert calls == capped + long
+        _assert_batch(out, refs)
