@@ -72,6 +72,7 @@ import numpy as np
 
 from . import blp as _blp
 from . import slp as _slp
+from .errors import PrecodingError
 from .noisegeom import (
     CIRCULAR_Q,
     boundary_normals,
@@ -84,7 +85,7 @@ from .noisegeom import (
     wedge_exit_probability,
 )
 from .solver import BATCH_CROSSOVER, _batch, _min_norm_batch, _min_norm_kernel, _solve, _zeros, solve_maximin_batch
-from .wlalg import expand_row, sqrt_inv_psd2, symbol_rotation
+from .wlalg import collapse_vec, expand_row, expand_vec, sqrt_inv_psd2, symbol_rotation
 
 __all__ = [
     "QSpec",
@@ -401,11 +402,16 @@ def margin_from_psi(psi_db: float, theta: float, rho2: float, sigma2: float) -> 
     return math.sin(theta) * math.sqrt(psi * (rho2 + sigma2))
 
 
-def energy_efficiency(bler: float, c_bits: float, k: int, avg_power: float) -> float:
-    """Throughput (1 - P_B) c T K divided by the energy T * avg_power per block."""
-    if avg_power <= 0.0:
-        return 0.0
-    return (1.0 - bler) * c_bits * k / avg_power
+def energy_efficiency(bler, c_bits: float, k: int, avg_power):
+    """Throughput (1 - P_B) c T K divided by the energy T * avg_power per block; 0 where the power is not positive.
+
+    bler and avg_power broadcast: one np.divide, so every item is the
+    scalar rule's quotient, bit for bit; a NaN power gives NaN.
+    """
+    power = np.asarray(avg_power, dtype=float)
+    return np.divide(
+        (1.0 - bler) * c_bits * k, power, out=np.zeros(np.broadcast(bler, power).shape), where=~(power <= 0.0)
+    )[()]
 
 
 class _TrialEngine:
@@ -569,29 +575,22 @@ def _design(engine: _TrialEngine, pos: np.ndarray, idx: np.ndarray) -> np.ndarra
     each once, in one stacked call, and solve every vector's QP in one
     batch. A vector whose terms or QP fail raises that failure, and an
     earlier vector's failure comes first, as one design call per vector
-    would have it: when the stacked call raises, the terms are built again
-    vector by vector and user by user.
+    would have it: when the stacked call raises, the vectors are designed
+    again one at a time, in order, each raising its terms' failure before
+    its QP's (docs/DECISIONS.md).
     """
     sc = engine.sc
-    idx = idx - 1
-    if sc.method in BLP_METHODS:
-        s = engine.const[idx]
-        xb = np.matmul(engine.precoder.p[pos], np.concatenate([s.real, s.imag], axis=1)[:, :, None])[..., 0]
-        return xb[:, :sc.m] + 1j * xb[:, sc.m:]   # the precoder's product, one per vector
+    if sc.method in BLP_METHODS:   # the precoder's product, one per vector
+        return collapse_vec(np.matmul(engine.precoder.p[pos], expand_vec(engine.const[idx - 1])[:, :, None])[..., 0])
     try:
-        a, b = _stack_terms(engine, pos, idx)
+        a, b = _stack_terms(engine, pos, idx - 1)
     except Exception:
-        for j in range(len(pos)):
-            for u in range(sc.k):
-                try:
-                    engine.terms(pos[j:j + 1], np.array([u]), idx[j, u:u + 1])
-                except Exception:
-                    if j:
-                        _solve_terms(sc, *_stack_terms(engine, pos[:j], idx[:j]))   # an earlier vector's failure first
-                    raise
-        raise
-    xb = _solve_terms(sc, a, b)
-    return xb[:, :sc.m] + 1j * xb[:, sc.m:]
+        if len(pos) == 1:
+            raise
+        return np.concatenate([_design(engine, pos[j:j + 1], idx[j:j + 1]) for j in range(len(pos))])
+    if sc.method in MSM_METHODS:
+        return collapse_vec(solve_maximin_batch(a, sc.p_t)[0])
+    return collapse_vec(_slp.solve_min_power(a, b)[0])
 
 
 def _stack_terms(engine: _TrialEngine, pos: np.ndarray, idx: np.ndarray):
@@ -611,13 +610,6 @@ def _stack_terms(engine: _TrialEngine, pos: np.ndarray, idx: np.ndarray):
         return a, None
     b = bounds[inverse.ravel()].reshape(n, k, -1, 2).transpose(0, 2, 1, 3)
     return a, b.reshape(n, b.shape[1], 2 * k)
-
-
-def _solve_terms(sc: Scenario, a, b) -> np.ndarray:
-    """Real-stacked transmit vectors (vectors x 2M) of stacked rows and bounds."""
-    if sc.method in MSM_METHODS:
-        return solve_maximin_batch(a, sc.p_t)[0]
-    return _slp.solve_min_power(a, b)[0]
 
 
 def _detect(engine: _TrialEngine, y: np.ndarray) -> np.ndarray:
@@ -667,7 +659,9 @@ def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
        noise-free received points rx = h x.
     3. Detect: every received point y = rx + h_j z + w at once, decided by
        :func:`_detect`. Errors and bit errors are counted per user from the
-       bit-error table, and each trial's power is summed in slot order. With
+       bit-error table, and each trial's power is summed in slot order; a
+       sum that is not finite (a noise power near the float limit) raises
+       PrecodingError. With
        `integrate`, one stacked exit-probability call over every trial,
        slot and user gives each trial's per-user mean over its slots.
 
@@ -704,9 +698,12 @@ def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
     det = _detect(engine, y)
     sym_err = np.count_nonzero(det != idx, axis=1).astype(np.int64)
     bit_err = np.array(_BIT_ERRORS[sc.d])[idx - 1, det - 1].sum(axis=1)
-    power_sum = np.cumsum(power[inverse], axis=1)[:, -1].tolist()   # cumsum adds in slot order
+    with np.errstate(over="ignore"):   # an overflowing sum raises below
+        power_sum = np.cumsum(power[inverse], axis=1)[:, -1]   # cumsum adds in slot order
+    if not np.isfinite(power_sum).all():
+        raise PrecodingError("the summed transmit power overflows: the noise is too strong for the design")
     ser = engine.exit_probability(rx, idx).mean(axis=1) if integrate else [None] * n
-    return list(zip(sym_err, bit_err, power_sum, ser))
+    return list(zip(sym_err, bit_err, power_sum.tolist(), ser))
 
 
 def _run_trials(sc: Scenario, integrate: bool, threads: int) -> list:
@@ -816,8 +813,7 @@ def _summarize(sc: Scenario, series: TrialSeries) -> MetricsRecord:
     bler = float(series.bler.mean())
     avg_power = float(series.avg_tx_power.mean())
     power = series.avg_tx_power
-    # energy_efficiency of each trial, 0 at a power that is not positive
-    ee_t = np.divide((1.0 - series.bler) * c_bits * k, power, out=np.zeros(power.shape), where=~(power <= 0.0))
+    ee_t = energy_efficiency(series.bler, c_bits, k, power)
     worst_se, ber_se, bler_se, power_se, ee_se = _std_err(
         np.vstack([series.worst_user_ser, series.ber, series.bler, power, ee_t])
     ).tolist()
@@ -832,7 +828,7 @@ def _summarize(sc: Scenario, series: TrialSeries) -> MetricsRecord:
         avg_tx_power=avg_power,
         avg_tx_power_se=power_se,
         throughput=(1.0 - bler) * c_bits * t_len * k,
-        ee=energy_efficiency(bler, c_bits, k, avg_power),
+        ee=float(energy_efficiency(bler, c_bits, k, avg_power)),
         ee_se=ee_se,
     )
 

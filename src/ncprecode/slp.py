@@ -137,16 +137,6 @@ def margin_rows(pairs, s, theta: float) -> np.ndarray:
     return rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
 
 
-def _per_user(values, k: int) -> np.ndarray:
-    """Broadcast a scalar or length-K sequence to a length-K float array."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 1:
-        return np.full(k, arr[0])
-    if arr.size != k:
-        raise ValueError(f"expected {k} per-user values, got {arr.size}")
-    return arr
-
-
 def solve_min_power(a, b):
     """Minimum-power transmit vectors of symbol vectors: rows a (vectors x R x 2M), bounds b (vectors x O x R).
 
@@ -188,11 +178,17 @@ def pw_slp_minpower(eff_channels, s, targets, theta: float) -> SlpSolution:
     """Minimum-power transmit vector meeting per-user margin targets.
 
     `eff_channels` is a sequence of (first row, second row) whitened pairs,
-    `targets` the per-user preset margins applied to both boundaries.
+    `targets` the per-user preset margins applied to both boundaries: one
+    scalar for every user or one value per user (any other count raises
+    ValueError).
     """
     s = np.ravel(np.asarray(s, dtype=complex))
-    t = _per_user(targets, len(s))
-    return _min_power_one(np.asarray(eff_channels, dtype=float), s, theta, np.repeat(t, 2)[None])
+    t = np.asarray(targets, dtype=float).ravel()
+    if t.size not in (1, len(s)):
+        raise ValueError(f"expected {len(s)} per-user values, got {t.size}")
+    return _min_power_one(
+        np.asarray(eff_channels, dtype=float), s, theta, np.repeat(np.broadcast_to(t, len(s)), 2)[None]
+    )
 
 
 def pw_slp_msm(eff_channels, s, p_t: float, theta: float):

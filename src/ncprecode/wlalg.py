@@ -62,18 +62,18 @@ def _perp(v) -> np.ndarray:
 
 
 def expand_vec(v) -> np.ndarray:
-    """Stack a complex vector as [real parts; imaginary parts]."""
-    v = np.asarray(v, dtype=complex).ravel()
-    return np.concatenate([v.real, v.imag])
+    """Stack complex vectors v (..., t) as [real parts; imaginary parts], shape (..., 2t)."""
+    v = np.asarray(v, dtype=complex)
+    return np.concatenate([v.real, v.imag], axis=-1)
 
 
 def collapse_vec(vbar) -> np.ndarray:
-    """Inverse of :func:`expand_vec`."""
-    vbar = np.asarray(vbar, dtype=float).ravel()
-    if vbar.size % 2:
+    """Inverse of :func:`expand_vec`: complex vectors (..., t) of real-stacked ones (..., 2t)."""
+    vbar = np.asarray(vbar, dtype=float)
+    if vbar.shape[-1] % 2:
         raise ValueError("real-stacked vector must have even length")
-    q = vbar.size // 2
-    return vbar[:q] + 1j * vbar[q:]
+    q = vbar.shape[-1] // 2
+    return vbar[..., :q] + 1j * vbar[..., q:]
 
 
 def expand_row(h) -> np.ndarray:
@@ -142,14 +142,20 @@ def sqrt_inv_psd2(g) -> np.ndarray:
     whose larger eigenvalue is below the smallest normal float (a noise
     power that underflows, as a jammer of about -3230 dB without AWGN gives)
     raises NotPositiveDefinite("the noise covariance is too small to whiten
-    ..."); any other singular or indefinite g raises it as not strictly
-    positive definite. In a stack the first such matrix, in C order, raises.
+    ..."); a g whose eigenvalues are not finite (a noise power near the
+    float limit, as a jammer of about 3080 dB gives) raises it as "too large
+    to whiten ..."; any other singular or indefinite g raises it as not
+    strictly positive definite. In a stack the first such matrix, in C
+    order, raises.
     """
     lam1, lam2, v = eig2_sym(g)
-    bad = np.ravel(lam2 <= 0.0)
+    bad = np.ravel(~((lam2 > 0.0) & (lam1 < math.inf)))
     if bad.any():   # the first failing matrix's message
-        if np.ravel(lam1)[bad.argmax()] < sys.float_info.min:
+        first = np.ravel(lam1)[bad.argmax()]
+        if first < sys.float_info.min:
             raise NotPositiveDefinite("the noise covariance is too small to whiten: its entries underflow")
+        if not first < math.inf:
+            raise NotPositiveDefinite("the noise covariance is too large to whiten: its eigenvalues overflow")
         raise NotPositiveDefinite("matrix must be strictly positive definite")
     vp = _perp(v)
     return _outer(v, v) / np.sqrt(lam1)[..., None, None] + _outer(vp, vp) / np.sqrt(lam2)[..., None, None]

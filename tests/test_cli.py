@@ -350,6 +350,55 @@ class TestRun:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho2_db, method, message", [
+        *[("3070", method, None) for method in ("naive_blp", "pw_blp", "robust_blp", "msm", "pw_msm")],
+        *[("3070", method, "SUM") for method in ("pw_slp", "nc_slp", "naive_slp", "robust_slp")],
+        *[
+            pytest.param("3080", method, message, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+            for method, message in [
+                ("naive_blp", None), ("pw_blp", "WHITEN"), ("robust_blp", "WHITEN"), ("msm", None),
+                ("pw_msm", "WHITEN"), ("pw_slp", "SUM"), ("nc_slp", "SUM"), ("naive_slp", "SUM"),
+                ("robust_slp", "SUM"),
+            ]
+        ],
+    ])
+    def test_a_jammer_power_near_the_float_limit_stops_with_an_overflow_error(
+        self, tmp_path, capsys, rho2_db, method, message
+    ):
+        # The load rule accepts these powers (finite linear values), but the
+        # min-power designs' summed powers, or at 3080 dB the noise
+        # covariances' eigenvalues, overflow. A run either ends with finite
+        # columns or stops with the README-listed error that names the
+        # overflow, never with a non-finite column or a traceback. Warnings
+        # are errors at 3070 dB; at 3080 dB numpy warns about the overflows
+        # on the way (in eig2_sym and the bound builders), so there they are
+        # not.
+        text = (
+            MINIMAL.replace("rho2_db = 10.0", f"rho2_db = {rho2_db}")
+            .replace("psi_db = 5.0", "psi_db = 0.0\np_t_db = 10.0")
+            .replace("trials = 3", "trials = 2")
+            .replace("block_len = 10", "block_len = 4")
+            .replace("seed = 99", "seed = 1")
+            .replace("method = nc_slp", f"method = {method}")
+            .replace("q = random_rank_one", "q = circular")
+        )
+        cfg = write(tmp_path, "float-limit.cfg", text)
+        out = tmp_path / "x.csv"
+        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        if message is None:
+            assert (code, captured.err) == (0, "")
+            header, row = out.read_text().splitlines()
+            values = dict(zip(header.split(","), row.split(",")))
+            assert all(np.isfinite(float(values[c])) for c in cli.METRIC_COLUMNS[:-1])
+        else:
+            line = {
+                "SUM": "the summed transmit power overflows: the noise is too strong for the design",
+                "WHITEN": "the noise covariance is too large to whiten: its eigenvalues overflow",
+            }[message]
+            assert (code, captured.out, captured.err) == (1, "", f"error: {line} ({method})\n")
+            assert not out.exists()
+
     def test_more_users_than_antennas_is_inconsistent(self, tmp_path, capsys):
         # m = 2 antennas cannot meet four users' margins: the first distinct
         # symbol vector's QP fails. A 64-slot block has more distinct vectors

@@ -168,6 +168,19 @@ class TestEnergyEfficiency:
     def test_zero_power(self):
         assert energy_efficiency(0.0, 2, 4, 0.0) == 0.0
 
+    def test_stacked_calls_are_the_scalar_calls(self):
+        # 0 where the power is not positive, NaN kept; each item has the
+        # bits of its scalar call and of the rule in Python floats
+        power = np.array([10.0, 3.7e-5, 1e308, 0.0, -0.0, -2.5, -np.inf, np.nan, np.inf])
+        bler = np.linspace(0.0, 1.0, len(power))
+        got = energy_efficiency(bler, 2, 4, power)
+        scalar = np.array([energy_efficiency(float(b), 2, 4, float(p)) for b, p in zip(bler, power)])
+        rule = np.array([0.0 if p <= 0.0 else (1.0 - b) * 2 * 4 / p for b, p in zip(bler.tolist(), power.tolist())])
+        assert got.shape == power.shape
+        assert got.tobytes() == scalar.tobytes() == rule.tobytes()
+        assert np.isnan(got[-2]) and got[-1] == 0.0 and np.all(got[3:7] == 0.0)
+        assert energy_efficiency(0.25, 2, 4, power[:, None]).shape == (len(power), 1)
+
 
 def small_scenario(method, **kw):
     base = dict(
@@ -689,36 +702,52 @@ class TestBatchedSolves:
         assert len(lockstep) == 1 and lockstep[0] >= 16 * solver.BATCH_CROSSOVER
         assert kernel_calls == []
 
-    @staticmethod
-    def clashing_engine():
+    # (user, 0-based symbol index) terms that clashing_engine cannot build
+    BROKEN = {(1, 3), (0, 2)}
+
+    @classmethod
+    def clashing_engine(cls, method):
         # user 1 shares user 0's channel, so a vector with two different
-        # symbols asks one received point to lie in two sectors; the term of
-        # user 1 with symbol index 3 (0-based) cannot be built. The engine's
-        # bound function takes stacks of (trial place, user, symbol) triples.
-        engine = _TrialEngine(reuse_scenario("nc_slp"), range(0, 1))
+        # symbols asks one received point to lie in two sectors and its QP
+        # is infeasible. The terms in BROKEN cannot be built: the bound
+        # function, which takes stacks of (trial place, user, symbol)
+        # triples, names the first of them in its stack.
+        engine = _TrialEngine(reuse_scenario(method), range(0, 1))
         engine.pairs[0, 1] = engine.pairs[0, 0]
         bound_fn = engine.bound_fn
 
         def failing(t, u, s_k):
-            if np.any((u == 1) & (s_k == engine.const[3])):
-                raise ValueError("no bounds for this symbol")
+            i = (s_k[:, None] == engine.const).argmax(axis=1)
+            broken = [(int(a), int(b)) for a, b in zip(u, i) if (a, b) in cls.BROKEN]
+            if broken:
+                raise ValueError("no bounds for user %d, symbol %d" % broken[0])
             return bound_fn(t, u, s_k)
 
         engine.bound_fn = failing
         return engine
 
     def test_design_fails_at_the_first_failing_vector(self):
-        same, clash, broken = np.array([1, 1]), np.array([1, 2]), np.array([3, 4])
+        # 1-based index vectors of users 0 and 1: same and same + 1 design;
+        # clash fails its QP; broken_1 fails its terms at (user 1, symbol 3)
+        # and broken_0 at (user 0, symbol 2), which the stacked call over
+        # every vector meets first, since it builds the terms in (user,
+        # symbol) order. The earliest failing vector raises its own failure.
+        same, clash, broken_1, broken_0 = np.array([1, 1]), np.array([1, 2]), np.array([1, 4]), np.array([3, 1])
 
-        def design(*vectors):
-            engine = self.clashing_engine()
+        def design(method, *vectors):
+            engine = self.clashing_engine(method)
             return _design(engine, np.zeros(len(vectors), dtype=np.int64), np.array(vectors))
 
-        assert len(design(same, same + 1)) == 2
-        with pytest.raises(Infeasible, match="inconsistent constraints"):
-            design(same, clash, broken)
-        with pytest.raises(ValueError, match="no bounds"):
-            design(same, broken, clash)
+        for method in ("nc_slp", "robust_slp"):
+            assert len(design(method, same, same + 1)) == 2
+            with pytest.raises(ValueError, match=r"^no bounds for user 1, symbol 3$"):
+                design(method, same, broken_1, clash, broken_0)
+            with pytest.raises(ValueError, match=r"^no bounds for user 0, symbol 2$"):
+                design(method, same, broken_0, clash, broken_1)
+            with pytest.raises(Infeasible, match=r"^inconsistent constraints$"):
+                design(method, same, clash, broken_1, broken_0)
+            with pytest.raises(ValueError, match=r"^no bounds for user 1, symbol 3$"):
+                design(method, broken_1)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_the_earliest_failing_trial_raises_across_a_chunk(self, monkeypatch, threads):

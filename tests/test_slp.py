@@ -184,6 +184,22 @@ class TestPwSlpMinPower:
         p2 = pw_slp_minpower(eff, s, np.full(3, 2.6), THETA4).power
         assert p2 == pytest.approx(4.0 * p1, rel=1e-12)
 
+    def test_one_target_is_every_users_target(self):
+        rng = np.random.default_rng(62)
+        h, h_j, jam, covs = random_slp_case(rng)
+        eff = eff_channels_from(h, covs)
+        s = rand_symbols(rng, 4, 3)
+        full = pw_slp_minpower(eff, s, np.full(3, 1.7), THETA4)
+        for targets in (1.7, [1.7]):
+            assert pw_slp_minpower(eff, s, targets, THETA4).x.tobytes() == full.x.tobytes()
+
+    @pytest.mark.parametrize("targets", [[1.0, 2.0], np.ones(4), []])
+    def test_a_wrong_number_of_targets_raises(self, targets):
+        rng = np.random.default_rng(63)
+        h, h_j, jam, covs = random_slp_case(rng)
+        with pytest.raises(ValueError, match=rf"^expected 3 per-user values, got {len(targets)}$"):
+            pw_slp_minpower(eff_channels_from(h, covs), rand_symbols(rng, 4, 3), targets, THETA4)
+
     def test_single_user_vs_enumeration(self):
         rng = np.random.default_rng(60)
         h, h_j, jam, covs = random_slp_case(rng, m=1, k=1)

@@ -30,6 +30,23 @@ class TestExpand:
         v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         np.testing.assert_allclose(collapse_vec(expand_vec(v)), v)
 
+    def test_stacked_rows_are_their_one_row_calls(self):
+        rng = np.random.default_rng(1)
+        v = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+        vbar = expand_vec(v)
+        back = collapse_vec(vbar)
+        assert vbar.shape == (4, 3, 10) and back.shape == v.shape
+        for i in np.ndindex(4, 3):
+            assert vbar[i].tobytes() == expand_vec(v[i]).tobytes()
+            assert back[i].tobytes() == collapse_vec(vbar[i]).tobytes()
+        assert back.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 7), (2, 2, 1), (3, 2, 3)])
+    def test_odd_last_axis_raises(self, shape):
+        # the last axis is the stacked vector's, whatever the total size
+        with pytest.raises(ValueError, match="even length"):
+            collapse_vec(np.zeros(shape))
+
     def test_expand_row_examples(self):
         np.testing.assert_allclose(expand_row([1.0]), [[1, 0], [0, 1]])
         np.testing.assert_allclose(expand_row([1j]), [[0, -1], [1, 0]])
@@ -143,6 +160,27 @@ class TestWhitener:
         # singular, with every entry zero or subnormal: a noise power below the float range
         with pytest.raises(NotPositiveDefinite, match="too small to whiten"):
             sqrt_inv_psd2(g)
+
+    @pytest.mark.parametrize("g", [
+        sym(1e308, 0.0, 1e308), sym(1.7e308, 1.7e308, 1.7e308), sym(np.inf, 0.0, 1.0), sym(np.nan, 0.0, 1.0)
+    ])
+    def test_matrix_whose_eigenvalues_overflow_is_too_large_to_whiten(self, g):
+        # a noise power near the float limit: its eigenvalues are not finite
+        # (numpy warns while eig2_sym computes them)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite, match="too large to whiten"):
+            sqrt_inv_psd2(g)
+
+    def test_the_first_failing_matrix_of_a_stack_names_its_failure(self):
+        ok, huge, zero = sym(1.0, 0.0, 1.0), sym(1e308, 0.0, 1e308), sym(0.0, 0.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotPositiveDefinite, match="too large to whiten"):
+                sqrt_inv_psd2(np.array([ok, huge, zero]))
+            with pytest.raises(NotPositiveDefinite, match="too small to whiten"):
+                sqrt_inv_psd2(np.array([ok, zero, huge]))
+
+    def test_largest_finite_noise_is_whitened(self):
+        big = 8e307   # its trace stays finite
+        np.testing.assert_allclose(sqrt_inv_psd2(sym(big, 0.0, big)) * np.sqrt(big), np.eye(2))
 
     def test_smallest_normal_matrix_is_whitened(self):
         tiny = 2.2250738585072014e-308
