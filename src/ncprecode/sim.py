@@ -43,12 +43,13 @@ designing each slot in turn, for any chunk and any thread count.
 
 A slot's symbol indices come from the raw Philox bits (``_raw_indices``),
 with the values and the stream position of ``Generator.integers``.
-Detection is one array pass (``_detect``): np.arctan2 and ceil give every
-point's decision sector, and a point whose sector coordinate lies within
+Detection is one array pass (``_detect``): every point is whitened (for the
+whitening receivers) in one stacked product, np.arctan2 and ceil give its
+decision sector, and a point whose sector coordinate lies within
 ``SECTOR_GUARD`` of an integer (a decision-boundary ray, the 0/2 pi wrap and
-y = 0 among them) or that is not finite goes through the scalar
-``_TrialEngine.detect`` of its trial, so every decision and every exception
-is the scalar path's. A chunk that raises runs again trial by trial, so the
+y = 0 among them) or that is not finite is decided by ``psk_detect`` on the
+same whitened coordinates, so every decision and every exception is the
+scalar detector's. A chunk that raises runs again trial by trial, so the
 earliest failing trial raises its own failure.
 
 The covariance-grid sweeps (``sweep_q_grid`` and the two lemma checks)
@@ -56,10 +57,10 @@ evaluate one channel draw's surface over the feasible (q11, q12) disk. The
 power sweep (``_sweep_power``) solves one min-power QP per symbol vector
 and cell; every symbol chain's rows and bounds are built in one stacked
 pass (``_sweep_chains``), its symbol chains advance in rounds, each round's
-kernel calls in one lockstep ``solver._min_norm_batch`` call, whose stacked
-result gives every chain's power and active list, and each chain certifies
-that active set on the cells after it. Every cell's power has the bits of a
-chain-by-chain sweep.
+kernel calls in one ``solver.solve_min_norm_batch`` call on the live
+chains, whose stacked result gives every chain's power and active list, and
+each chain certifies that active set on the cells after it. Every cell's
+power has the bits of a chain-by-chain sweep.
 """
 
 import math
@@ -84,7 +85,7 @@ from .noisegeom import (
     rotated_cov,
     wedge_exit_probability,
 )
-from .solver import BATCH_CROSSOVER, _batch, _min_norm_batch, _min_norm_kernel, _solve, _zeros, solve_maximin_batch
+from .solver import _min_norm_kernel, _solve, solve_maximin_batch, solve_min_norm_batch
 from .wlalg import collapse_vec, expand_row, expand_vec, sqrt_inv_psd2, symbol_rotation
 
 __all__ = [
@@ -105,8 +106,11 @@ __all__ = [
     "per_trial_metrics",
     "energy_efficiency",
     "sweep_q_grid",
+    "surface_mode",
+    "SURFACE_KEYS",
     "verify_lemma_blp",
     "verify_lemma_slp",
+    "_min_norm_kernel",   # re-exported: the benchmark's tests check that its tracer wraps this binding
 ]
 
 BLP_METHODS = ("naive_blp", "pw_blp", "robust_blp")
@@ -415,7 +419,7 @@ def energy_efficiency(bler, c_bits: float, k: int, avg_power):
 
 
 class _TrialEngine:
-    """The set-up of a chunk of consecutive trials, as (trial, user) stacks, with its detector and integrated SER.
+    """The set-up of a chunk of consecutive trials, as (trial, user) stacks, with its integrated SER.
 
     One Philox generator, re-keyed to each trial's set-up stream (seed,
     trial, 0), draws the trials' channels and jammer covariances in trial
@@ -507,13 +511,6 @@ class _TrialEngine:
             bounds = None if self.bounds is None else self.bounds[t, u]
         return _slp.margin_rows(self.pairs[t, u][:, None], s[:, None], self.sc.theta), bounds
 
-    def detect(self, pos: int, y_k: complex, user: int) -> int:
-        """The scalar decision for received point y_k of a user of trial place pos."""
-        if self.whiten is not None:
-            z = self.whiten[pos, user] @ np.array([y_k.real, y_k.imag])
-            return psk_detect(complex(z[0], z[1]), self.sc.d)
-        return psk_detect(y_k, self.sc.d)
-
     def exit_probability(self, rx: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Per-trial, per-slot, per-user probability (trials x slots x users) of a symbol error.
 
@@ -535,13 +532,17 @@ class _TrialEngine:
         return wedge_exit_probability(np.stack([mu.real, mu.imag], axis=-1), cov, sc.theta)
 
 
+def _jammer_powers(engine: _TrialEngine) -> np.ndarray:
+    """The received jammer powers rho^2 |h_jk|^2 (trials x users); inf, quietly, where they overflow."""
+    with np.errstate(over="ignore"):   # a jammer near the float limit: the whitening raises
+        return engine.sc.rho2 * np.abs(engine.h_j) ** 2
+
+
 # Per method: the chunk's precoders, channel pairs, symbol-free bounds or bound function.
 _BUILDERS = {
     "naive_blp": lambda c: {"precoder": _blp.naive_blp(c.h, c.sc.awgn_var, c.sc.p_t)},
     "pw_blp": lambda c: {"precoder": _blp.mmse_blp(_blp.stack_whitened(c.h, c.whiten), c.sc.p_t)},
-    "robust_blp": lambda c: {
-        "precoder": _blp.robust_blp(c.h, c.sc.awgn_var, c.sc.rho2 * np.abs(c.h_j) ** 2, c.sc.p_t),
-    },
+    "robust_blp": lambda c: {"precoder": _blp.robust_blp(c.h, c.sc.awgn_var, _jammer_powers(c), c.sc.p_t)},
     "msm": lambda c: {"pairs": expand_row(c.h)},
     "pw_msm": lambda c: {"pairs": _slp.whitened_effective_channel(c.h, c.covs, c.whiten)},
     # Matched-reliability whitened-domain targets: after whitening the noise
@@ -613,15 +614,16 @@ def _stack_terms(engine: _TrialEngine, pos: np.ndarray, idx: np.ndarray):
 
 
 def _detect(engine: _TrialEngine, y: np.ndarray) -> np.ndarray:
-    """Decisions (trial places x slots x users) for received points y, each ``engine.detect(i, y[i, t, u], u)``.
+    """Decisions (trial places x slots x users) for received points y, each ``psk_detect`` of its whitened point.
 
     Whitened receivers whiten every point with one stacked matmul, which
-    makes each point's vector product as ``detect`` does, bit for bit.
-    np.arctan2 and ceil then give each decision sector. A point whose
+    makes each point's vector product ``whiten[i, u] @ (re, im)`` bit for
+    bit. np.arctan2 and ceil then give each decision sector. A point whose
     sector coordinate lies within SECTOR_GUARD of an integer, or that is
-    not finite, goes through ``detect`` in trial, slot and user order: the
-    decision-boundary rays, the 0/2 pi wrap and y = 0 (whose phase is 0 or
-    +-pi) all lie on integers, and NaN raises the scalar ValueError.
+    not finite, is decided by ``psk_detect`` of its whitened coordinates, in
+    trial, slot and user order: the decision-boundary rays, the 0/2 pi wrap
+    and y = 0 (whose phase is 0 or +-pi) all lie on integers, and NaN raises
+    the scalar ValueError.
     """
     if engine.whiten is None:
         re, im = y.real, y.imag
@@ -633,7 +635,7 @@ def _detect(engine: _TrialEngine, y: np.ndarray) -> np.ndarray:
     clear = np.isfinite(re) & np.isfinite(im) & (np.abs(coord - np.rint(coord)) > SECTOR_GUARD)
     det = np.ceil(np.where(clear, coord, 1.0)).astype(np.int64)
     for i, t, u in zip(*np.nonzero(~clear)):
-        det[i, t, u] = engine.detect(i, y[i, t, u], u)
+        det[i, t, u] = psk_detect(complex(re[i, t, u], im[i, t, u]), engine.sc.d)
     return det
 
 
@@ -692,13 +694,14 @@ def _run_chunk(sc: Scenario, trials: range, integrate: bool) -> list:
     inverse = inverse.reshape(n, t_len)
     vectors = np.frombuffer(b"".join(number), dtype=np.int64).reshape(-1, k + 1)   # trial place, indices
     xs = _design(engine, vectors[:, 0], vectors[:, 1:])
-    power = np.matmul(xs[:, None, :], np.conj(xs)[:, :, None])[:, 0, 0].real   # one BLAS dot per vector
     rx = np.matmul(engine.h[vectors[:, 0]], xs[:, :, None])[..., 0][inverse]
     y = rx + engine.h_j[:, None] * z[..., None] + (nv[..., 0] + 1j * nv[..., 1])
     det = _detect(engine, y)
     sym_err = np.count_nonzero(det != idx, axis=1).astype(np.int64)
     bit_err = np.array(_BIT_ERRORS[sc.d])[idx - 1, det - 1].sum(axis=1)
-    with np.errstate(over="ignore"):   # an overflowing sum raises below
+    # an overflowing power or sum raises below (the discarded imaginary part may be NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.matmul(xs[:, None, :], np.conj(xs)[:, :, None])[:, 0, 0].real   # one BLAS dot per vector
         power_sum = np.cumsum(power[inverse], axis=1)[:, -1]   # cumsum adds in slot order
     if not np.isfinite(power_sum).all():
         raise PrecodingError("the summed transmit power overflows: the noise is too strong for the design")
@@ -929,7 +932,7 @@ def _certify_windows(a, gram, bounds, eps_p, active, ci, power):
 
 
 def _sweep_chains(sc: Scenario, h, h_j, q11, q12, symbols):
-    """Every symbol draw's chain: margin rows (draws x 2K x 2M), Gram matrices, row norms, bounds, tolerances.
+    """Every symbol draw's chain: margin rows (draws x 2K x 2M), Gram matrices, bounds, tolerances.
 
     The per-user squared margin terms are affine in (q11, q12), so for each
     symbol draw the constraint matrix and its Gram matrix are fixed and only
@@ -947,7 +950,6 @@ def _sweep_chains(sc: Scenario, h, h_j, q11, q12, symbols):
     s = np.array(symbols)   # symbol draws x K
     a_all = _slp.margin_rows(expand_row(h), s, theta)   # draws x 2K x 2M
     gram_all = np.matmul(a_all, a_all.swapaxes(-1, -2))
-    rn_all = np.einsum("sij,sij->si", a_all, a_all)
     jv = np.matmul(symbol_rotation(s).swapaxes(-1, -2), expand_row(h_j[:, None]))   # draws x K x 2 x 2
     w = np.matmul(jv.swapaxes(-1, -2)[..., None, :, :], normals)[..., 0]   # draws x K x normals x 2
     # w^T Q w = w2^2 + q11 (w1^2 - w2^2) + 2 q12 w1 w2, each square a Python-float pow
@@ -959,23 +961,23 @@ def _sweep_chains(sc: Scenario, h, h_j, q11, q12, symbols):
     qf = np.maximum(const + q11[:, None] * lin11 + q12[:, None] * lin12, 0.0)
     bounds = sc.delta0 * cos_t + np.sqrt(omega * (rho2 * qf + half_awgn))   # draws x cells x 2K
     eps_all = 1e-9 * np.maximum(1.0, bounds.max(axis=(1, 2)))
-    return a_all, gram_all, rn_all, bounds, eps_all
+    return a_all, gram_all, bounds, eps_all
 
 
 def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
     """Average minimum power of the transmit-only design at each cell (q11[c], q12[c]).
 
     Each symbol draw is one chain of cells, and every chain's matrix, Gram
-    matrix, row norms and bounds are built up front (``_sweep_chains``).
-    The kernel finds the active set at one cell of a chain,
-    ``_certify_windows`` certifies it on the cells after it, and the kernel
-    runs again at the first cell that fails.
+    matrix and bounds are built up front (``_sweep_chains``). The kernel
+    finds the active set at one cell of a chain, ``_certify_windows``
+    certifies it on the cells after it, and the kernel runs again at the
+    first cell that fails.
 
     The chains advance in rounds. Each round, every live chain's kernel call
-    at its next cell goes to one lockstep ``_min_norm_batch`` call, which
-    gives each problem the scalar kernel's bits or exception (below
-    ``BATCH_CROSSOVER`` live chains, the scalar kernel runs chain by chain
-    into the same stacked form); the round's powers are its stacked
+    at its next cell goes to one ``solve_min_norm_batch`` call on the live
+    chains' matrices only, which gives each problem the scalar kernel's bits
+    or exception and, counting those matrices, picks the lockstep or the
+    problem-by-problem route; the round's powers are its stacked
     objectives, and each chain, in chain order, certifies its windows with
     its active list, in the kernel's insertion order. Each chain's
     powers fill one row, and the rows are added in symbol order, so every
@@ -984,7 +986,7 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
     failure of the lowest failed chain once every lower chain has finished,
     which is the failure a chain-by-chain loop meets first.
     """
-    a_all, gram_all, rn_all, bounds, eps_all = _sweep_chains(sc, h, h_j, q11, q12, symbols)
+    a_all, gram_all, bounds, eps_all = _sweep_chains(sc, h, h_j, q11, q12, symbols)
     n_cells = len(q11)
     power = np.empty((len(symbols), n_cells))
     next_ci = np.zeros(len(symbols), dtype=np.intp)
@@ -992,13 +994,7 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
     live = np.arange(len(symbols))
     while live.size:
         ci = next_ci[live]
-        if live.size < BATCH_CROSSOVER:
-            res = _batch(
-                lambda j: _min_norm_kernel(a_all[live[j]], bounds[live[j], ci[j]], gram_all[live[j]], rn_all[live[j]]),
-                range(live.size), *_zeros(live.size, *a_all.shape[1:]),
-            )
-        else:
-            res = _min_norm_batch(a_all, gram_all, rn_all, bounds[live, ci], live)
+        res = solve_min_norm_batch(a_all[live], bounds[live, ci])
         power[live, ci] = res.objective
         next_ci[live] = ci + 1
         for j, c in enumerate(live.tolist()):
@@ -1011,10 +1007,7 @@ def _sweep_power(sc: Scenario, h, h_j, q11, q12, symbols) -> np.ndarray:
         live = live[(next_ci[live] < n_cells) & (live < min(failures, default=len(symbols)))]
     if failures:
         raise failures[min(failures)]
-    totals = np.zeros(n_cells)
-    for row in power:   # in symbol order; power.sum(0) would add pairwise
-        totals += row
-    return totals / len(symbols)
+    return np.cumsum(power, axis=0)[-1] / len(symbols)   # cumsum adds in symbol order; power.sum(0) would add pairwise
 
 
 def _draw_surface(sc: Scenario, draw: int, grid_n: int, n_symbols: int, mode: str) -> SweepResult:

@@ -311,7 +311,8 @@ def robust_bounds(h_jk, jammer_power: float, awgn_var: float, s_k,
     (:func:`worst_case_pterms`), the binding one of the pair.
     """
     base = delta0 * math.cos(theta)
-    jp = (jammer_power * _squares(abs, h_jk))[..., None]
+    with np.errstate(over="ignore"):   # a jammer power near the float limit: infinite bounds
+        jp = (jammer_power * _squares(abs, h_jk))[..., None]
     root = math.sqrt(omega)
     phase = _each(cmath.phase, h_jk)[..., None]
     alpha_check = np.arange(1, n_div + 1) * math.pi / n_div + phase - _each(cmath.phase, s_k)[..., None]
@@ -358,14 +359,16 @@ def circular_bounds(sigma2, delta0: float, omega: float, theta: float) -> np.nda
     applies it to the whitened noise, naive_slp (:func:`naive_bounds`) to the
     circularized raw noise.
     """
-    bound = delta0 * math.cos(theta) + np.sqrt(omega * 0.5 * np.asarray(sigma2, dtype=float))
+    with np.errstate(over="ignore"):   # a noise power near the float limit: infinite bounds
+        bound = delta0 * math.cos(theta) + np.sqrt(omega * 0.5 * np.asarray(sigma2, dtype=float))
     return np.stack([bound, bound], axis=-1)
 
 
 def naive_bounds(h_jk, jammer_power: float, awgn_var: float,
                  delta0: float, omega: float, theta: float) -> np.ndarray:
     """Users' bounds (..., 2) with the noise circularized at its total power, for jammer gains h_jk (...)."""
-    return circular_bounds(jammer_power * _squares(abs, h_jk) + awgn_var, delta0, omega, theta)
+    with np.errstate(over="ignore"):   # a jammer power near the float limit: infinite bounds
+        return circular_bounds(jammer_power * _squares(abs, h_jk) + awgn_var, delta0, omega, theta)
 
 
 def naive_slp(channels, h_j, jammer_power: float, awgn_var: float, s, delta0: float, p: float,

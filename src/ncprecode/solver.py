@@ -57,7 +57,9 @@ __all__ = [
     "QpProblem",
     "QpSolution",
     "solve_min_norm",
+    "solve_min_norm_batch",
     "solve_maximin",
+    "solve_maximin_batch",
     "kkt_residuals",
     "validate_solution",
 ]
@@ -250,7 +252,8 @@ def _batch(solve, todo, x, act, size, mu) -> QpBatch:
         if size[i] > act.shape[1]:
             act = np.pad(act, ((0, 0), (0, size[i] - act.shape[1])))
         act[i, :size[i]] = active
-    return QpBatch(x, np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0], duals, act, size, errors)
+    with np.errstate(over="ignore"):   # an x near the float limit's square root: an infinite objective
+        return QpBatch(x, np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0], duals, act, size, errors)
 
 
 def _min_norm_batch(a, gram, row_norm2, b, owner):
@@ -403,12 +406,8 @@ def solve_min_norm(prob: QpProblem) -> QpSolution:
     gram = a @ a.T
     row_norm2 = np.einsum("ij,ij->i", a, a)
     x, duals, active = _min_norm_kernel(a, b, gram, row_norm2)
-    return QpSolution(
-        x=x,
-        objective=float(x @ x),
-        duals=duals,
-        active_set=tuple(active),
-    )
+    with np.errstate(over="ignore"):   # an x near the float limit's square root: an infinite objective
+        return QpSolution(x=x, objective=float(x @ x), duals=duals, active_set=tuple(active))
 
 
 def solve_min_norm_batch(a, b, owner=None) -> QpBatch:

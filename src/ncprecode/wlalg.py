@@ -104,21 +104,28 @@ def eig2_sym(g):
 
     Returns (lam1, lam2, v) with lam1 >= lam2 and v (..., 2) the unit
     eigenvector of lam1. Sign convention: the first nonzero component of v
-    is positive. For a multiple of the identity (circle) v = (1, 0). Only
+    is positive. For a multiple of the identity (circle) v = (1, 0), and so
+    for a matrix whose lam1 is not finite (entries near the float limit),
+    which eig2_sym computes without a floating-point warning. Only
     the diagonal and g[..., 0, 1] are read. For one matrix lam1 and lam2 are
     scalars.
     """
     g = np.asarray(g, dtype=float)
     a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-    half_tr = 0.5 * (a + c)
-    disc = _each(math.hypot, 0.5 * (a - c), b)
-    lam1 = half_tr + disc
-    lam2 = half_tr - disc
     # Two candidate eigenvector expressions, one per row; keep the better
-    # conditioned one. Their squared norms overflow above about 1e154, so
-    # candidates whose largest entry reaches 2^500 are first scaled down by
-    # an exact power of two, which changes no bit of the direction.
-    cand = _sym2(lam1 - c, b, lam1 - a)
+    # conditioned one. Entries near the float limit (a noise power that
+    # overflows) give an infinite or NaN lam1, quietly, and such a matrix
+    # gets the circle's direction: its candidates are zero.
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_tr = 0.5 * (a + c)
+        disc = _each(math.hypot, 0.5 * (a - c), b)
+        lam1 = half_tr + disc
+        lam2 = half_tr - disc
+        cand = _sym2(lam1 - c, b, lam1 - a)
+    cand[~np.isfinite(lam1)] = 0.0
+    # Their squared norms overflow above about 1e154, so candidates whose
+    # largest entry reaches 2^500 are first scaled down by an exact power of
+    # two, which changes no bit of the direction.
     if (np.abs(cand) >= 2.0 ** 500).any():
         peak = np.abs(cand).max(axis=(-2, -1))
         cand = np.ldexp(cand, -np.maximum(np.frexp(peak)[1] - 500, 0)[..., None, None])

@@ -354,7 +354,7 @@ class TestRun:
         *[("3070", method, None) for method in ("naive_blp", "pw_blp", "robust_blp", "msm", "pw_msm")],
         *[("3070", method, "SUM") for method in ("pw_slp", "nc_slp", "naive_slp", "robust_slp")],
         *[
-            pytest.param("3080", method, message, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+            ("3080", method, message)
             for method, message in [
                 ("naive_blp", None), ("pw_blp", "WHITEN"), ("robust_blp", "WHITEN"), ("msm", None),
                 ("pw_msm", "WHITEN"), ("pw_slp", "SUM"), ("nc_slp", "SUM"), ("naive_slp", "SUM"),
@@ -370,9 +370,9 @@ class TestRun:
         # covariances' eigenvalues, overflow. A run either ends with finite
         # columns or stops with the README-listed error that names the
         # overflow, never with a non-finite column or a traceback. Warnings
-        # are errors at 3070 dB; at 3080 dB numpy warns about the overflows
-        # on the way (in eig2_sym and the bound builders), so there they are
-        # not.
+        # are errors: the statements that overflow on the way (in eig2_sym,
+        # the jammer-power products, the bound builders and the objectives)
+        # do so quietly.
         text = (
             MINIMAL.replace("rho2_db = 10.0", f"rho2_db = {rho2_db}")
             .replace("psi_db = 5.0", "psi_db = 0.0\np_t_db = 10.0")

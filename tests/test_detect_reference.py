@@ -16,6 +16,9 @@ engine computed before one stacked call served every trial of a chunk.
 `TestGuard` puts points on the decision boundaries, at zero and at
 infinity or NaN, where only the scalar detector's decision counts; in a
 chunk of several trials each trial's points come from its own whitener.
+Its decisions are compared with `_scalar_detect`, a frozen copy of the
+per-point detector (whiten one point, then `psk_detect`) the engine had
+before `_detect` decided its guard points on the coordinates it had whitened.
 """
 
 import math
@@ -55,6 +58,14 @@ def _exit_probability(sc, whiten, covs, const, rx, idx):
         cov = table[np.arange(sc.k), idx - 1]
     mu = rx * np.conj(const[idx - 1])
     return wedge_exit_probability(np.stack([mu.real, mu.imag], axis=-1), cov, sc.theta)
+
+
+def _scalar_detect(engine, pos, y_k, user):
+    """The scalar decision for received point y_k of a user of trial place pos, as the engine's own detector had it."""
+    if engine.whiten is not None:
+        z = engine.whiten[pos, user] @ np.array([y_k.real, y_k.imag])
+        return psk_detect(complex(z[0], z[1]), engine.sc.d)
+    return psk_detect(y_k, engine.sc.d)
 
 
 def _reference_run(sc, trial, integrate):
@@ -210,7 +221,7 @@ class TestGuard:
             det = _detect(engine, y)
         assert det.dtype == np.int64 and det.shape == y.shape
         for i, t, u in np.ndindex(y.shape):
-            assert det[i, t, u] == engine.detect(i, y[i, t, u], u), (i, t, u, y[i, t, u])
+            assert det[i, t, u] == _scalar_detect(engine, i, y[i, t, u], u), (i, t, u, y[i, t, u])
 
     @pytest.mark.parametrize("method", ["naive_blp", "pw_blp"])
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
@@ -236,7 +247,7 @@ class TestGuard:
         y = np.full((3, engine.sc.k), 0.3 + 0.2j)
         y[1, 1] = value
         got, got_warnings = _outcome(lambda: _detect(engine, y[None])[0, 1, 1])
-        expected, expected_warnings = _outcome(lambda: engine.detect(0, y[1, 1], 1))
+        expected, expected_warnings = _outcome(lambda: _scalar_detect(engine, 0, y[1, 1], 1))
         assert got == expected
         if math.isnan(value.real) or math.isnan(value.imag):
             assert expected == (ValueError, "cannot convert float NaN to integer")

@@ -205,3 +205,24 @@ def test_solve_raises_on_singular_matrix_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
             _solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("state", [{}, {"divide": "raise", "over": "ignore", "invalid": "print"}], ids=["default", "set"])
+def test_solve_puts_back_the_callers_error_state(state):
+    # _solve sets its own error state on numpy's context variable and must
+    # reset it, after a normal solve and after a singular one that raises,
+    # so the caller's state holds again: a float division by zero still
+    # warns (or raises) as the caller asked
+    with np.errstate(**state):
+        before = np.geterr()
+        _solve(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 0.0]))
+        assert np.geterr() == before
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
+        assert np.geterr() == before
+        if state:
+            with pytest.raises(FloatingPointError):
+                np.float64(1.0) / 0.0
+        else:
+            with pytest.warns(RuntimeWarning, match="divide by zero"):
+                np.float64(1.0) / 0.0

@@ -178,3 +178,55 @@ def test_every_import_is_used(path):
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = sorted(set(_imported(tree)) - loaded - set(_exports(tree)))
     assert not unused, f"{path.name}: imported but never used: {', '.join(unused)}"
+
+
+# The private names one package module may take from another: a name is
+# private when it starts with an underscore or its module's __all__ does not
+# list it. The wlalg primitives are the broadcasting 2x2 building blocks;
+# solver._solve is the gesv call the lemma-2 windows share with the kernel;
+# sim re-exports solver._min_norm_kernel because the benchmark's tests check
+# that its tracer wraps that binding; the lemma-2 chains square with slp's
+# Python-float pow.
+PRIVATE_IMPORTS = {
+    ("blp", "wlalg._sym2"),
+    ("noisegeom", "wlalg._each"),
+    ("noisegeom", "wlalg._outer"),
+    ("noisegeom", "wlalg._perp"),
+    ("noisegeom", "wlalg._sym2"),
+    ("slp", "wlalg._each"),
+    ("sim", "solver._solve"),
+    ("sim", "solver._min_norm_kernel"),
+    ("sim", "slp._squares"),
+}
+
+
+def _sibling_names(path):
+    """(sibling, name) of each name the module imports from a sibling module or reads off one."""
+    tree = _tree(path)
+    aliases = {}   # name bound by `from . import module`, to the module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    yield node.module, alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            yield aliases[node.value.id], node.attr
+
+
+def test_private_names_cross_modules_only_on_the_allowlist():
+    # a module without __all__ (errors) exports every public name
+    exports = {path.stem: _exports(_tree(path)) for path in MODULES}
+    crossing = {
+        (path.stem, f"{source}.{name}")
+        for path in MODULES
+        if path.stem != "__init__"
+        for source, name in _sibling_names(path)
+        if name.startswith("_") or (exports[source] and name not in exports[source])
+    }
+    # exact, so an entry that lost its last use goes too
+    assert crossing == PRIVATE_IMPORTS, (
+        f"not on the allowlist: {sorted(crossing - PRIVATE_IMPORTS)}; unused: {sorted(PRIVATE_IMPORTS - crossing)}"
+    )

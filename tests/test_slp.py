@@ -884,6 +884,20 @@ class TestCircularBounds:
                 circular_bounds(rho2 * abs(h_jk) ** 2 + awgn_var, delta0, omega, THETA4),
             )
 
+    def test_a_noise_power_near_the_float_limit_gives_infinite_bounds_without_a_warning(self):
+        # each bound builder's overflowing product is quiet (warnings are
+        # errors here): the bounds are inf, and the run's summed-power check
+        # stops it later; below the limit the bounds stay finite
+        omega = chi2_scale(0.9)
+        rows = [
+            lambda rho2: circular_bounds(rho2, 0.0, omega, THETA4),
+            lambda rho2: naive_bounds(1.5 + 0.5j, rho2, 1.0, 0.0, omega, THETA4),
+            lambda rho2: robust_bounds(np.array([1.5 + 0.5j]), rho2, 1.0, np.array([1j]), 0.0, omega, THETA4, 4),
+        ]
+        for bounds in rows:
+            assert np.isinf(bounds(1.7e308)).any()
+            assert np.isfinite(bounds(1e300)).all()
+
 
 class TestPresetMargin:
     def test_negative_margin_rejected(self):

@@ -98,32 +98,29 @@ def _scenario(tmp_path, **changes):
 
 
 def _chain_and_cell(b, bases):
-    """(chain, cell) of a scalar kernel call's bound row, from its place in its array.
+    """(chain, cell) of a reference kernel call's bound row, from its place in its array.
 
-    `sim._sweep_power` stacks every chain's bounds in one (chain, cell, row)
-    array. The reference builds one (cell, row) array per chain, chain after
-    chain, so its chain is the number of arrays seen before.
+    The reference builds one (cell, row) array per chain, chain after chain,
+    so its chain is the number of arrays seen before.
     """
     if not bases or b.base is not bases[-1]:
         bases.append(b.base)
-    index = np.unravel_index((b.ctypes.data - b.base.ctypes.data) // b.itemsize, b.base.shape)
-    if b.base.ndim == 3:
-        return int(index[0]), int(index[1])
-    return len(bases) - 1, int(index[0])
+    return len(bases) - 1, (b.ctypes.data - b.base.ctypes.data) // b.base.strides[0]
 
 
 def _surface_and_calls(monkeypatch, sweep, sc, draw, grid_n, n_symbols, fail_at=None):
     """Surface bytes of one draw and the (chain, cell, bounds) of every kernel problem.
 
-    Problems are recorded at both kernel entries: the scalar kernel and the
-    lockstep batch. The calls are returned in chain order; the sort is stable,
-    so each chain's calls stay in the order it made them. A problem whose
-    (chain, cell) is a key of `fail_at` fails with that exception instead.
+    The reference's problems are recorded at the scalar kernel, the sweep's
+    at its one solver entry, ``solve_min_norm_batch``. The calls are returned
+    in chain order; the sort is stable, so each chain's calls stay in the
+    order it made them. A problem whose (chain, cell) is a key of `fail_at`
+    fails with that exception instead.
     """
     calls = []
     bases = []
     fail_at = fail_at or {}
-    kernel, batch = sim._min_norm_kernel, sim._min_norm_batch
+    kernel, batch = sim._min_norm_kernel, sim.solve_min_norm_batch
 
     def recording_kernel(a, b, gram, row_norm2):
         chain, cell = _chain_and_cell(b, bases)
@@ -132,19 +129,21 @@ def _surface_and_calls(monkeypatch, sweep, sc, draw, grid_n, n_symbols, fail_at=
             raise fail_at[chain, cell]
         return kernel(a, b, gram, row_norm2)
 
-    def recording_batch(a, gram, row_norm2, b, owner):
-        # b is a gathered copy of the live chains' bound rows at their next
-        # cells, so the cells are read from the calling sweep
-        cells = sys._getframe(1).f_locals["next_ci"][owner].tolist()
-        problems = list(zip(owner.tolist(), cells))
+    def recording_batch(a, b):
+        # a and b are gathered copies of the live chains' matrices and bound
+        # rows at their next cells, so the chains and cells are read from the
+        # calling sweep
+        sweep = sys._getframe(1).f_locals
+        live = sweep["live"]
+        problems = list(zip(live.tolist(), sweep["next_ci"][live].tolist()))
         calls.extend((chain, cell, row.tobytes()) for (chain, cell), row in zip(problems, b))
-        out = batch(a, gram, row_norm2, b, owner)
+        out = batch(a, b)
         out.errors.update((j, fail_at[problem]) for j, problem in enumerate(problems) if problem in fail_at)
         return out
 
     with monkeypatch.context() as patch:
         patch.setattr(sim, "_min_norm_kernel", recording_kernel)
-        patch.setattr(sim, "_min_norm_batch", recording_batch)
+        patch.setattr(sim, "solve_min_norm_batch", recording_batch)
         patch.setattr(sim, "_sweep_power", sweep)
         values = sim._draw_surface(sc, draw, grid_n, n_symbols, "power").values
     calls.sort(key=lambda call: call[0])
@@ -237,13 +236,13 @@ def test_the_lowest_failed_chain_raises(tmp_path, monkeypatch, lower_chain_fails
     if lower_chain_fails:
         fail_at[1, late] = Infeasible("chain 1 fails late")
     lockstep = []
-    batch = sim._min_norm_batch
+    batch = sim.solve_min_norm_batch
 
-    def counting_batch(a, gram, row_norm2, b, owner):
-        lockstep.append(len(owner))
-        return batch(a, gram, row_norm2, b, owner)
+    def counting_batch(a, b):
+        lockstep.append(len(b))
+        return batch(a, b)
 
-    monkeypatch.setattr(sim, "_min_norm_batch", counting_batch)
+    monkeypatch.setattr(sim, "solve_min_norm_batch", counting_batch)
     raised = []
     for sweep in (sim._sweep_power, _reference_sweep_power):
         with pytest.raises(PrecodingError) as info:

@@ -124,6 +124,23 @@ class TestEig2:
         assert np.hypot(*v) == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(v, ref_v, rtol=1e-14)
 
+    @pytest.mark.parametrize("g", [
+        sym(1e308, 0.0, 1e308), sym(1.7e308, 1.7e308, 1.7e308), sym(np.inf, 0.0, 1.0), sym(np.inf, 0.0, np.inf),
+        sym(np.nan, 0.0, 1.0),
+    ])
+    def test_overflowing_eigenvalues_are_quiet_and_keep_the_circles_direction(self, g):
+        # a noise power near the float limit: lam1 is not finite, no warning
+        # is given, and the matrix has the circle's eigenvector, alone or in
+        # a stack with an ordinary matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam1, _, v = eig2_sym(g)
+            stacked = eig2_sym(np.array([sym(1.0, 0.3, 0.5), g]))
+        assert not np.isfinite(lam1) and np.array_equal(v, [1.0, 0.0])
+        ordinary = eig2_sym(sym(1.0, 0.3, 0.5))
+        assert stacked[0][0] == ordinary[0] and np.array_equal(stacked[2][0], ordinary[2])
+        assert np.array_equal(stacked[2][1], [1.0, 0.0])
+
     def test_a_stack_is_its_items(self):
         # a stack mixing huge and ordinary matrices gives each item the bits
         # of its own call: only the huge ones are scaled
@@ -165,18 +182,17 @@ class TestWhitener:
         sym(1e308, 0.0, 1e308), sym(1.7e308, 1.7e308, 1.7e308), sym(np.inf, 0.0, 1.0), sym(np.nan, 0.0, 1.0)
     ])
     def test_matrix_whose_eigenvalues_overflow_is_too_large_to_whiten(self, g):
-        # a noise power near the float limit: its eigenvalues are not finite
-        # (numpy warns while eig2_sym computes them)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite, match="too large to whiten"):
+        # a noise power near the float limit: its eigenvalues are not finite,
+        # and eig2_sym computes them without a warning
+        with pytest.raises(NotPositiveDefinite, match="too large to whiten"):
             sqrt_inv_psd2(g)
 
     def test_the_first_failing_matrix_of_a_stack_names_its_failure(self):
         ok, huge, zero = sym(1.0, 0.0, 1.0), sym(1e308, 0.0, 1e308), sym(0.0, 0.0, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NotPositiveDefinite, match="too large to whiten"):
-                sqrt_inv_psd2(np.array([ok, huge, zero]))
-            with pytest.raises(NotPositiveDefinite, match="too small to whiten"):
-                sqrt_inv_psd2(np.array([ok, zero, huge]))
+        with pytest.raises(NotPositiveDefinite, match="too large to whiten"):
+            sqrt_inv_psd2(np.array([ok, huge, zero]))
+        with pytest.raises(NotPositiveDefinite, match="too small to whiten"):
+            sqrt_inv_psd2(np.array([ok, zero, huge]))
 
     def test_largest_finite_noise_is_whitened(self):
         big = 8e307   # its trace stays finite
